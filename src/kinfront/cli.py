@@ -18,7 +18,6 @@ left its domain.
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -76,7 +75,7 @@ def parse_grid(text):
     return np.linspace(lo, hi, n)
 
 
-def parse_model_file(path, level=0):
+def parse_model_file(path):
     """Build a model from a flat key = value file.
 
     Keys:
@@ -132,7 +131,7 @@ def parse_model_file(path, level=0):
             raise ValidationError("discrete support needs point entries")
         pts = np.array([p for p, _ in points])
         wts = np.array([w for _, w in points])
-        return VelocityModel(DiscreteSet(pts, wts), None, level=level, name=name)
+        return VelocityModel(DiscreteSet(pts, wts), None, name=name)
 
     density_name = fields.pop("density", None)
     if density_name is None:
@@ -153,17 +152,16 @@ def parse_model_file(path, level=0):
         raise ValidationError("point entries are only valid for discrete support")
     if fields:
         raise ValidationError("unexpected keys: %s" % ", ".join(sorted(fields)))
-    return VelocityModel(support, density, level=level, name=name)
+    return VelocityModel(support, density, name=name)
 
 
 def build_model(args):
     if args.model and args.model_file:
         raise ValidationError("--model and --model-file are mutually exclusive")
-    level = args.quad_level
     if args.model:
-        return preset(args.model, level=level)
+        return preset(args.model)
     if args.model_file:
-        return parse_model_file(args.model_file, level=level)
+        return parse_model_file(args.model_file)
     raise ValidationError("a model is required (--model or --model-file)")
 
 
@@ -267,8 +265,10 @@ def cmd_speed_curve(args):
 
 def cmd_spreading(args):
     model = build_model(args)
-    if args.directions > 1 and model.dim == 1:
-        raise ValidationError("direction scans need a model in dimension 2 or 3")
+    if args.directions > 1 and model.dim != 2:
+        raise ValidationError(
+            "direction scans need a 2-D model, not a %d-dimensional one" % model.dim
+        )
     ts = [float(tok) for tok in args.t.split(",")] if args.t else [1.0]
     if args.directions > 1:
         angles = 2.0 * np.pi * np.arange(args.directions) / args.directions
@@ -313,7 +313,6 @@ def cmd_simulate(args):
         threshold=args.threshold,
         fit_fraction=args.fit_fraction,
         gamma=args.gamma,
-        backend=args.backend,
     )
     trace = run_front_experiment(model, args.r, config, e=e)
     c_star = dispersion.minimal_speed(model, args.r, e, sample=False).c_star
@@ -329,7 +328,6 @@ def cmd_simulate(args):
         },
         "clamp_max": _jsonable(trace.clamp_max),
         "clamp_count": int(trace.clamp_count),
-        "backend": args.backend or "default",
     }
     prefix = args.out or "run"
     write_csv(
@@ -373,15 +371,10 @@ def cmd_sweep(args):
             else "nan",
         ]
 
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(cell, rs))
-    else:
-        rows = [cell(r) for r in rs]
     write_csv(
         args.out,
         ["r", "lambda_tilde", "lambda_star", "c_star", "case_label", "left_derivative"],
-        rows,
+        [cell(r) for r in rs],
     )
     return EXIT_OK
 
@@ -400,9 +393,7 @@ def build_parser():
     def common(p, needs_r=False):
         p.add_argument("--model", choices=PRESET_NAMES, help="preset model name")
         p.add_argument("--model-file", help="flat key = value model description")
-        p.add_argument("--quad-level", type=int, default=0, help="base quadrature refinement level")
         p.add_argument("--out", help="output path (CSV table or JSON)")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
         if needs_r:
             p.add_argument("--r", type=float, required=True, help="growth rate r > 0")
 
@@ -442,7 +433,6 @@ def build_parser():
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--fit-fraction", type=float, default=0.5)
-    p.add_argument("--backend", choices=("python", "cython"), help="kernel backend")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="minimal-speed summaries over growth rates")

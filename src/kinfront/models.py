@@ -2,7 +2,7 @@
 
 A `VelocityModel` bundles the velocity support (interval, ball, or a
 finite set of velocities with weights), the equilibrium density M, and
-the quadrature machinery used for every integral over the set. Densities
+the quadrature machinery for its directional integrals. Densities
 come from small parametric families (uniform, power, cosine), defined as
 probability densities on their support; the normalization constant is
 part of the family definition. Structural requirements (unit mass, zero
@@ -20,12 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .quadrature import (
-    GradedGrid,
-    composite_nodes,
-    gl_rule,
-    refine_integral,
-)
+from .quadrature import GradedGrid, gl_rule
 
 MASS_TOL = 1e-8
 MEAN_TOL = 1e-8
@@ -155,11 +150,6 @@ class DensityFamily:
         return "DensityFamily(%r)" % self.name
 
 
-def _trapezoid_angles(n):
-    th = np.arange(n) * (2.0 * np.pi / n)
-    return th, np.full(n, 2.0 * np.pi / n)
-
-
 class VelocityModel:
     """The pair (V, M) plus quadrature.
 
@@ -168,13 +158,11 @@ class VelocityModel:
     support : Interval, Ball or DiscreteSet
     density : DensityFamily, required for continuum supports, ignored
         (must be None) for DiscreteSet.
-    level : nonnegative int, base refinement level for plain integrals.
     name : optional label used by the CLI.
     """
 
-    def __init__(self, support, density=None, level=0, name=None):
+    def __init__(self, support, density=None, name=None):
         self.support = support
-        self.level = int(level)
         self.name = name
         self._dir_cache = {}
         self._scalar_cache = {}
@@ -277,62 +265,6 @@ class VelocityModel:
         hits = self.support.points[vals >= m - tol]
         order = np.lexsort(hits.T[::-1])
         return [hits[i].copy() for i in order]
-
-    # -- plain integrals ------------------------------------------------
-
-    def integrate(self, g, rtol=1e-10):
-        """Integral of g(v) M(v) dv with level-doubling refinement.
-
-        g must be vectorized: (N,) -> (N,) in 1-D, (N, n) -> (N,) else.
-        """
-        if self.is_discrete:
-            vals = g(self.support.points if self.dim > 1 else self.support.points[:, 0])
-            return float(self.support.weights @ np.asarray(vals, dtype=float))
-        return refine_integral(
-            lambda lev: self._moment_integral(g, lev), start_level=self.level, rtol=rtol
-        )
-
-    def _moment_integral(self, g, extra_level=0):
-        lev = extra_level
-        if isinstance(self.support, Interval) or (
-            isinstance(self.support, Ball) and self.support.dim == 1
-        ):
-            a, b = (
-                (self.support.a, self.support.b)
-                if isinstance(self.support, Interval)
-                else (-self.support.radius, self.support.radius)
-            )
-            segs = [(a, 0.0), (0.0, b)] if a < 0.0 < b else [(a, b)]
-            x, w = composite_nodes(segs, 2 ** (lev + 1), 16)
-            return float(np.sum(w * self.density(x) * np.asarray(g(x), dtype=float)))
-        if self.support.dim == 2:
-            R = self.support.radius
-            xr, wr = composite_nodes([(0.0, R)], 2 ** (lev + 2), 12)
-            th, wth = _trapezoid_angles(16 * 2**lev)
-            rr, tt = np.meshgrid(xr, th, indexing="ij")
-            v = np.column_stack(
-                [(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()]
-            )
-            wgt = (wr[:, None] * xr[:, None] * wth[None, :]).ravel()
-            return float(np.sum(wgt * self.density(v) * np.asarray(g(v), dtype=float)))
-        # dim == 3: radial GL x GL in cos(theta) x trapezoid in phi
-        R = self.support.radius
-        xr, wr = composite_nodes([(0.0, R)], 2 ** (lev + 2), 12)
-        xu, wu = composite_nodes([(-1.0, 1.0)], 2 ** (lev + 1), 12)
-        ph, wph = _trapezoid_angles(8 * 2**lev)
-        rr = xr[:, None, None]
-        uu = xu[None, :, None]
-        pp = ph[None, None, :]
-        st = np.sqrt(1.0 - uu**2)
-        v = np.column_stack(
-            [
-                (rr * st * np.cos(pp)).ravel(),
-                (rr * st * np.sin(pp)).ravel(),
-                (rr * uu * np.ones_like(pp)).ravel(),
-            ]
-        )
-        wgt = (wr[:, None, None] * xr[:, None, None] ** 2 * wu[None, :, None] * wph).ravel()
-        return float(np.sum(wgt * self.density(v) * np.asarray(g(v), dtype=float)))
 
     def _validate_moments(self):
         """Check unit mass and zero mean (continuum; DiscreteSet checks its own).
@@ -521,20 +453,20 @@ def j_integral(model, e):
 # -- presets ----------------------------------------------------------
 
 
-def preset(name, level=0):
+def preset(name):
     """Build a named preset model.
 
     Known names: uniform-1d, quadratic-1d, uniform-ball:<n>, two-speed.
     """
     if name == "uniform-1d":
-        return VelocityModel(Interval(-1.0, 1.0), DensityFamily("uniform"), level, name)
+        return VelocityModel(Interval(-1.0, 1.0), DensityFamily("uniform"), name=name)
     if name == "quadratic-1d":
-        return VelocityModel(Interval(-1.0, 1.0), DensityFamily("power", k=2.0), level, name)
+        return VelocityModel(Interval(-1.0, 1.0), DensityFamily("power", k=2.0), name=name)
     if name.startswith("uniform-ball:"):
         n = int(name.split(":", 1)[1])
-        return VelocityModel(Ball(1.0, n), DensityFamily("uniform"), level, name)
+        return VelocityModel(Ball(1.0, n), DensityFamily("uniform"), name=name)
     if name == "two-speed":
-        return VelocityModel(DiscreteSet([[-1.0], [1.0]], [0.5, 0.5]), None, level, name)
+        return VelocityModel(DiscreteSet([[-1.0], [1.0]], [0.5, 0.5]), None, name=name)
     raise ValidationError("unknown preset %r" % (name,))
 
 

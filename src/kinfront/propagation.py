@@ -25,6 +25,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.spatial import ConvexHull, QhullError
 
 from .dispersion import (
     _discrete_h,
@@ -237,6 +238,14 @@ def _cstar(model, r, e):
     return val
 
 
+def _hull_normals(model):
+    """Outward unit edge normals of the atoms' convex hull (none if flat)."""
+    try:
+        return ConvexHull(model.support.points).equations[:, :-1]
+    except QhullError:
+        return np.empty((0, model.dim))
+
+
 def freidlin_gartner_speed(model, r, e0, n_angles=ANGLES_FG):
     """Spreading speed of point data: min of c*(e)/(e.e0) over e.e0 > 0.
 
@@ -245,6 +254,10 @@ def freidlin_gartner_speed(model, r, e0, n_angles=ANGLES_FG):
     hemisphere is scanned on a grid and the best bracket refined by
     golden section; a minimizer hugging the equator is flagged, since
     there c*/(e.e0) blows up and attainment relies on interior angles.
+    For a 2-D velocity set of atoms the ratio is also taken at the
+    outward edge normals of their convex hull: once c* turns ballistic
+    near such a normal the minimum can sit at that corner of the ratio,
+    which the golden section is not guaranteed to find.
     """
     if r <= 0:
         raise ValidationError("growth rate r must be positive")
@@ -272,7 +285,11 @@ def freidlin_gartner_speed(model, r, e0, n_angles=ANGLES_FG):
                 "increase n_angles if the minimum looks truncated",
                 RuntimeWarning,
             )
-        return min(float(np.min(vals)), best)
+        best = min(float(np.min(vals)), best)
+        for n in _hull_normals(model):
+            if n @ e0 > 0.0:
+                best = min(best, _cstar(model, r, n) / float(n @ e0))
+        return best
     # dim == 3
     dirs = _fibonacci_sphere(2 * n_angles)
     dirs = dirs[dirs @ e0 > 1e-6]

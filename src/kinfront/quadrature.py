@@ -1,14 +1,12 @@
 """Quadrature engines.
 
-Two kinds of integrals arise. Plain integrals of smooth(ish) integrands
-over the velocity set are handled by composite Gauss-Legendre / product
-rules with level-doubling refinement (`refine_integral`). Directional
-integrals of the form
+Every integral over a continuum velocity set is a directional integral
+of the form
 
     integral of  mbar(t) * k(vbar - t) dt      over t = v . e
 
 with a kernel k that may blow up at t = vbar (the support edge in the
-direction e) are handled by `GradedGrid`: geometrically graded panels
+direction e). `GradedGrid` handles them: geometrically graded panels
 toward both ends of each smooth segment, with per-kernel tail
 extrapolation and divergence classification on the panel increments.
 
@@ -48,35 +46,6 @@ def panel_nodes(a, b, order):
     """GL nodes and weights on the panel [a, b]."""
     x, w = gl_rule(order)
     return a + (b - a) * x, (b - a) * w
-
-
-def composite_nodes(segments, panels_per_segment, order):
-    """Composite GL rule over a list of (a, b) segments."""
-    xs, ws = [], []
-    for a, b in segments:
-        edges = np.linspace(a, b, panels_per_segment + 1)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            x, w = panel_nodes(lo, hi, order)
-            xs.append(x)
-            ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
-
-
-def refine_integral(eval_level, start_level=0, max_levels=10, rtol=1e-10, atol=1e-14):
-    """Level-doubling refinement: call eval_level(level) until two
-    successive values agree to rtol (relative) or atol (absolute).
-
-    Raises QuadratureNotConverged if max_levels is exhausted.
-    """
-    prev = eval_level(start_level)
-    for level in range(start_level + 1, start_level + max_levels):
-        cur = eval_level(level)
-        if abs(cur - prev) <= max(rtol * abs(cur), atol):
-            return cur
-        prev = cur
-    raise QuadratureNotConverged(
-        "integral did not stabilize after %d refinement levels" % max_levels
-    )
 
 
 class _Ladder:
@@ -119,7 +88,7 @@ def _ladder_total(increments, singular):
     """Sum ladder increments, extrapolate the tail, classify divergence.
 
     Returns a float, possibly +inf. All kernels handled here are
-    nonnegative; signed integrands go through `refine_integral` instead.
+    nonnegative.
     """
     totals = np.cumsum(increments)
     if totals[-1] > DIVERGENCE_CAP:

@@ -1,11 +1,11 @@
-"""Pure-numpy implementation of the Strang-split stepping kernel.
+"""Numpy implementation of the Strang-split stepping kernel.
 
-Same scheme as the Cython twin in _kernels.pyx: half step of first-order
-upwind transport with Dirichlet ghost values, a full Heun step of the local
-reaction/relaxation term, another transport half step, then a clamp to
-[0, 1] that reports the worst excess and the number of clamped entries.
-The arithmetic is regrouped for vectorisation, so the two lanes agree to
-roundoff, not bit for bit.
+The scheme: a half step of first-order upwind transport with Dirichlet
+ghost values, a full Heun step of the local reaction/relaxation term,
+another transport half step, then a clamp to [0, 1] that reports the worst
+excess and the number of clamped entries. The arithmetic is regrouped for
+vectorisation, so it agrees with a plain per-row loop over the same scheme
+to roundoff, not bit for bit.
 
 Block layout: the rows of g (velocity nodes) must come in ascending order of
 speed, so the rows of negative, zero and positive speed form three
@@ -24,8 +24,6 @@ unit total mass g == 1 and g == 0 stay exact fixed points.
 """
 
 import numpy as np
-
-BACKEND = "python"
 
 _CHUNK_CELLS = 1 << 16  # 512 KiB of float64 per chunk, plus as much scratch
 

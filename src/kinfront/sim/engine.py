@@ -10,7 +10,7 @@ transport speeds are v.e and the masses come from the slice marginal of
 M, which closes the planar dynamics exactly.
 
 Stepping is Strang-split (half upwind transport, full Heun reaction,
-half transport) through a compiled or pure-numpy kernel; see kernels.py.
+half transport) through the numpy kernel re-exported by kernels.py.
 """
 
 from dataclasses import dataclass, field
@@ -40,7 +40,6 @@ class SimConfig:
     record_interval: float = 0.05
     boundary_margin: int = 8
     recenter_cells: int = 16
-    backend: Optional[str] = None
 
     def __post_init__(self):
         if self.dx <= 0 or self.t_end <= 0 or self.length <= 0:
@@ -155,7 +154,7 @@ def _scratch_for(g):
     return np.empty_like(g), np.empty(g.shape[1]), np.empty(g.shape[1])
 
 
-def step(state, dt, cfl=0.9, backend=None):
+def step(state, dt, cfl=0.9):
     """One Strang-split step; returns a new KineticState.
 
     Raises CFLViolation when dt exceeds cfl * dx / max |v.e|.
@@ -166,10 +165,9 @@ def step(state, dt, cfl=0.9, backend=None):
             "dt = %g exceeds %g * dx / vmax = %g" % (dt, cfl, cfl * state.dx / vmax)
         )
     out = state.copy()
-    kern = kernels.get_backend(backend) if backend else kernels
     g1, rho, rho1 = _scratch_for(out.g)
     nu_half = out.v_nodes * (0.5 * dt / out.dx)
-    kern.strang_step(out.g, g1, rho, rho1, nu_half, out.v_weights, out.r, dt, 1.0, 0.0)
+    kernels.strang_step(out.g, g1, rho, rho1, nu_half, out.v_weights, out.r, dt, 1.0, 0.0)
     out.time += dt
     return out
 
@@ -219,7 +217,6 @@ def run_front_experiment(model, r, config=None, e=None):
     n_steps = max(1, int(np.ceil(config.t_end / dt_max - 1e-12)))
     dt = config.t_end / n_steps
     record_every = max(1, int(round(config.record_interval / dt)))
-    kern = kernels.get_backend(config.backend) if config.backend else kernels
 
     g1, rho, rho1 = _scratch_for(g)
     nu_half = state.v_nodes * (0.5 * dt / config.dx)
@@ -232,7 +229,7 @@ def run_front_experiment(model, r, config=None, e=None):
     center = nx // 2
 
     for k in range(1, n_steps + 1):
-        excess, ncl = kern.strang_step(
+        excess, ncl = kernels.strang_step(
             g, g1, rho, rho1, nu_half, masses, state.r, dt, 1.0, 0.0
         )
         if excess > clamp_max:

@@ -1,39 +1,11 @@
-"""Stepping-kernel backend selection.
+"""The stepping kernel used by the simulation engine.
 
-The compiled Cython kernel is preferred when the extension built; the
-pure-numpy lane is the fallback. Both expose the same `strang_step`
-signature and run the same scheme, agreeing to roundoff; the numpy lane
-additionally needs the velocity rows in ascending order of speed (as
-`engine.sim_nodes` returns them). `BACKEND` names the lane selected at
-import time and `get_backend(name)` returns a specific lane for
-benchmarking and equivalence tests.
+There is one lane: `strang_step` is the numpy implementation in
+`_kernels_py`, re-exported here so that callers bind one name. It needs
+the velocity rows in ascending order of speed, as `engine.sim_nodes`
+returns them. `BACKEND` names the lane for run reports.
 """
 
-from . import _kernels_py
+from ._kernels_py import strang_step  # noqa: F401
 
-try:
-    from . import _kernels  # compiled extension
-
-    _default = _kernels
-except ImportError:  # pragma: no cover - depends on build environment
-    _kernels = None
-    _default = _kernels_py
-
-BACKEND = _default.BACKEND
-strang_step = _default.strang_step
-
-
-def available_backends():
-    names = ["python"]
-    if _kernels is not None:
-        names.insert(0, "cython")
-    return names
-
-
-def get_backend(name):
-    """Return the kernel module for 'python' or 'cython' (None if unbuilt)."""
-    if name == "python":
-        return _kernels_py
-    if name == "cython":
-        return _kernels
-    raise ValueError("unknown kernel backend %r" % (name,))
+BACKEND = "python"

@@ -227,6 +227,24 @@ def test_spreading_direction_scan_needs_2d(capsys):
     assert code == 2
 
 
+def test_spreading_direction_scan_rejects_3d_before_solving(capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("minimal_speed called before the dimension check")
+
+    monkeypatch.setattr(kf.dispersion, "minimal_speed", no_solve)
+    code, _, err = run_cli(capsys, "spreading", "--model", "uniform-ball:3",
+                           "--r", "1", "--directions", "4")
+    assert code == 2
+    assert "2-D model" in err
+
+
+def test_simulate_has_no_kernel_switch(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--model", "two-speed", "--r", "1", "--backend", "python"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_simulate_writes_artifacts(capsys, tmp_path):
     prefix = tmp_path / "ts"
     code, out, _ = run_cli(capsys, "simulate", "--model", "two-speed",
@@ -260,11 +278,11 @@ def test_simulate_window_failure_exits_4(capsys, tmp_path):
 
 
 def test_sweep_threaded_matches_serial(capsys, tmp_path):
-    a, b = tmp_path / "serial.csv", tmp_path / "threaded.csv"
-    for path, threads in ((a, "1"), (b, "3")):
+    # sweeps run serially; two runs of one grid must be byte-identical
+    a, b = tmp_path / "first.csv", tmp_path / "second.csv"
+    for path in (a, b):
         code, _, _ = run_cli(capsys, "sweep", "--model", "quadratic-1d",
-                             "--r-grid", "0.2:1.4:4", "--threads", threads,
-                             "--out", str(path))
+                             "--r-grid", "0.2:1.4:4", "--out", str(path))
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
     lines = a.read_text().strip().splitlines()

@@ -1,11 +1,10 @@
-"""Backend equivalence: the compiled transport/reaction kernel and the numpy
-lane must agree to roundoff, with each other and with a per-row loop
-transcribed from _kernels.pyx."""
+"""The stepping kernel against a per-row loop over the same scheme (agreement
+to roundoff), plus its ordering check, clamp reports and fixed points."""
 
 import numpy as np
 import pytest
 
-from kinfront.sim import kernels
+from kinfront.sim import _kernels_py, kernels
 
 
 def _random_state(rng, nv=6, nx=40):
@@ -16,8 +15,7 @@ def _random_state(rng, nv=6, nx=40):
     return g, masses, speeds
 
 
-def _run(backend, g0, masses, speeds, r, dt, steps, left=1.0, right=0.0):
-    mod = kernels.get_backend(backend)
+def _run(g0, masses, speeds, r, dt, steps, left=1.0, right=0.0):
     g = g0.copy()
     g1 = np.empty_like(g)
     rho = np.empty(g.shape[1])
@@ -25,15 +23,16 @@ def _run(backend, g0, masses, speeds, r, dt, steps, left=1.0, right=0.0):
     nu_half = speeds * (0.5 * dt / 0.01)
     worst, count = 0.0, 0
     for _ in range(steps):
-        excess, n = mod.strang_step(g, g1, rho, rho1, nu_half, masses, r,
-                                    dt, left, right)
+        excess, n = kernels.strang_step(g, g1, rho, rho1, nu_half, masses, r,
+                                        dt, left, right)
         worst = max(worst, excess)
         count += n
     return g, worst, count
 
 
 def _row_loop_step(g, nu_half, masses, r, dt, left_val, right_val):
-    """One step of the scheme, row by row, as written in _kernels.pyx."""
+    """One step of the scheme, row by row: the reference the vectorised
+    kernel must match."""
     nv, nx = g.shape
 
     def transport():
@@ -75,8 +74,7 @@ def test_python_lane_matches_row_loop(left, right):
     g0, masses, _ = _random_state(rng, nv=7)
     speeds = np.array([-1.0, -0.6, -0.2, 0.0, 0.0, 0.5, 1.0])
     g0[1, 3] = 1.2  # one clamp in the first step
-    gp, worst, count = _run("python", g0, masses, speeds, 1.0, 0.004, 25,
-                            left, right)
+    gp, worst, count = _run(g0, masses, speeds, 1.0, 0.004, 25, left, right)
     g = g0.copy()
     nu_half = speeds * (0.5 * 0.004 / 0.01)
     ref_worst, ref_count = 0.0, 0
@@ -93,45 +91,18 @@ def test_python_lane_rejects_unsorted_speeds():
     rng = np.random.default_rng(5)
     g0, masses, speeds = _random_state(rng)
     with pytest.raises(ValueError, match="ascending"):
-        _run("python", g0, masses, speeds[::-1].copy(), 1.0, 0.004, 1)
+        _run(g0, masses, speeds[::-1].copy(), 1.0, 0.004, 1)
 
 
-def test_python_backend_always_available():
-    assert "python" in kernels.available_backends()
-    assert kernels.get_backend("python") is not None
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        kernels.get_backend("fortran")
-
-
-@pytest.mark.skipif("cython" not in kernels.available_backends(),
-                    reason="compiled extension not built")
-def test_lanes_agree_on_random_data():
-    rng = np.random.default_rng(7)
-    g0, masses, speeds = _random_state(rng)
-    gp, _, _ = _run("python", g0, masses, speeds, 1.0, 0.004, 25)
-    gc, _, _ = _run("cython", g0, masses, speeds, 1.0, 0.004, 25)
-    np.testing.assert_allclose(gc, gp, atol=1e-13)
-
-
-@pytest.mark.skipif("cython" not in kernels.available_backends(),
-                    reason="compiled extension not built")
-def test_lanes_report_identical_clamps():
-    rng = np.random.default_rng(11)
-    g0, masses, speeds = _random_state(rng)
-    g0[2, 5] = 1.3  # force one clamp event
-    _, ep, np_ = _run("python", g0, masses, speeds, 0.5, 0.004, 1)
-    _, ec, nc = _run("cython", g0, masses, speeds, 0.5, 0.004, 1)
-    assert np_ == nc > 0
-    np.testing.assert_allclose(ec, ep, rtol=1e-12)
+def test_kernels_reexport_the_numpy_lane():
+    assert kernels.BACKEND == "python"
+    assert kernels.strang_step is _kernels_py.strang_step
 
 
 def test_clamp_silent_inside_unit_band():
     rng = np.random.default_rng(3)
     g0, masses, speeds = _random_state(rng)
-    _, excess, count = _run("python", g0, masses, speeds, 1.0, 0.004, 10)
+    _, excess, count = _run(g0, masses, speeds, 1.0, 0.004, 10)
     assert excess < 1e-12
     assert count == 0
 
@@ -141,7 +112,7 @@ def test_saturated_state_is_steady():
     masses = np.array([0.5, 0.5])
     speeds = np.array([-1.0, 1.0])
     g0 = np.ones((2, 30))
-    g, excess, count = _run("python", g0, masses, speeds, 1.0, 0.005, 50,
+    g, excess, count = _run(g0, masses, speeds, 1.0, 0.005, 50,
                             left=1.0, right=1.0)
     np.testing.assert_allclose(g, 1.0, atol=1e-14)
     assert count == 0
@@ -151,7 +122,7 @@ def test_vacuum_state_is_steady():
     masses = np.array([0.5, 0.5])
     speeds = np.array([-1.0, 1.0])
     g0 = np.zeros((2, 30))
-    g, excess, count = _run("python", g0, masses, speeds, 1.0, 0.005, 50,
+    g, excess, count = _run(g0, masses, speeds, 1.0, 0.005, 50,
                             left=0.0, right=0.0)
     # with empty ghosts nothing may be created from the zero state
     np.testing.assert_allclose(g, 0.0, atol=0.0)

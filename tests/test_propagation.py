@@ -1,4 +1,5 @@
 import math
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -113,6 +114,27 @@ def test_diamond_anisotropy():
     # the direction scan bottoms out at e0 itself
     w = kf.freidlin_gartner_speed(m, r, (1.0, 0.0))
     np.testing.assert_allclose(w, c_axis, atol=1e-8)
+
+
+def test_diamond_spreading_at_ballistic_corner():
+    # at r = 1.1 c* turns ballistic near the diagonal and w*(e0) is the hull
+    # radius along e0, attained at the hull's edge normal (1, 1)/sqrt(2)
+    theta = 0.46
+    e0 = (math.cos(theta), math.sin(theta))
+    w = kf.freidlin_gartner_speed(diamond(), 1.1, e0)
+    hull = 1.0 / (abs(math.cos(theta)) + abs(math.sin(theta)))
+    np.testing.assert_allclose(w, hull, rtol=1e-12)
+
+
+def test_collinear_atoms_spread_like_their_line():
+    # atoms on the first axis have no 2-D hull; c*(e) = |e_1| c*_line, so
+    # every direction of the scan gives the ratio c*_line
+    flat = kf.VelocityModel(kf.DiscreteSet([(1.0, 0.0), (-1.0, 0.0)], [0.5, 0.5]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # flat ratio: any minimizer
+        w = kf.freidlin_gartner_speed(flat, 0.5, (1.0, 0.0))
+    c_line = kf.minimal_speed(model("two-speed"), 0.5, 1.0, sample=False).c_star
+    np.testing.assert_allclose(w, c_line, rtol=1e-8)
 
 
 def test_hj_solution_bundle():

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from kinfront.errors import QuadratureNotConverged
-from kinfront.quadrature import (
-    GradedGrid,
-    composite_nodes,
-    gl_rule,
-    panel_nodes,
-    refine_integral,
-)
+from kinfront.quadrature import GradedGrid, gl_rule, panel_nodes
 
 
 def test_gl_rule_polynomial_exactness():
@@ -29,29 +22,6 @@ def test_panel_nodes_shift_and_scale():
     np.testing.assert_allclose(w.sum(), 3.0, rtol=1e-14)
     np.testing.assert_allclose(np.sum(w * np.exp(x)),
                                math.exp(5.0) - math.exp(2.0), rtol=1e-13)
-
-
-def test_composite_nodes_disjoint_segments():
-    x, w = composite_nodes([(0.0, 1.0), (2.0, 3.0)], 4, 10)
-    val = np.sum(w * np.exp(x))
-    exact = (math.e - 1.0) + (math.exp(3.0) - math.exp(2.0))
-    np.testing.assert_allclose(val, exact, rtol=1e-13)
-
-
-def test_refine_integral_converges():
-    # composite midpoint on [0, 1] with 2^level panels
-    def eval_level(level):
-        n = 2 ** (level + 2)
-        x = (np.arange(n) + 0.5) / n
-        return np.mean(np.sin(x))
-
-    val = refine_integral(eval_level, rtol=1e-9, max_levels=16)
-    np.testing.assert_allclose(val, 1.0 - math.cos(1.0), rtol=1e-8)
-
-
-def test_refine_integral_raises_when_not_stabilizing():
-    with pytest.raises(QuadratureNotConverged):
-        refine_integral(lambda level: float(level), max_levels=5)
 
 
 def _unit_grid():

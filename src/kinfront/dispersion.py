@@ -162,26 +162,83 @@ def _discrete_h(weights, dots):
     F >= 0) the iterates increase monotonically to the root.
 
     dots may be a (k,) vector of atom projections v_i . p, or an (m, k)
-    matrix of m such rows solved simultaneously (the hot loops in the
-    conjugate and speed-curve scans batch their frequency grids here).
+    matrix of m such rows solved simultaneously (the direction scans and
+    the speed-curve zooms batch their frequency grids here). A row stops
+    iterating once its own Newton step is below roundoff, so its H does
+    not depend on which other rows share the batch: solving the matrix
+    gives bit for bit what solving each row alone gives.
     """
     dots = np.asarray(dots, dtype=float)
     scalar = dots.ndim == 1
-    d = dots[None, :] if scalar else dots
+    # row-major, so that every row is reduced in the same order
+    d = np.ascontiguousarray(dots[None, :] if scalar else dots)
     w = np.asarray(weights, dtype=float)[None, :]
     mu = d.max(axis=1)
     b = mu[:, None] - d
     t = (w * (b <= 0.0)).sum(axis=1)
+    # the rows still iterating, with their t and b
+    live, tl, bl = np.arange(t.size), t, b
     for _ in range(60):
-        rat = w / (t[:, None] + b)
+        rat = w / (tl[:, None] + bl)
         F = rat.sum(axis=1) - 1.0
         slope = (rat * rat / w).sum(axis=1)
         step = F / slope
-        t = t + step
-        if (np.abs(step) < 4e-16 * (1.0 + t)).all():
-            break
+        tl = tl + step
+        done = np.abs(step) < 4e-16 * (1.0 + tl)
+        if done.any():
+            t[live[done]] = tl[done]
+            keep = ~done
+            live, tl, bl = live[keep], tl[keep], bl[keep]
+            if live.size == 0:
+                break
+    t[live] = tl
     H = mu - 1.0 + t
     return float(H[0]) if scalar else H
+
+
+def _atom_dots(points, E):
+    """Projections v . e of the atoms on the rows of E, shape (k, atoms).
+
+    Summed coordinate by coordinate rather than through a BLAS product,
+    whose rounding can depend on the shape of the batch; a row's
+    projections are then the same in any batch.
+    """
+    dots = E[:, :1] * points[:, 0]
+    for j in range(1, points.shape[1]):
+        dots = dots + E[:, j : j + 1] * points[:, j]
+    return dots
+
+
+def _spaced(lo, hi, n):
+    """Row-wise np.linspace(lo[i], hi[i], n), rounded exactly as it rounds."""
+    pts = np.arange(n) * ((hi - lo) / (n - 1))[:, None] + lo[:, None]
+    pts[:, -1] = hi
+    return pts
+
+
+# matrix entries per _discrete_h call in _h_on_rays: a few MB of temporaries
+_H_CHUNK = 2**18
+
+
+def _h_on_rays(weights, scales, dots):
+    """H at the frequencies scales[i, j] * e_i of k rays of an atom set.
+
+    dots (k, atoms) holds the projections of the atoms on the unit
+    directions e_i and scales (k, n) the frequency magnitudes along
+    each; returns H with the shape of scales. The (k n, atoms)
+    projection matrix goes to _discrete_h in row chunks of about
+    _H_CHUNK entries, so sets with many atoms keep their temporaries
+    small; _discrete_h solves rows independently, so chunking does not
+    change the result.
+    """
+    k, n = scales.shape
+    atoms = dots.shape[1]
+    out = np.empty((k, n))
+    rays = max(1, _H_CHUNK // (n * atoms))
+    for i in range(0, k, rays):
+        X = scales[i : i + rays, :, None] * dots[i : i + rays, None, :]
+        out[i : i + rays] = _discrete_h(weights, X.reshape(-1, atoms)).reshape(-1, n)
+    return out
 
 
 def _h_value(model, p):
@@ -333,24 +390,74 @@ def _golden_min(f, a, b, rtol=1e-10, max_iter=200):
     return xm, f(xm)
 
 
-def _zoom_min(fvec, a, b, rounds=6, n=65):
-    """Minimize a unimodal function given as a vectorized batch evaluator.
+def _zoom_min(f, lo, hi, rounds=6, n=65):
+    """Minimize k unimodal functions at once, on the brackets [lo, hi].
 
-    Each round evaluates n points and keeps the bracket around the
-    winner, shrinking the window by (n-1)/2 per round; used instead of
-    golden section when one batched call is far cheaper than n scalar
-    ones (discrete models).
+    f maps a (k, n) array of abscissae, row i in [lo[i], hi[i]], to the
+    values of the k functions there. Each round evaluates n points per
+    row and keeps the two intervals around the row's smallest value,
+    shrinking the bracket by (n-1)/2; one batched evaluation per round
+    is far cheaper than n scalar ones on atom sets. Returns the arrays
+    (x, f(x)) of the smallest values seen.
     """
-    best_x, best_f = a, np.inf
+    best_x, best_f = lo.copy(), np.full(lo.size, np.inf)
+    idx = np.arange(lo.size)
     for _ in range(rounds):
-        xs = np.linspace(a, b, n)
-        fs = fvec(xs)
-        k = int(np.argmin(fs))
-        if fs[k] < best_f:
-            best_x, best_f = float(xs[k]), float(fs[k])
-        a = xs[max(k - 1, 0)]
-        b = xs[min(k + 1, n - 1)]
+        xs = _spaced(lo, hi, n)
+        fs = f(xs)
+        j = np.argmin(fs, axis=1)
+        better = fs[idx, j] < best_f
+        best_x = np.where(better, xs[idx, j], best_x)
+        best_f = np.where(better, fs[idx, j], best_f)
+        lo = xs[idx, np.maximum(j - 1, 0)]
+        hi = xs[idx, np.minimum(j + 1, n - 1)]
     return best_x, best_f
+
+
+def _atom_min_speeds(model, r, E, n_grid=64):
+    """Minimal speeds c*(e) and their decay rates on the unit rows of E.
+
+    For a finite velocity set, where l(e) = +inf and every curve is
+    Case1. The steps of minimal_speed's Case1 path, each done for all k
+    directions in one batched _discrete_h solve: a scan of n_grid
+    log-spaced rates up to LAMBDA_CAP; where the scan bottoms out at the
+    cap, the sign of c'(LAMBDA_CAP-) decides between the ballistic limit
+    (c* = vbar(e), lambda* = inf) and a minimum near the cap; then
+    _zoom_min, not golden section, refines the bracket around the scan's
+    minimum. Returns the arrays (c_star, lambda_star); a row's values
+    do not depend on the other rows.
+    """
+    w = model.support.weights
+    dots = _atom_dots(model.support.points, E)
+    vbar = dots.max(axis=1)
+    k = dots.shape[0]
+
+    def cvals(lams, rows):
+        H = _h_on_rays(w, lams / (1.0 + r), dots[rows])
+        return ((1.0 + r) * H + r) / lams
+
+    grid = np.geomspace(1e-3, LAMBDA_CAP, n_grid)
+    scan = cvals(np.broadcast_to(grid, (k, n_grid)), slice(None))
+    kk = np.argmin(scan, axis=1)
+    c_star = np.empty(k)
+    lam_star = np.full(k, np.inf)
+    # at the cap: c'(LAMBDA_CAP-) from the derivative integral, as in
+    # speed_derivative_left (jcal = +inf, i.e. c' > 0, on a zero divisor)
+    top = np.flatnonzero(kk == n_grid - 1)
+    d = np.maximum(1.0 + LAMBDA_CAP * (scan[top, -1] - vbar[top]), 0.0)
+    den = (d[:, None] + LAMBDA_CAP * (vbar[top, None] - dots[top])) ** 2
+    with np.errstate(divide="ignore"):
+        jcal = np.where((den == 0.0).any(axis=1), np.inf, (w / den).sum(axis=1))
+    ballistic = top[1.0 - 1.0 / ((1.0 + r) * jcal) < 0.0]
+    c_star[ballistic] = vbar[ballistic]
+
+    rows = np.setdiff1d(np.arange(k), ballistic)
+    if rows.size:
+        m = kk[rows]
+        lo = np.where(m > 0, grid[m - 1], 0.5 * grid[0])
+        hi = np.where(m < n_grid - 1, grid[np.minimum(m + 1, n_grid - 1)], LAMBDA_CAP)
+        lam_star[rows], c_star[rows] = _zoom_min(lambda lams: cvals(lams, rows), lo, hi)
+    return c_star, lam_star
 
 
 def _sample_grid(lo, hi, n, focus=None, extra=4):
@@ -390,43 +497,42 @@ def minimal_speed(model, r, e, deriv_tol=DERIV_TOL, n_grid=64, sample=True):
 
     lam_star = None
     c_star = None
-    case = None
     dleft = None
 
-    if not capped:
-        dleft = speed_derivative_left(model, r, e, lam_tilde)
-        if dleft <= -deriv_tol:
-            case, lam_star = "Case4", lam_tilde
-        elif abs(dleft) <= deriv_tol:
-            case, lam_star = "Case3", lam_tilde
-        else:
-            case = "Case2"
+    if model.is_discrete:
+        # an atom set always has l = +inf (Case1); the direction scans
+        # batch the same solver over many directions
+        c_stars, lam_stars = _atom_min_speeds(model, r, e[None, :], n_grid)
+        case, c_star, lam_star = "Case1", c_stars[0], lam_stars[0]
     else:
-        case = "Case1"
-
-    if lam_star is not None:
-        c_star = cfun(lam_star)
-    else:
-        refine = (
-            (lambda a, b: _zoom_min(cvals_on, a, b))
-            if model.is_discrete
-            else (lambda a, b: _golden_min(cfun, a, b))
-        )
-        grid = np.geomspace(1e-3, hi, n_grid)
-        cvals = cvals_on(grid)
-        k = int(np.argmin(cvals))
-        if capped and k == n_grid - 1:
-            # decide between a minimum hiding near the cap and a curve
-            # that decreases toward its ballistic limit forever
-            d_cap = speed_derivative_left(model, r, e, hi, c=cvals[-1])
-            if d_cap < 0.0:
-                lam_star, c_star = np.inf, vbar
+        if not capped:
+            dleft = speed_derivative_left(model, r, e, lam_tilde)
+            if dleft <= -deriv_tol:
+                case, lam_star = "Case4", lam_tilde
+            elif abs(dleft) <= deriv_tol:
+                case, lam_star = "Case3", lam_tilde
             else:
-                lam_star, c_star = refine(grid[k - 1], hi)
+                case = "Case2"
         else:
-            a = grid[k - 1] if k > 0 else 0.5 * grid[0]
-            b = grid[k + 1] if k < grid.size - 1 else hi
-            lam_star, c_star = refine(a, b)
+            case = "Case1"
+        if lam_star is not None:
+            c_star = cfun(lam_star)
+        else:
+            grid = np.geomspace(1e-3, hi, n_grid)
+            cvals = cvals_on(grid)
+            k = int(np.argmin(cvals))
+            if capped and k == n_grid - 1:
+                # decide between a minimum hiding near the cap and a curve
+                # that decreases toward its ballistic limit forever
+                d_cap = speed_derivative_left(model, r, e, hi, c=cvals[-1])
+                if d_cap < 0.0:
+                    lam_star, c_star = np.inf, vbar
+                else:
+                    lam_star, c_star = _golden_min(cfun, grid[k - 1], hi)
+            else:
+                a = grid[k - 1] if k > 0 else 0.5 * grid[0]
+                b = grid[k + 1] if k < grid.size - 1 else hi
+                lam_star, c_star = _golden_min(cfun, a, b)
 
     if sample:
         focus = lam_star if np.isfinite(lam_star) else hi

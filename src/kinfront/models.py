@@ -24,6 +24,11 @@ from .quadrature import GradedGrid, gl_rule
 
 MASS_TOL = 1e-8
 MEAN_TOL = 1e-8
+# entries of a model's scalar cache before it is cleared, as the grid
+# cache is past 512 grids: one spreading direction of a 2-D or 3-D atom
+# set stores about 300 minimal speeds (the Freidlin-Gartner scan) and a
+# few dozen conjugate values (the null-set root solves)
+SCALAR_CACHE_MAX = 1024
 _MARGINAL_LEVELS = 16
 _MARGINAL_ORDER = 12
 
@@ -292,6 +297,13 @@ class VelocityModel:
             return "radial"  # slice marginal independent of direction
         return tuple(np.round(e, 12))
 
+    def _remember(self, key, val):
+        """Store a scalar in the per-model cache, clearing it when full."""
+        with self._cache_lock:
+            if len(self._scalar_cache) >= SCALAR_CACHE_MAX:
+                self._scalar_cache.clear()
+            self._scalar_cache[key] = val
+
     def directional_grid(self, e):
         """GradedGrid over t = v.e for continuum supports (None for discrete)."""
         if self.is_discrete:
@@ -435,8 +447,7 @@ def _cached_edge_scalar(model, e, power, tag):
     val = model._scalar_cache.get(key)
     if val is None:
         val = edge_kernel_integral(model, e, 0.0, 1.0, power)
-        with model._cache_lock:
-            model._scalar_cache[key] = val
+        model._remember(key, val)
     return val
 
 

@@ -28,8 +28,11 @@ from scipy.optimize import brentq
 from scipy.spatial import ConvexHull, QhullError
 
 from .dispersion import (
-    _discrete_h,
+    _atom_dots,
+    _atom_min_speeds,
     _golden_min,
+    _h_on_rays,
+    _zoom_min,
     hamiltonian_value,
     lambda_tilde,
     minimal_speed,
@@ -52,36 +55,42 @@ def _ray_value(model, r, e, a, lam):
     return lam * a - (1.0 + r) * hamiltonian_value(model, (lam / (1.0 + r)) * e) - r
 
 
-def _ray_sup_discrete(model, r, e, a):
-    """Discrete-model lane of _ray_sup: batched grid-and-zoom.
+def _ray_sups(model, r, E, a):
+    """_ray_sup on an atom set for k rays (E[i], a[i]) at once.
 
-    g is concave, so six rounds of evaluate-65-points-keep-the-winning
-    bracket pin the maximum to ~1e-9 of the initial window, and every
-    round is one vectorized Newton solve instead of 65 scalar ones.
+    +inf where a[i] > vbar(E[i]). Otherwise g is concave: the window
+    [0, hi] grows from hi = 64 by factors of 4 while g still rises at
+    hi, then six rounds of evaluate-65-points-keep-the-winning-bracket
+    pin the maximum to ~1e-9 of the window. Each round is one batched
+    Newton solve over all rays, and a ray's value does not depend on
+    the other rays.
     """
-    dots = model.support.points @ e
+    a = np.asarray(a, dtype=float)
+    dots = _atom_dots(model.support.points, E)
+    vbar = dots.max(axis=1)
+    out = np.full(a.shape, np.inf)
+    rows = np.flatnonzero(~(a > vbar + 1e-12 * (1.0 + np.abs(vbar))))
+    if rows.size == 0:
+        return out
     w = model.support.weights
+    dots, a = dots[rows], a[rows]
     scale = 1.0 / (1.0 + r)
 
-    def g_batch(lams):
-        H = _discrete_h(w, np.multiply.outer(lams * scale, dots))
-        return lams * a - (1.0 + r) * H - r
+    def g(lams, sel=slice(None)):
+        H = _h_on_rays(w, lams * scale, dots[sel])
+        return lams * a[sel, None] - (1.0 + r) * H - r
 
-    hi = 64.0
-    pair = g_batch(np.array([0.5 * hi, hi]))
-    while pair[1] > pair[0] and hi < _LAM_CEIL:
-        hi *= 4.0
-        pair = g_batch(np.array([0.25 * hi, hi]))
-    lo = _LAM_FLOOR
-    best = -np.inf
-    for _ in range(6):
-        lams = np.linspace(lo, hi, 65)
-        vals = g_batch(lams)
-        k = int(np.argmax(vals))
-        best = max(best, float(vals[k]))
-        lo = lams[max(k - 1, 0)]
-        hi = lams[min(k + 1, 64)]
-    return best
+    hi = np.full(rows.size, 64.0)
+    pair = g(np.column_stack([0.5 * hi, hi]))
+    grow = np.flatnonzero(pair[:, 1] > pair[:, 0])
+    while grow.size:
+        hi[grow] *= 4.0
+        pair = g(np.column_stack([0.25 * hi[grow], hi[grow]]), grow)
+        grow = grow[(pair[:, 1] > pair[:, 0]) & (hi[grow] < _LAM_CEIL)]
+    lo = np.full(rows.size, _LAM_FLOOR)
+    _, neg = _zoom_min(lambda lams: -g(lams), lo, hi)
+    out[rows] = -neg
+    return out
 
 
 def _ray_sup(model, r, e, a):
@@ -91,13 +100,13 @@ def _ray_sup(model, r, e, a):
     branch grows without bound. For a <= vbar the sup lies in
     (0, lambda_tilde(e)] (beyond it the branch is linear with slope
     a - vbar <= 0), or is approached through a growing window when
-    lambda_tilde = +inf.
+    lambda_tilde = +inf. Atom sets go through _ray_sups with one ray.
     """
+    if model.is_discrete:
+        return float(_ray_sups(model, r, e[None, :], [a])[0])
     vbar = model.support_max(e)
     if a > vbar + 1e-12 * (1.0 + abs(vbar)):
         return np.inf
-    if model.is_discrete:
-        return _ray_sup_discrete(model, r, e, a)
     lt = lambda_tilde(model, r, e)
     if np.isfinite(lt):
         hi = lt
@@ -124,6 +133,10 @@ def _angle_dir(theta):
     return np.array([math.cos(theta), math.sin(theta)])
 
 
+def _angle_dirs(thetas):
+    return np.column_stack([np.cos(thetas), np.sin(thetas)])
+
+
 def _fibonacci_sphere(n):
     i = np.arange(n)
     z = 1.0 - (2.0 * i + 1.0) / n
@@ -132,13 +145,28 @@ def _fibonacci_sphere(n):
     return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
 
 
+def _cap_dirs(center, rad):
+    """Unit directions on a 5 x 5 tangent-plane grid of half-width rad about center."""
+    u = np.cross(center, np.eye(3)[int(np.argmin(np.abs(center)))])
+    u /= np.linalg.norm(u)
+    w = np.cross(center, u)
+    g = np.linspace(-rad, rad, 5)
+    D = (center + g[:, None, None] * u + g[None, :, None] * w).reshape(-1, 3)
+    return D / np.linalg.norm(D, axis=1, keepdims=True)
+
+
 def lagrangian(model, r, p, n_angles=ANGLES_LAGRANGIAN):
     """Convex conjugate L(p); +inf outside the closed velocity hull.
 
-    The directional sup uses every grid direction plus one golden-section
-    refinement around the best one. Rotation-invariant models collapse to
-    the aligned direction e = p/|p| exactly (the per-direction value is
-    nondecreasing in p.e and the radial H does not depend on e).
+    The directional sup uses every grid direction plus a local
+    refinement around the best one: golden section over the angle in
+    2-D, two shrinking 5 x 5 direction grids about the best direction
+    in 3-D, where p's own direction is also a candidate.
+    Rotation-invariant models collapse to the aligned direction
+    e = p/|p| exactly (the per-direction value is nondecreasing in p.e
+    and the radial H does not depend on e). The direction scans only
+    ever see atom sets (balls are radial, intervals 1-D), and each grid
+    is one batched _ray_sups call.
     """
     if r <= 0:
         raise ValidationError("growth rate r must be positive")
@@ -160,11 +188,15 @@ def lagrangian(model, r, p, n_angles=ANGLES_LAGRANGIAN):
     if nrm == 0.0:
         e0 = np.eye(model.dim)[0]
         return _ray_sup(model, r, e0, 0.0)
+    # past a facet of the hull the ray along its normal already gives
+    # +inf, which the direction grid below may step over
+    facets = _hull_facets(model)
+    if np.any(facets[:, :-1] @ p + facets[:, -1] > 1e-12 * (1.0 + np.abs(facets[:, -1]))):
+        return np.inf
     if model.dim == 2:
         thetas = 2.0 * math.pi * np.arange(n_angles) / n_angles
-        vals = np.array(
-            [_ray_sup(model, r, _angle_dir(t), float(p @ _angle_dir(t))) for t in thetas]
-        )
+        E = _angle_dirs(thetas)
+        vals = _ray_sups(model, r, E, E @ p)
         k = int(np.argmax(vals))
         if np.isinf(vals[k]):
             return np.inf
@@ -172,26 +204,21 @@ def lagrangian(model, r, p, n_angles=ANGLES_LAGRANGIAN):
         neg = lambda t: -_ray_sup(model, r, _angle_dir(t), float(p @ _angle_dir(t)))
         _, negv = _golden_min(neg, thetas[k] - span, thetas[k] + span, rtol=1e-9)
         return max(float(vals[k]), -negv)
-    # dim == 3: spiral scan plus two shrinking local refinements
-    dirs = _fibonacci_sphere(2 * n_angles)
-    vals = np.array([_ray_sup(model, r, d, float(p @ d)) for d in dirs])
+    # dim == 3: spiral scan, with p's own direction, plus two shrinking
+    # local grids
+    dirs = np.vstack([p / nrm, _fibonacci_sphere(2 * n_angles)])
+    vals = _ray_sups(model, r, dirs, dirs @ p)
     k = int(np.argmax(vals))
     if np.isinf(vals[k]):
         return np.inf
     best_dir, best = dirs[k], float(vals[k])
     rad = math.sqrt(4.0 * math.pi / (2 * n_angles))
     for _ in range(2):
-        u = np.cross(best_dir, np.eye(3)[int(np.argmin(np.abs(best_dir)))])
-        u /= np.linalg.norm(u)
-        w = np.cross(best_dir, u)
-        g = np.linspace(-rad, rad, 5)
-        for alpha in g:
-            for beta in g:
-                d = best_dir + alpha * u + beta * w
-                d /= np.linalg.norm(d)
-                val = _ray_sup(model, r, d, float(p @ d))
-                if val > best:
-                    best, best_dir = val, d
+        D = _cap_dirs(best_dir, rad)
+        vals = _ray_sups(model, r, D, D @ p)
+        k = int(np.argmax(vals))
+        if vals[k] > best:
+            best, best_dir = float(vals[k]), D[k]
         rad *= 0.25
     return best
 
@@ -226,24 +253,41 @@ def hopf_lax_phi(model, r, t, x, init="point", e0=None):
     return max(val, 0.0)
 
 
-def _cstar(model, r, e):
-    """Cached minimal speed for direction scans."""
-    e = direction(e)
-    key = ("cstar", model._dir_key(e), float(r))
-    val = model._scalar_cache.get(key)
-    if val is None:
-        val = minimal_speed(model, r, e, sample=False).c_star
-        with model._cache_lock:
-            model._scalar_cache[key] = val
-    return val
+def _cstars(model, r, E):
+    """Minimal speeds c*(e) on the rows of E, cached per model.
+
+    Reads and fills the ("cstar", direction, r) entries of the model's
+    scalar cache; the directions not yet cached are solved together, in
+    one _atom_min_speeds call for an atom set. Continuum models reach
+    here only for 1-D and radial models, one direction at a time.
+    """
+    E = np.atleast_2d(E)
+    E = E / np.linalg.norm(E, axis=1, keepdims=True)
+    keys = [("cstar", model._dir_key(e), float(r)) for e in E]
+    vals = np.array([model._scalar_cache.get(key, np.nan) for key in keys])
+    todo = np.flatnonzero(np.isnan(vals))
+    if todo.size:
+        if model.is_discrete:
+            vals[todo] = _atom_min_speeds(model, r, E[todo])[0]
+        else:
+            vals[todo] = [minimal_speed(model, r, E[i], sample=False).c_star for i in todo]
+        for i in todo:
+            model._remember(keys[i], float(vals[i]))
+    return vals
 
 
-def _hull_normals(model):
-    """Outward unit edge normals of the atoms' convex hull (none if flat)."""
+def _hull_facets(model):
+    """Facets n.x + c <= 0 of the atoms' convex hull as rows (n, c), n unit.
+
+    No rows for continuum models and 1-D sets, nor when the atoms are
+    flat (Qhull cannot build a full-dimensional hull).
+    """
+    if not model.is_discrete or model.dim == 1:
+        return np.empty((0, model.dim + 1))
     try:
-        return ConvexHull(model.support.points).equations[:, :-1]
+        return ConvexHull(model.support.points).equations
     except QhullError:
-        return np.empty((0, model.dim))
+        return np.empty((0, model.dim + 1))
 
 
 def freidlin_gartner_speed(model, r, e0, n_angles=ANGLES_FG):
@@ -251,19 +295,21 @@ def freidlin_gartner_speed(model, r, e0, n_angles=ANGLES_FG):
 
     In 1-D (and for rotation-invariant models, where the minimizing
     direction is e0 itself) this is just c*(e0). Otherwise the open
-    hemisphere is scanned on a grid and the best bracket refined by
-    golden section; a minimizer hugging the equator is flagged, since
-    there c*/(e.e0) blows up and attainment relies on interior angles.
-    For a 2-D velocity set of atoms the ratio is also taken at the
-    outward edge normals of their convex hull: once c* turns ballistic
-    near such a normal the minimum can sit at that corner of the ratio,
-    which the golden section is not guaranteed to find.
+    hemisphere is scanned on a grid, in one batched c* solve, and the
+    best bracket refined: by golden section over the angle in 2-D, a
+    minimizer hugging the equator being flagged, since there c*/(e.e0)
+    blows up and attainment relies on interior angles; by two shrinking
+    5 x 5 direction grids in 3-D, where e0 itself is also a candidate.
+    For a velocity set of atoms the ratio is also taken at the outward
+    facet normals of their convex hull: once c* turns ballistic near
+    such a normal the minimum can sit at that corner of the ratio, which
+    neither refinement is guaranteed to find.
     """
     if r <= 0:
         raise ValidationError("growth rate r must be positive")
     e0 = direction(e0)
     if model.dim == 1 or _is_radial(model):
-        return _cstar(model, r, e0)
+        return float(_cstars(model, r, e0)[0])
     if model.dim == 2:
         theta0 = math.atan2(e0[1], e0[0])
         half = 0.5 * math.pi
@@ -271,9 +317,9 @@ def freidlin_gartner_speed(model, r, e0, n_angles=ANGLES_FG):
 
         def ratio(phi):
             e = _angle_dir(theta0 + phi)
-            return _cstar(model, r, e) / math.cos(phi)
+            return float(_cstars(model, r, e)[0]) / math.cos(phi)
 
-        vals = np.array([ratio(o) for o in offs])
+        vals = _cstars(model, r, _angle_dirs(theta0 + offs)) / np.cos(offs)
         k = int(np.argmin(vals))
         span = math.pi / n_angles
         lo = max(offs[k] - span, -half + 1e-9)
@@ -286,37 +332,36 @@ def freidlin_gartner_speed(model, r, e0, n_angles=ANGLES_FG):
                 RuntimeWarning,
             )
         best = min(float(np.min(vals)), best)
-        for n in _hull_normals(model):
-            if n @ e0 > 0.0:
-                best = min(best, _cstar(model, r, n) / float(n @ e0))
-        return best
-    # dim == 3
-    dirs = _fibonacci_sphere(2 * n_angles)
-    dirs = dirs[dirs @ e0 > 1e-6]
-
-    def ratio3(d):
-        return _cstar(model, r, d) / float(d @ e0)
-
-    vals = np.array([ratio3(d) for d in dirs])
-    k = int(np.argmin(vals))
-    best_dir, best = dirs[k], float(vals[k])
-    rad = math.sqrt(4.0 * math.pi / (2 * n_angles))
-    for _ in range(2):
-        u = np.cross(best_dir, np.eye(3)[int(np.argmin(np.abs(best_dir)))])
-        u /= np.linalg.norm(u)
-        w = np.cross(best_dir, u)
-        g = np.linspace(-rad, rad, 5)
-        for alpha in g:
-            for beta in g:
-                d = best_dir + alpha * u + beta * w
-                d /= np.linalg.norm(d)
-                if d @ e0 <= 1e-6:
-                    continue
-                val = ratio3(d)
-                if val < best:
-                    best, best_dir = val, d
-        rad *= 0.25
+    else:
+        dirs = _fibonacci_sphere(2 * n_angles)
+        dirs = np.vstack([e0, dirs[dirs @ e0 > 1e-6]])
+        vals = _cstars(model, r, dirs) / (dirs @ e0)
+        k = int(np.argmin(vals))
+        best_dir, best = dirs[k], float(vals[k])
+        rad = math.sqrt(4.0 * math.pi / (2 * n_angles))
+        for _ in range(2):
+            D = _cap_dirs(best_dir, rad)
+            D = D[D @ e0 > 1e-6]
+            vals = _cstars(model, r, D) / (D @ e0)
+            k = int(np.argmin(vals))
+            if vals[k] < best:
+                best, best_dir = float(vals[k]), D[k]
+            rad *= 0.25
+    normals = _hull_facets(model)[:, :-1]
+    normals = normals[normals @ e0 > 0.0]
+    if normals.size:
+        best = min(best, float(np.min(_cstars(model, r, normals) / (normals @ e0))))
     return best
+
+
+def _hull_extent(model, e0):
+    """Largest q with q e0 in the atoms' hull, from its facets; else vbar(e0)."""
+    vb = model.support_max(e0)
+    facets = _hull_facets(model)
+    up = facets[:, :-1] @ e0 > 0.0
+    if not up.any():
+        return vb
+    return min(vb, float(np.min(-facets[up, -1] / (facets[up, :-1] @ e0))))
 
 
 def nullset_radius(model, r, e0, t, init="point", tol=1e-9):
@@ -327,7 +372,10 @@ def nullset_radius(model, r, e0, t, init="point", tol=1e-9):
     Both come out of a bracketed root solve on the conjugate along the
     ray (phi is t times a function of x/t, so the radius is exactly
     linear in t). When the conjugate never turns positive inside the
-    velocity hull the front is ballistic and the radius is vbar(e0) t.
+    velocity hull the front is ballistic and the radius is the hull's
+    extent along e0 times t: vbar(e0) t for planar data, and for point
+    data on a full-dimensional hull of atoms the distance to its
+    boundary, found from the hull's facets, where L jumps to +inf.
     """
     if t <= 0:
         raise ValidationError("time t must be positive")
@@ -344,12 +392,22 @@ def nullset_radius(model, r, e0, t, init="point", tol=1e-9):
                 val = planar_conjugate(model, r, e0, q)
             else:
                 val = lagrangian(model, r, q * e0)
-            with model._cache_lock:
-                cache[key] = val
+            model._remember(key, val)
         return val
 
-    f_hull = f(vb)
-    if f_hull <= 0.0:
+    if init == "point":
+        # L jumps to +inf past the hull, which can end before vbar(e0):
+        # when L <= 0 up to the hull the radius is the hull's extent, where
+        # Brent on [0, vbar] would bisect onto the jump (41 Lagrangian calls
+        # at one diamond corner). Otherwise the bracket stays [0, vbar]:
+        # its points past the hull cost nothing, L being +inf there from
+        # the facets alone, and the radii repeat those of that solve bit
+        # for bit, where Brent on [0, extent] moves them within its xtol
+        # (by 1e-10 relative at one diamond direction)
+        top = _hull_extent(model, e0)
+        if top < vb * (1.0 - 1e-12) and f(top) <= 0.0:
+            return t * top
+    if f(vb) <= 0.0:
         return t * vb
     q_star = brentq(f, 0.0, vb, xtol=tol, rtol=4.0 * np.finfo(float).eps)
     return t * float(q_star)

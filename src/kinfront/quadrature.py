@@ -75,45 +75,28 @@ class _Ladder:
             self.s0 = None  # never the singular end
         self.s = s.ravel()
         self.w = wts.ravel()
-        self.levels = levels
-        self.order = order
         self.tail_width = width * 2.0 ** (-levels)
 
-    def sum_levels(self, y):
-        """Per-level increments of weighted kernel values y (aligned with self.s)."""
-        return y.reshape(self.levels, self.order).sum(axis=1)
 
+def _tail_stats(increments):
+    """Tail statistics of every ladder in one vectorised pass.
 
-def _ladder_total(increments, singular):
-    """Sum ladder increments, extrapolate the tail, classify divergence.
-
-    Returns a float, possibly +inf. All kernels handled here are
-    nonnegative.
+    increments has one row of per-level increments per ladder. Returns
+    five lists with one entry per ladder: the total of the increments,
+    the largest of the last seven, the mean ratio rbar of successive
+    ones among those, the largest deviation of such a ratio from rbar,
+    and the geometric tail past the last level. Entries that the
+    classification in GradedGrid.kernel_integral never reaches (ratios
+    of an overflowing ladder, say) may be inf or nan.
     """
-    totals = np.cumsum(increments)
-    if totals[-1] > DIVERGENCE_CAP:
-        return np.inf
-    last = increments[-7:]
-    scale = totals[-1]
-    if scale <= 0.0:
-        return 0.0
-    # negligible tail: nothing to classify
-    if last.max() <= 1e-15 * scale:
-        return totals[-1]
-    ratios = last[1:] / np.maximum(last[:-1], 1e-300)
-    rbar = ratios.mean()
-    if singular and rbar >= DIVERGENCE_RATIO:
-        return np.inf
-    if np.abs(ratios - rbar).max() > RATIO_SCATTER_TOL * max(rbar, _TAIL_RATIO_FLOOR):
-        raise QuadratureNotConverged(
-            "graded-panel increments are not settling into a geometric tail"
-        )
-    if rbar >= DIVERGENCE_RATIO:
-        # non-singular ladders never see singular kernels; a fat tail here
-        # means the integrand misbehaves at a supposedly regular endpoint
-        raise QuadratureNotConverged("unexpected slow decay at a regular endpoint")
-    tail = increments[-1] * rbar / (1.0 - rbar) if rbar > _TAIL_RATIO_FLOOR else 0.0
-    return totals[-1] + tail
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        totals = np.cumsum(increments, axis=1)[:, -1]
+        last = increments[:, -7:]
+        ratios = last[:, 1:] / np.maximum(last[:, :-1], 1e-300)
+        rbar = ratios.sum(axis=1) / ratios.shape[1]
+        scatter = np.abs(ratios - rbar[:, None]).max(axis=1)
+        tail = increments[:, -1] * rbar / (1.0 - rbar)
+    return [a.tolist() for a in (totals, last.max(axis=1), rbar, scatter, tail)]
 
 
 class GradedGrid:
@@ -150,11 +133,9 @@ class GradedGrid:
         if m.shape != self.s.shape:
             raise ValueError("marginal must map s-array to same-shape array")
         self.w = np.concatenate([lad.w for lad in self.ladders]) * m
-        self._slices = []
-        pos = 0
-        for lad in self.ladders:
-            self._slices.append(slice(pos, pos + lad.s.size))
-            pos += lad.s.size
+        # every ladder has the same levels x order nodes, level-major
+        self._shape = (len(self.ladders), levels, order)
+        self._singular = [lad.s0 == 0.0 for lad in self.ladders]
 
     def kernel_integral(self, kernel):
         """Integrate kernel(s) * mbar against the grid.
@@ -163,13 +144,31 @@ class GradedGrid:
         when the increments toward s = 0 classify as divergent.
         """
         y = kernel(self.s) * self.w
+        stats = _tail_stats(y.reshape(self._shape).sum(axis=2))
+        # classify each ladder's tail, in ladder order: the first ladder
+        # that diverges or fails to settle decides the result
         total = 0.0
-        for lad, sl in zip(self.ladders, self._slices):
-            inc = lad.sum_levels(y[sl])
-            part = _ladder_total(inc, singular=(lad.s0 == 0.0))
-            if np.isinf(part):
+        for singular, (part, big, rbar, scatter, tail) in zip(self._singular, zip(*stats)):
+            if part > DIVERGENCE_CAP:
                 return np.inf
-            total += part
+            if part <= 0.0:
+                continue
+            # negligible tail: nothing to classify
+            if big <= 1e-15 * part:
+                total += part
+                continue
+            if singular and rbar >= DIVERGENCE_RATIO:
+                return np.inf
+            if scatter > RATIO_SCATTER_TOL * max(rbar, _TAIL_RATIO_FLOOR):
+                raise QuadratureNotConverged(
+                    "graded-panel increments are not settling into a geometric tail"
+                )
+            if rbar >= DIVERGENCE_RATIO:
+                # non-singular ladders never see singular kernels; a fat tail
+                # here means the integrand misbehaves at a supposedly regular
+                # endpoint
+                raise QuadratureNotConverged("unexpected slow decay at a regular endpoint")
+            total += part + (tail if rbar > _TAIL_RATIO_FLOOR else 0.0)
         return total
 
     def power_kernel(self, d, beta, power):

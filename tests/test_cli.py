@@ -221,6 +221,34 @@ def test_spreading_radii_scale_linearly(capsys):
                                2.0 * entry["w_star"], atol=1e-6)
 
 
+def test_spreading_scan_keeps_the_scalar_cache_bounded(capsys, tmp_path, monkeypatch):
+    # a 64-direction scan of the diamond stores more scalars per model than
+    # the bound; the cache is cleared on the way and the output is the same
+    sizes = []
+    remember = kf.VelocityModel._remember
+
+    def counted(self, key, val):
+        remember(self, key, val)
+        sizes.append(len(self._scalar_cache))
+
+    monkeypatch.setattr(kf.VelocityModel, "_remember", counted)
+    path = tmp_path / "diamond.model"
+    path.write_text("support = discrete\npoint = 1,0 : 0.25\npoint = -1,0 : 0.25\n"
+                    "point = 0,1 : 0.25\npoint = 0,-1 : 0.25\n")
+    code, out, _ = run_cli(capsys, "spreading", "--model-file", str(path), "--r", "3",
+                           "--t", "1", "--directions", "64")
+    assert code == 0
+    assert len(sizes) > kf.models.SCALAR_CACHE_MAX >= max(sizes)
+    # the last directions ran after the cache was cleared; a fresh model
+    # gives them bit for bit
+    for entry in json.loads(out)["directions"][-2:]:
+        m, e0 = parse_model_file(str(path)), np.array(entry["e0"])
+        assert entry["c_star"] == kf.minimal_speed(m, 3.0, e0, sample=False).c_star
+        assert entry["w_star"] == kf.freidlin_gartner_speed(m, 3.0, e0)
+        for init in ("planar", "point"):
+            assert entry["radii"][init]["1"] == kf.nullset_radius(m, 3.0, e0, 1.0, init=init)
+
+
 def test_spreading_direction_scan_needs_2d(capsys):
     code, _, err = run_cli(capsys, "spreading", "--model", "uniform-1d",
                            "--r", "1.0", "--directions", "8")

@@ -210,3 +210,29 @@ def test_speed_exceeds_minimum_everywhere(r, lam):
     m = model("quadratic-1d")
     c_star = kf.minimal_speed(m, r, 1.0, sample=False).c_star
     assert kf.speed(m, r, 1.0, lam) >= c_star - 1e-9
+
+
+@st.composite
+def _atom_sets(draw):
+    """Random atom sets with positive weights and zero mean, plus frequencies."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.1, 1.0, n)
+    w /= w.sum()
+    pts = rng.uniform(-1.0, 1.0, (n, dim))
+    pts -= w @ pts
+    # a wide spread of |p|, so rows take different numbers of Newton steps
+    P = rng.standard_normal((draw(st.integers(2, 40)), dim)) * 10.0 ** rng.uniform(-3, 2)
+    return w, pts @ P.T
+
+
+@settings(max_examples=60, deadline=None)
+@given(_atom_sets())
+def test_discrete_h_rows_do_not_depend_on_the_batch(case):
+    w, dots = case
+    D = dots.T
+    batch = kf.dispersion._discrete_h(w, D)
+    for i, row in enumerate(D):
+        assert batch[i] == kf.dispersion._discrete_h(w, row)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import kinfront as kf
+from kinfront import propagation as P
 from kinfront.errors import ValidationError
 
 model = lru_cache(maxsize=None)(kf.preset)
@@ -14,6 +15,11 @@ model = lru_cache(maxsize=None)(kf.preset)
 def diamond():
     pts = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
     return kf.VelocityModel(kf.DiscreteSet(pts, [0.25] * 4), name="diamond")
+
+
+def octahedron():
+    pts = np.vstack([np.eye(3), -np.eye(3)])
+    return kf.VelocityModel(kf.DiscreteSet(pts, [1.0 / 6.0] * 6), name="octahedron")
 
 
 def test_lagrangian_at_rest_and_at_cstar():
@@ -124,6 +130,91 @@ def test_diamond_spreading_at_ballistic_corner():
     w = kf.freidlin_gartner_speed(diamond(), 1.1, e0)
     hull = 1.0 / (abs(math.cos(theta)) + abs(math.sin(theta)))
     np.testing.assert_allclose(w, hull, rtol=1e-12)
+
+
+def test_point_radius_at_ballistic_corner_stops_at_the_hull(monkeypatch):
+    # L <= 0 up to the hull along e0: the radius is the hull's extent, found
+    # without root-finding onto the jump of L to +inf past the hull
+    calls = []
+    lagrangian = P.lagrangian
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return lagrangian(*args, **kwargs)
+
+    monkeypatch.setattr(P, "lagrangian", counted)
+    theta = 0.46
+    e0 = (math.cos(theta), math.sin(theta))
+    rad = kf.nullset_radius(diamond(), 1.1, e0, 2.0)
+    hull = 1.0 / (abs(math.cos(theta)) + abs(math.sin(theta)))
+    np.testing.assert_allclose(rad, 2.0 * hull, rtol=1e-12)
+    assert len(calls) <= 2
+
+
+def test_lagrangian_is_infinite_past_the_hull_without_solving(monkeypatch):
+    # the root solve for point radii tries points past the hull; there L is
+    # +inf from the hull's facets alone, with no direction scan
+    tri = kf.VelocityModel(kf.DiscreteSet([(1.0, 0.0), (0.0, 1.0), (-1.0, -1.0)],
+                                          [1.0 / 3.0] * 3))
+    mid = np.array([-0.5, 0.0])  # on the edge from (0, 1) to (-1, -1)
+    normal = np.array([-2.0, 1.0]) / math.sqrt(5.0)
+    inside = kf.lagrangian(tri, 0.8, mid - 1e-6 * normal)
+    assert np.isfinite(inside)
+
+    def no_solve(*args):
+        raise AssertionError("direction scan run past the hull")
+
+    monkeypatch.setattr(P, "_ray_sups", no_solve)
+    for q in (1e-6, 0.3):
+        assert kf.lagrangian(tri, 0.8, mid + q * normal) == np.inf
+    assert kf.lagrangian(octahedron(), 0.8, np.array([0.5, 0.5, 0.1])) == np.inf
+
+
+def test_octahedron_spreads_along_its_axis_at_cstar():
+    m = octahedron()
+    r = 0.8
+    e1 = np.array([1.0, 0.0, 0.0])
+    c = kf.minimal_speed(m, r, e1, sample=False).c_star
+    w = kf.freidlin_gartner_speed(m, r, e1)
+    np.testing.assert_allclose(w, c, rtol=1e-8)
+    rad = kf.nullset_radius(m, r, e1, 2.0, init="planar")
+    np.testing.assert_allclose(rad / 2.0, c, rtol=1e-8)
+    # the 3-D conjugate: -r at rest, zero at the spreading speed, +inf past
+    # the hull
+    np.testing.assert_allclose(kf.lagrangian(m, r, np.zeros(3)), -r, rtol=1e-12)
+    assert abs(kf.lagrangian(m, r, w * e1)) < 1e-9
+    assert kf.lagrangian(m, r, np.array([0.5, 0.5, 0.1])) == np.inf
+    # off the axes the point front is slower than the planar one
+    e = kf.direction((1.0, 2.0, 2.0))
+    assert kf.freidlin_gartner_speed(m, r, e) < kf.minimal_speed(m, r, e, sample=False).c_star
+    # at r = 3 c* is ballistic along the facet normal (1, 1, 1)/sqrt(3), and
+    # w* is the hull's extent 1/|e|_1 along e, attained at that normal
+    np.testing.assert_allclose(kf.freidlin_gartner_speed(m, 3.0, e), 0.6, rtol=1e-12)
+
+
+@pytest.mark.parametrize("rays_per_chunk", [None, 3])
+def test_batched_scans_equal_one_ray_at_a_time(monkeypatch, rays_per_chunk):
+    m = octahedron()
+    if rays_per_chunk:
+        # split the batches into several _discrete_h calls
+        monkeypatch.setattr(kf.dispersion, "_H_CHUNK", 65 * 6 * rays_per_chunk)
+    # generic directions, and two where atoms tie for the largest projection
+    dirs = np.vstack([P._fibonacci_sphere(40), kf.direction((1.0, 1.0, 0.0)),
+                      kf.direction((1.0, 1.0, 1.0))])
+    # rays inside the cone, on its edge and past it (+inf)
+    a = dirs @ np.array([0.9, -0.5, 0.4])
+    sups = P._ray_sups(m, 0.8, dirs, a)
+    assert np.isinf(sups).any() and np.isfinite(sups).any()
+    for i in range(len(dirs)):
+        assert P._ray_sups(m, 0.8, dirs[i:i + 1], a[i:i + 1])[0] == sups[i]
+    # at r = 3 the tie directions are ballistic (lambda* = inf), the others not
+    for r in (0.8, 3.0):
+        c, lam = kf.dispersion._atom_min_speeds(m, r, dirs)
+        if r == 3.0:
+            assert np.isinf(lam).any() and np.isfinite(lam).any()
+        for i in range(len(dirs)):
+            c1, lam1 = kf.dispersion._atom_min_speeds(m, r, dirs[i:i + 1])
+            assert (c1[0], lam1[0]) == (c[i], lam[i])
 
 
 def test_collinear_atoms_spread_like_their_line():

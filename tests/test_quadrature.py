@@ -83,3 +83,85 @@ def test_log_kernel_matches_closed_form(d, beta):
     g = _unit_grid()
     exact = math.log((d + beta) / d) / beta
     np.testing.assert_allclose(g.power_kernel(d, beta, 1), exact, rtol=1e-11)
+
+
+def _loop_kernel_integral(grid, kernel):
+    """The per-ladder loop that GradedGrid.kernel_integral replaces, as an oracle."""
+    from kinfront.errors import QuadratureNotConverged
+    from kinfront.quadrature import (DIVERGENCE_CAP, DIVERGENCE_RATIO,
+                                     LADDER_LEVELS, LADDER_ORDER,
+                                     RATIO_SCATTER_TOL, _TAIL_RATIO_FLOOR)
+
+    def ladder_total(increments, singular):
+        totals = np.cumsum(increments)
+        if totals[-1] > DIVERGENCE_CAP:
+            return np.inf
+        last = increments[-7:]
+        scale = totals[-1]
+        if scale <= 0.0:
+            return 0.0
+        if last.max() <= 1e-15 * scale:
+            return totals[-1]
+        ratios = last[1:] / np.maximum(last[:-1], 1e-300)
+        rbar = ratios.mean()
+        if singular and rbar >= DIVERGENCE_RATIO:
+            return np.inf
+        if np.abs(ratios - rbar).max() > RATIO_SCATTER_TOL * max(rbar, _TAIL_RATIO_FLOOR):
+            raise QuadratureNotConverged(
+                "graded-panel increments are not settling into a geometric tail")
+        if rbar >= DIVERGENCE_RATIO:
+            raise QuadratureNotConverged("unexpected slow decay at a regular endpoint")
+        tail = increments[-1] * rbar / (1.0 - rbar) if rbar > _TAIL_RATIO_FLOOR else 0.0
+        return totals[-1] + tail
+
+    y = kernel(grid.s) * grid.w
+    n = LADDER_LEVELS * LADDER_ORDER
+    total = 0.0
+    for k, lad in enumerate(grid.ladders):
+        inc = y[k * n:(k + 1) * n].reshape(LADDER_LEVELS, LADDER_ORDER).sum(axis=1)
+        part = ladder_total(inc, singular=(lad.s0 == 0.0))
+        if np.isinf(part):
+            return np.inf
+        total += part
+    return total
+
+
+def _outcome(fn):
+    from kinfront.errors import QuadratureNotConverged
+
+    try:
+        return fn()
+    except QuadratureNotConverged as exc:
+        return "raised: %s" % exc
+
+
+def test_kernel_integral_matches_the_per_ladder_loop():
+    grids = [
+        _unit_grid(),
+        GradedGrid([0.0, 0.5, 1.0], lambda s: np.ones_like(s), vbar=1.0),
+        GradedGrid([0.0, 0.3, 1.2, 2.0], lambda s: s * (2.0 - s) ** 2, vbar=1.0),
+    ]
+    kernels = [
+        lambda s: np.ones_like(s),  # negligible tails
+        lambda s: np.zeros_like(s),  # zero ladders
+        lambda s: 1.0 / (0.3 + 2.0 * s),  # geometric tails, extrapolated
+        lambda s: 1.0 / s,  # divergent at the singular end
+        lambda s: 1.0 / s**2,  # overflows the divergence cap
+        lambda s: s**-0.5,  # integrable edge singularity
+        lambda s: np.sin(np.log(s)) ** 2,  # increments that never settle
+        lambda s: 1.0 / np.abs(s - 1.0),  # fat tail at a regular endpoint
+    ]
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        d, beta = 10.0 ** rng.uniform(-12, 1), 10.0 ** rng.uniform(-2, 2)
+        power = rng.uniform(0.5, 3)
+        kernels.append(lambda s, d=d, beta=beta, power=power: (d + beta * s) ** -power)
+    seen = set()
+    for g in grids:
+        for kernel in kernels:
+            want = _outcome(lambda: _loop_kernel_integral(g, kernel))
+            got = _outcome(lambda: g.kernel_integral(kernel))
+            assert got == want or (np.isnan(got) and np.isnan(want))
+            seen.add(want if isinstance(want, str) else ("inf" if np.isinf(want) else "finite"))
+    # every outcome of the classification occurs among the cases
+    assert len(seen) == 4, seen

@@ -14,7 +14,6 @@ l and j integrals and the dispersion-relation kernels) are served by a
 cached per-direction `GradedGrid`; see the `quadrature` module.
 """
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,7 +170,6 @@ class VelocityModel:
         self.name = name
         self._dir_cache = {}
         self._scalar_cache = {}
-        self._cache_lock = threading.Lock()
 
         if isinstance(support, DiscreteSet):
             if density is not None:
@@ -295,14 +293,14 @@ class VelocityModel:
     def _dir_key(self, e):
         if isinstance(self.support, Ball) and self.support.dim >= 2:
             return "radial"  # slice marginal independent of direction
-        return tuple(np.round(e, 12))
+        # exact: a rounded key would hand one direction another's values
+        return tuple(e.tolist())
 
     def _remember(self, key, val):
         """Store a scalar in the per-model cache, clearing it when full."""
-        with self._cache_lock:
-            if len(self._scalar_cache) >= SCALAR_CACHE_MAX:
-                self._scalar_cache.clear()
-            self._scalar_cache[key] = val
+        if len(self._scalar_cache) >= SCALAR_CACHE_MAX:
+            self._scalar_cache.clear()
+        self._scalar_cache[key] = val
 
     def directional_grid(self, e):
         """GradedGrid over t = v.e for continuum supports (None for discrete)."""
@@ -311,15 +309,11 @@ class VelocityModel:
         e = direction(e)
         key = self._dir_key(e)
         grid = self._dir_cache.get(key)
-        if grid is not None:
-            return grid
-        with self._cache_lock:
-            grid = self._dir_cache.get(key)
-            if grid is None:
-                grid = self._build_grid(e)
-                if len(self._dir_cache) > 512:
-                    self._dir_cache.clear()
-                self._dir_cache[key] = grid
+        if grid is None:
+            grid = self._build_grid(e)
+            if len(self._dir_cache) > 512:
+                self._dir_cache.clear()
+            self._dir_cache[key] = grid
         return grid
 
     def _build_grid(self, e):
@@ -425,8 +419,8 @@ def edge_kernel_integral(model, e, d, beta, power):
     """Integral over V of M(v) / (d + beta*(vbar(e) - v.e))^power.
 
     d >= 0, beta > 0. Returns +inf when divergent. This single entry
-    point serves l (d=0, power=1), j (d=0, power=2), the implicit
-    dispersion relation and its derivative integral.
+    point serves l (d=0, power=1), j (d=0, power=2), the derivative
+    integral of the dispersion relation and the wave-profile mass.
     """
     if model.is_discrete:
         e = direction(e)
@@ -440,8 +434,6 @@ def edge_kernel_integral(model, e, d, beta, power):
 
 
 def _cached_edge_scalar(model, e, power, tag):
-    # memoized per direction; initialization is idempotent so a lost race
-    # just recomputes the same value
     e = direction(e)
     key = (tag, model._dir_key(e))
     val = model._scalar_cache.get(key)

@@ -30,10 +30,9 @@ from scipy.spatial import ConvexHull, QhullError
 from .dispersion import (
     _atom_dots,
     _atom_min_speeds,
-    _golden_min,
     _h_on_rays,
     _zoom_min,
-    hamiltonian_value,
+    hamiltonian_values,
     lambda_tilde,
     minimal_speed,
 )
@@ -51,89 +50,58 @@ def _is_radial(model):
     return isinstance(model.support, Ball) and model.support.dim >= 2
 
 
-def _ray_value(model, r, e, a, lam):
-    return lam * a - (1.0 + r) * hamiltonian_value(model, (lam / (1.0 + r)) * e) - r
-
-
 def _ray_sups(model, r, E, a):
-    """_ray_sup on an atom set for k rays (E[i], a[i]) at once.
+    """sup over lam >= 0 of g(lam) = lam*a - (1+r)H(lam*e/(1+r)) - r, on k rays.
 
-    +inf where a[i] > vbar(E[i]). Otherwise g is concave: the window
-    [0, hi] grows from hi = 64 by factors of 4 while g still rises at
-    hi, then six rounds of evaluate-65-points-keep-the-winning-bracket
-    pin the maximum to ~1e-9 of the window. Each round is one batched
-    Newton solve over all rays, and a ray's value does not depend on
-    the other rays.
+    The rays are the pairs (E[i], a[i]). +inf where a[i] > vbar(E[i]):
+    past the reachable cone the singular branch grows without bound.
+    Otherwise g is concave, and its sup lies in (0, lambda_tilde(e)]
+    when that is finite (beyond it the branch is linear with slope
+    a - vbar <= 0); else the window [0, hi] grows from hi = 64 by
+    factors of 4 while g still rises at hi. _zoom_min then pins the
+    maximum to ~1e-9 of the window. Each step is one batched H solve
+    over all rays, and a ray's value does not depend on the other rays.
     """
+    E = np.atleast_2d(E)
     a = np.asarray(a, dtype=float)
-    dots = _atom_dots(model.support.points, E)
-    vbar = dots.max(axis=1)
+    if model.is_discrete:
+        dots = _atom_dots(model.support.points, E)
+        vbar = dots.max(axis=1)
+    else:
+        vbar = np.array([model.support_max(e) for e in E])
     out = np.full(a.shape, np.inf)
     rows = np.flatnonzero(~(a > vbar + 1e-12 * (1.0 + np.abs(vbar))))
     if rows.size == 0:
         return out
-    w = model.support.weights
-    dots, a = dots[rows], a[rows]
+    E, a = E[rows], a[rows]
     scale = 1.0 / (1.0 + r)
 
     def g(lams, sel=slice(None)):
-        H = _h_on_rays(w, lams * scale, dots[sel])
+        if model.is_discrete:
+            H = _h_on_rays(model.support.weights, lams * scale, dots[rows[sel]])
+        else:
+            Q = (lams * scale)[:, :, None] * E[sel, None, :]
+            H = hamiltonian_values(model, Q.reshape(-1, model.dim)).reshape(lams.shape)
         return lams * a[sel, None] - (1.0 + r) * H - r
 
-    hi = np.full(rows.size, 64.0)
-    pair = g(np.column_stack([0.5 * hi, hi]))
-    grow = np.flatnonzero(pair[:, 1] > pair[:, 0])
+    hi = np.array([np.inf if model.is_discrete else lambda_tilde(model, r, e) for e in E])
+    grow = np.flatnonzero(np.isinf(hi))
+    hi[grow] = 64.0
+    if grow.size:
+        pair = g(np.column_stack([0.5 * hi[grow], hi[grow]]), grow)
+        grow = grow[pair[:, 1] > pair[:, 0]]
     while grow.size:
         hi[grow] *= 4.0
         pair = g(np.column_stack([0.25 * hi[grow], hi[grow]]), grow)
         grow = grow[(pair[:, 1] > pair[:, 0]) & (hi[grow] < _LAM_CEIL)]
     lo = np.full(rows.size, _LAM_FLOOR)
-    _, neg = _zoom_min(lambda lams: -g(lams), lo, hi)
+    rounds, n = (6, 65) if model.is_discrete else (10, 17)
+    _, neg = _zoom_min(lambda lams: -g(lams), lo, hi, rounds, n)
     out[rows] = -neg
     return out
 
 
-def _ray_sup(model, r, e, a):
-    """sup over lam >= 0 of g(lam) = lam*a - (1+r)H(lam*e/(1+r)) - r.
-
-    Returns +inf for a > vbar(e): past the reachable cone the singular
-    branch grows without bound. For a <= vbar the sup lies in
-    (0, lambda_tilde(e)] (beyond it the branch is linear with slope
-    a - vbar <= 0), or is approached through a growing window when
-    lambda_tilde = +inf. Atom sets go through _ray_sups with one ray.
-    """
-    if model.is_discrete:
-        return float(_ray_sups(model, r, e[None, :], [a])[0])
-    vbar = model.support_max(e)
-    if a > vbar + 1e-12 * (1.0 + abs(vbar)):
-        return np.inf
-    lt = lambda_tilde(model, r, e)
-    if np.isfinite(lt):
-        hi = lt
-    else:
-        hi = 64.0
-        g_prev = _ray_value(model, r, e, a, 0.5 * hi)
-        while hi < _LAM_CEIL:
-            g_hi = _ray_value(model, r, e, a, hi)
-            if g_hi <= g_prev:
-                break
-            g_prev = g_hi
-            hi *= 2.0
-    neg = lambda lam: -_ray_value(model, r, e, a, lam)
-    _, negv = _golden_min(neg, _LAM_FLOOR, hi, rtol=1e-9)
-    best = -negv
-    for lam in (_LAM_FLOOR, hi):
-        val = _ray_value(model, r, e, a, lam)
-        if val > best:
-            best = val
-    return best
-
-
-def _angle_dir(theta):
-    return np.array([math.cos(theta), math.sin(theta)])
-
-
-def _angle_dirs(thetas):
+def _circle_dirs(thetas):
     return np.column_stack([np.cos(thetas), np.sin(thetas)])
 
 
@@ -155,18 +123,40 @@ def _cap_dirs(center, rad):
     return D / np.linalg.norm(D, axis=1, keepdims=True)
 
 
+def _cap_search(f, center, best, rad, keep=None):
+    """Minimize f over the directions near center, by shrinking cap grids.
+
+    Each round evaluates f on a 5 x 5 _cap_dirs grid of half-width rad
+    about the best direction so far, in one batch (keep drops unwanted
+    directions), then narrows the grid by 4, until its half-width is at
+    most 1e-7 rad. Returns the smallest value, best on entry included.
+    """
+    while True:
+        D = _cap_dirs(center, rad)
+        if keep is not None:
+            D = D[keep(D)]
+        vals = f(D)
+        k = int(np.argmin(vals))
+        if vals[k] < best:
+            best, center = float(vals[k]), D[k]
+        if rad <= 1e-7:
+            return best
+        rad *= 0.25
+
+
 def lagrangian(model, r, p, n_angles=ANGLES_LAGRANGIAN):
     """Convex conjugate L(p); +inf outside the closed velocity hull.
 
     The directional sup uses every grid direction plus a local
-    refinement around the best one: golden section over the angle in
-    2-D, two shrinking 5 x 5 direction grids about the best direction
-    in 3-D, where p's own direction is also a candidate.
+    refinement around the best one, each step one batched _ray_sups
+    call: _zoom_min over the angle in 2-D, shrinking 5 x 5 direction
+    grids about the best direction in 3-D (_cap_search), where p's own
+    direction is also a candidate. Past a facet of the atoms' hull, or
+    off the span of a flat set, L is +inf without a scan.
     Rotation-invariant models collapse to the aligned direction
     e = p/|p| exactly (the per-direction value is nondecreasing in p.e
     and the radial H does not depend on e). The direction scans only
-    ever see atom sets (balls are radial, intervals 1-D), and each grid
-    is one batched _ray_sups call.
+    ever see atom sets (balls are radial, intervals 1-D).
     """
     if r <= 0:
         raise ValidationError("growth rate r must be positive")
@@ -177,17 +167,11 @@ def lagrangian(model, r, p, n_angles=ANGLES_LAGRANGIAN):
         )
     nrm = float(np.linalg.norm(p))
     if model.dim == 1:
-        vals = []
-        for s in (1.0, -1.0):
-            e = np.array([s])
-            vals.append(_ray_sup(model, r, e, s * float(p[0])))
-        return max(vals)
-    if _is_radial(model):
+        E = np.array([[1.0], [-1.0]])
+        return float(np.max(_ray_sups(model, r, E, E[:, 0] * p[0])))
+    if _is_radial(model) or nrm == 0.0:
         e = p / nrm if nrm > 0 else np.eye(model.dim)[0]
-        return _ray_sup(model, r, e, nrm)
-    if nrm == 0.0:
-        e0 = np.eye(model.dim)[0]
-        return _ray_sup(model, r, e0, 0.0)
+        return float(_ray_sups(model, r, e, [nrm])[0])
     # past a facet of the hull the ray along its normal already gives
     # +inf, which the direction grid below may step over
     facets = _hull_facets(model)
@@ -195,32 +179,27 @@ def lagrangian(model, r, p, n_angles=ANGLES_LAGRANGIAN):
         return np.inf
     if model.dim == 2:
         thetas = 2.0 * math.pi * np.arange(n_angles) / n_angles
-        E = _angle_dirs(thetas)
+        E = _circle_dirs(thetas)
         vals = _ray_sups(model, r, E, E @ p)
         k = int(np.argmax(vals))
         if np.isinf(vals[k]):
             return np.inf
         span = 2.0 * math.pi / n_angles
-        neg = lambda t: -_ray_sup(model, r, _angle_dir(t), float(p @ _angle_dir(t)))
-        _, negv = _golden_min(neg, thetas[k] - span, thetas[k] + span, rtol=1e-9)
-        return max(float(vals[k]), -negv)
-    # dim == 3: spiral scan, with p's own direction, plus two shrinking
-    # local grids
+
+        def neg(ts):
+            E = _circle_dirs(ts[0])
+            return -_ray_sups(model, r, E, E @ p)[None, :]
+
+        _, negv = _zoom_min(neg, thetas[k : k + 1] - span, thetas[k : k + 1] + span, 10, 17)
+        return max(float(vals[k]), -float(negv[0]))
+    # dim == 3: spiral scan, with p's own direction, then the cap grids
     dirs = np.vstack([p / nrm, _fibonacci_sphere(2 * n_angles)])
     vals = _ray_sups(model, r, dirs, dirs @ p)
     k = int(np.argmax(vals))
     if np.isinf(vals[k]):
         return np.inf
-    best_dir, best = dirs[k], float(vals[k])
     rad = math.sqrt(4.0 * math.pi / (2 * n_angles))
-    for _ in range(2):
-        D = _cap_dirs(best_dir, rad)
-        vals = _ray_sups(model, r, D, D @ p)
-        k = int(np.argmax(vals))
-        if vals[k] > best:
-            best, best_dir = float(vals[k]), D[k]
-        rad *= 0.25
-    return best
+    return -_cap_search(lambda D: -_ray_sups(model, r, D, D @ p), dirs[k], -float(vals[k]), rad)
 
 
 def planar_conjugate(model, r, e0, q):
@@ -228,7 +207,7 @@ def planar_conjugate(model, r, e0, q):
     if r <= 0:
         raise ValidationError("growth rate r must be positive")
     e0 = direction(e0)
-    return _ray_sup(model, r, e0, float(q))
+    return float(_ray_sups(model, r, e0, [float(q)])[0])
 
 
 def hopf_lax_phi(model, r, t, x, init="point", e0=None):
@@ -279,15 +258,22 @@ def _cstars(model, r, E):
 def _hull_facets(model):
     """Facets n.x + c <= 0 of the atoms' convex hull as rows (n, c), n unit.
 
-    No rows for continuum models and 1-D sets, nor when the atoms are
-    flat (Qhull cannot build a full-dimensional hull).
+    No rows for continuum models and 1-D sets. When the atoms are flat
+    (Qhull cannot build a full-dimensional hull) the rows are (n, 0) for
+    the +- unit normals n of the orthogonal complement of their span,
+    which passes through 0 as their mean is 0: every x off the span is
+    then past a facet.
     """
     if not model.is_discrete or model.dim == 1:
         return np.empty((0, model.dim + 1))
+    pts = model.support.points
     try:
-        return ConvexHull(model.support.points).equations
+        return ConvexHull(pts).equations
     except QhullError:
-        return np.empty((0, model.dim + 1))
+        _, sv, vt = np.linalg.svd(pts)
+        normals = vt[np.count_nonzero(sv > 1e-12 * sv[0]) :]
+        normals = np.vstack([normals, -normals])
+        return np.column_stack([normals, np.zeros(len(normals))])
 
 
 def freidlin_gartner_speed(model, r, e0, n_angles=ANGLES_FG):
@@ -296,14 +282,15 @@ def freidlin_gartner_speed(model, r, e0, n_angles=ANGLES_FG):
     In 1-D (and for rotation-invariant models, where the minimizing
     direction is e0 itself) this is just c*(e0). Otherwise the open
     hemisphere is scanned on a grid, in one batched c* solve, and the
-    best bracket refined: by golden section over the angle in 2-D, a
-    minimizer hugging the equator being flagged, since there c*/(e.e0)
-    blows up and attainment relies on interior angles; by two shrinking
-    5 x 5 direction grids in 3-D, where e0 itself is also a candidate.
-    For a velocity set of atoms the ratio is also taken at the outward
-    facet normals of their convex hull: once c* turns ballistic near
-    such a normal the minimum can sit at that corner of the ratio, which
-    neither refinement is guaranteed to find.
+    best bracket refined, each step one batched c* solve: by _zoom_min
+    over the angle in 2-D, a minimizer hugging the equator being
+    flagged, since there c*/(e.e0) blows up and attainment relies on
+    interior angles; by shrinking 5 x 5 direction grids in 3-D
+    (_cap_search). e0 itself is a candidate too. For a velocity set of
+    atoms the ratio is also taken at the outward facet normals of their
+    convex hull (for a flat set, the normals of its span): once c*
+    turns ballistic near such a normal the minimum can sit at that
+    corner of the ratio, which neither refinement is guaranteed to find.
     """
     if r <= 0:
         raise ValidationError("growth rate r must be positive")
@@ -314,44 +301,34 @@ def freidlin_gartner_speed(model, r, e0, n_angles=ANGLES_FG):
         theta0 = math.atan2(e0[1], e0[0])
         half = 0.5 * math.pi
         offs = -half + math.pi * (np.arange(n_angles) + 0.5) / n_angles
-
-        def ratio(phi):
-            e = _angle_dir(theta0 + phi)
-            return float(_cstars(model, r, e)[0]) / math.cos(phi)
-
-        vals = _cstars(model, r, _angle_dirs(theta0 + offs)) / np.cos(offs)
+        vals = _cstars(model, r, _circle_dirs(theta0 + offs)) / np.cos(offs)
         k = int(np.argmin(vals))
         span = math.pi / n_angles
         lo = max(offs[k] - span, -half + 1e-9)
         hi = min(offs[k] + span, half - 1e-9)
-        phi_star, best = _golden_min(ratio, lo, hi, rtol=1e-10)
-        if abs(phi_star) > half - 2.0 * span:
+
+        def ratios(phis):
+            return (_cstars(model, r, _circle_dirs(theta0 + phis[0])) / np.cos(phis[0]))[None, :]
+
+        phi_star, best = _zoom_min(ratios, np.array([lo]), np.array([hi]), 10, 17)
+        if abs(phi_star[0]) > half - 2.0 * span:
             warnings.warn(
                 "Freidlin-Gartner minimizer lies near the equator e.e0 = 0; "
                 "increase n_angles if the minimum looks truncated",
                 RuntimeWarning,
             )
-        best = min(float(np.min(vals)), best)
+        best = min(float(np.min(vals)), float(best[0]))
     else:
         dirs = _fibonacci_sphere(2 * n_angles)
         dirs = np.vstack([e0, dirs[dirs @ e0 > 1e-6]])
         vals = _cstars(model, r, dirs) / (dirs @ e0)
         k = int(np.argmin(vals))
-        best_dir, best = dirs[k], float(vals[k])
         rad = math.sqrt(4.0 * math.pi / (2 * n_angles))
-        for _ in range(2):
-            D = _cap_dirs(best_dir, rad)
-            D = D[D @ e0 > 1e-6]
-            vals = _cstars(model, r, D) / (D @ e0)
-            k = int(np.argmin(vals))
-            if vals[k] < best:
-                best, best_dir = float(vals[k]), D[k]
-            rad *= 0.25
+        ratios = lambda D: _cstars(model, r, D) / (D @ e0)
+        best = _cap_search(ratios, dirs[k], float(vals[k]), rad, keep=lambda D: D @ e0 > 1e-6)
     normals = _hull_facets(model)[:, :-1]
-    normals = normals[normals @ e0 > 0.0]
-    if normals.size:
-        best = min(best, float(np.min(_cstars(model, r, normals) / (normals @ e0))))
-    return best
+    normals = np.vstack([e0, normals[normals @ e0 > 0.0]])
+    return min(best, float(np.min(_cstars(model, r, normals) / (normals @ e0))))
 
 
 def _hull_extent(model, e0):
@@ -361,7 +338,8 @@ def _hull_extent(model, e0):
     up = facets[:, :-1] @ e0 > 0.0
     if not up.any():
         return vb
-    return min(vb, float(np.min(-facets[up, -1] / (facets[up, :-1] @ e0))))
+    # at least 0, which the hull holds (the atoms' mean is 0)
+    return max(0.0, min(vb, float(np.min(-facets[up, -1] / (facets[up, :-1] @ e0)))))
 
 
 def nullset_radius(model, r, e0, t, init="point", tol=1e-9):

@@ -10,9 +10,10 @@ direction e). `GradedGrid` handles them: geometrically graded panels
 toward both ends of each smooth segment, with per-kernel tail
 extrapolation and divergence classification on the panel increments.
 
-All node/weight construction is done once per (model, direction) and the
-per-kernel evaluation is a single vectorized pass, so repeated kernel
-queries (root finding in the dispersion relation) are cheap.
+All node/weight construction is done once per (model, direction). The
+kernel values of many rows (the dispersion relation at every frequency of
+a batched H solve) are integrated in one vectorized pass, `integrals`;
+`kernel_integral` is its one-row case.
 """
 
 import numpy as np
@@ -79,24 +80,33 @@ class _Ladder:
 
 
 def _tail_stats(increments):
-    """Tail statistics of every ladder in one vectorised pass.
+    """Tail statistics of every ladder of every row in one vectorised pass.
 
-    increments has one row of per-level increments per ladder. Returns
-    five lists with one entry per ladder: the total of the increments,
-    the largest of the last seven, the mean ratio rbar of successive
-    ones among those, the largest deviation of such a ratio from rbar,
-    and the geometric tail past the last level. Entries that the
-    classification in GradedGrid.kernel_integral never reaches (ratios
-    of an overflowing ladder, say) may be inf or nan.
+    increments has shape (rows, ladders, levels). Returns five
+    (rows, ladders) arrays: the total of the increments, the largest of
+    the last seven, the mean ratio rbar of successive ones among those,
+    the largest deviation of such a ratio from rbar, and the geometric
+    tail past the last level. Entries that the classification in
+    GradedGrid.integrals never reaches (ratios of an overflowing ladder,
+    say) may be inf or nan.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        totals = np.cumsum(increments, axis=1)[:, -1]
-        last = increments[:, -7:]
-        ratios = last[:, 1:] / np.maximum(last[:, :-1], 1e-300)
-        rbar = ratios.sum(axis=1) / ratios.shape[1]
-        scatter = np.abs(ratios - rbar[:, None]).max(axis=1)
-        tail = increments[:, -1] * rbar / (1.0 - rbar)
-    return [a.tolist() for a in (totals, last.max(axis=1), rbar, scatter, tail)]
+        totals = np.cumsum(increments, axis=2)[:, :, -1]
+        last = increments[:, :, -7:]
+        ratios = last[:, :, 1:] / np.maximum(last[:, :, :-1], 1e-300)
+        rbar = ratios.sum(axis=2) / ratios.shape[2]
+        scatter = np.abs(ratios - rbar[:, :, None]).max(axis=2)
+        tail = increments[:, :, -1] * rbar / (1.0 - rbar)
+    return totals, last.max(axis=2), rbar, scatter, tail
+
+
+# why a row fails to converge, by its code from GradedGrid.integrals
+FAILURES = (
+    None,
+    "graded-panel increments are not settling into a geometric tail",
+    "unexpected slow decay at a regular endpoint",
+)
+_DIVERGENT = len(FAILURES)
 
 
 class GradedGrid:
@@ -135,7 +145,42 @@ class GradedGrid:
         self.w = np.concatenate([lad.w for lad in self.ladders]) * m
         # every ladder has the same levels x order nodes, level-major
         self._shape = (len(self.ladders), levels, order)
-        self._singular = [lad.s0 == 0.0 for lad in self.ladders]
+        self._singular = np.array([lad.s0 == 0.0 for lad in self.ladders])
+
+    def integrals(self, y):
+        """Integrals of the rows of y, kernel values times the weights w.
+
+        y has shape (rows, nodes). Each ladder's tail is classified, in
+        ladder order, and the first ladder that diverges or fails to
+        settle decides its row's result. Returns (total, fail): total is
+        +inf for a divergent row, and fail holds a nonzero code, an index
+        into FAILURES, for a row whose increments do not converge. A
+        row's result does not depend on the other rows.
+        """
+        part, big, rbar, scatter, tail = _tail_stats(y.reshape((-1,) + self._shape).sum(axis=3))
+        with np.errstate(invalid="ignore"):
+            # a positive ladder whose tail is not negligible is classified
+            judged = ~(part <= 0.0) & ~(big <= 1e-15 * part)
+            code = np.select(
+                [
+                    part > DIVERGENCE_CAP,
+                    judged & self._singular & (rbar >= DIVERGENCE_RATIO),
+                    judged & (scatter > RATIO_SCATTER_TOL * np.maximum(rbar, _TAIL_RATIO_FLOOR)),
+                    # non-singular ladders never see singular kernels; a fat
+                    # tail here means the integrand misbehaves at a
+                    # supposedly regular endpoint
+                    judged & (rbar >= DIVERGENCE_RATIO),
+                ],
+                [_DIVERGENT, _DIVERGENT, 1, 2],
+                0,
+            )
+            add = np.where(part <= 0.0, 0.0, part)
+            add = np.where(judged & (rbar > _TAIL_RATIO_FLOOR), part + tail, add)
+        # summed in ladder order; the first ladder with a code decides
+        total = np.cumsum(add, axis=1)[:, -1]
+        code = code[np.arange(code.shape[0]), np.argmax(code > 0, axis=1)]
+        total[code == _DIVERGENT] = np.inf
+        return total, np.where(code == _DIVERGENT, 0, code)
 
     def kernel_integral(self, kernel):
         """Integrate kernel(s) * mbar against the grid.
@@ -143,41 +188,19 @@ class GradedGrid:
         kernel must be vectorized and nonnegative on s > 0. Returns +inf
         when the increments toward s = 0 classify as divergent.
         """
-        y = kernel(self.s) * self.w
-        stats = _tail_stats(y.reshape(self._shape).sum(axis=2))
-        # classify each ladder's tail, in ladder order: the first ladder
-        # that diverges or fails to settle decides the result
-        total = 0.0
-        for singular, (part, big, rbar, scatter, tail) in zip(self._singular, zip(*stats)):
-            if part > DIVERGENCE_CAP:
-                return np.inf
-            if part <= 0.0:
-                continue
-            # negligible tail: nothing to classify
-            if big <= 1e-15 * part:
-                total += part
-                continue
-            if singular and rbar >= DIVERGENCE_RATIO:
-                return np.inf
-            if scatter > RATIO_SCATTER_TOL * max(rbar, _TAIL_RATIO_FLOOR):
-                raise QuadratureNotConverged(
-                    "graded-panel increments are not settling into a geometric tail"
-                )
-            if rbar >= DIVERGENCE_RATIO:
-                # non-singular ladders never see singular kernels; a fat tail
-                # here means the integrand misbehaves at a supposedly regular
-                # endpoint
-                raise QuadratureNotConverged("unexpected slow decay at a regular endpoint")
-            total += part + (tail if rbar > _TAIL_RATIO_FLOOR else 0.0)
-        return total
+        total, fail = self.integrals((kernel(self.s) * self.w)[None, :])
+        if fail[0]:
+            raise QuadratureNotConverged(FAILURES[fail[0]])
+        return float(total[0])
 
     def power_kernel(self, d, beta, power):
         """Integral of 1/(d + beta*s)^power against the marginal.
 
-        Covers every directional integral in the dispersion machinery:
-        l (d=0, beta=1, power=1), j (d=0, beta=1, power=2), the implicit
-        relation I(xi, p) (d = 1+xi-mu(p), beta=|p|, power=1) and the
-        derivative integral (power=2).
+        Covers the single directional integrals of the dispersion
+        machinery: l (d=0, beta=1, power=1), j (d=0, beta=1, power=2),
+        the wave-profile mass (power=1) and the derivative integral
+        (power=2). The H solver evaluates the implicit relation itself
+        for many frequencies at once, through integrals.
         """
         if power == 1:
             return self.kernel_integral(lambda s: 1.0 / (d + beta * s))

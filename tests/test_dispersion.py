@@ -169,10 +169,28 @@ def test_wave_profile_mass_and_domain():
 
 def test_wave_profile_discrete_atoms():
     m = model("two-speed")
-    prof = kf.wave_profile(m, 0.5, 1.0, 1.0)
+    r, lam = 0.5, 1.0
+    prof = kf.wave_profile(m, r, 1.0, lam)
     vals = prof.density(m.support.points)
     np.testing.assert_allclose(vals.sum(), 1.0, rtol=1e-12)
     np.testing.assert_allclose(prof.mass, 1.0, rtol=1e-12)
+    # on an atom: (1+r) w / (1 + lam (c - v)); off the atoms: 0
+    want = (1.0 + r) * 0.5 / (1.0 + lam * (prof.c - m.support.points[:, 0]))
+    assert list(vals) == list(want)
+    assert list(prof.density([[0.0], [1.0 + 1e-8], [2.0]])) == [0.0, 0.0, 0.0]
+    # a mixed batch gives each point what it gives alone, within 1e-9 of an atom too
+    pts = [[-1.0], [0.3], [1.0], [1.0 + 1e-10], [-5.0], [1.0]]
+    batch = prof.density(pts)
+    assert list(batch) == [prof.density([v])[0] for v in pts]
+    assert list(batch) == [want[0], 0.0, want[1], want[1], 0.0, want[1]]
+    # the eigenprofile of a 2-D set, whose rows may also come flattened
+    diamond = kf.VelocityModel(kf.DiscreteSet([(1, 0), (-1, 0), (0, 1), (0, -1)], [0.25] * 4))
+    res = kf.hamiltonian(diamond, (0.7, 0.2))
+    atoms = diamond.support.points
+    masses = 0.25 / (1.0 + res.H - atoms @ res.p)
+    mixed = np.array([atoms[2], (0.5, 0.5), atoms[0], (0.0, 1.0 + 1e-12)])
+    assert list(res.profile_density(mixed)) == [masses[2], 0.0, masses[0], masses[2]]
+    assert list(res.profile_density(mixed.ravel())) == list(res.profile_density(mixed))
 
 
 def test_argument_validation():
@@ -236,3 +254,73 @@ def test_discrete_h_rows_do_not_depend_on_the_batch(case):
     batch = kf.dispersion._discrete_h(w, D)
     for i, row in enumerate(D):
         assert batch[i] == kf.dispersion._discrete_h(w, row)
+
+
+def _brent_h(m, p):
+    """The scalar Brent solve that the batched H solver replaces, as an oracle."""
+    from scipy.optimize import brentq
+
+    from kinfront.models import edge_kernel_integral, l_integral
+
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    nrm = float(np.linalg.norm(p))
+    if nrm == 0.0:
+        return 0.0
+    e = p / nrm
+    mu = nrm * m.support_max(e)
+    if l_integral(m, e) <= nrm * (1.0 + 1e-12):
+        return mu - 1.0
+
+    def f(xi):
+        return min(edge_kernel_integral(m, e, 1.0 + xi - mu, nrm, 1), 1e6) - 1.0
+
+    eps = 1e-3 * (1.0 + nrm)
+    eps_min = nrm * m.directional_grid(e).edge_tail * 2.0**13
+    while f(mu - 1.0 + eps) <= 0.0:
+        if eps <= eps_min:
+            return mu - 1.0 + eps
+        eps = max(eps * 0.1, eps_min)
+    hi, step = mu, max(1.0, abs(mu))
+    while f(hi) > 0.0:
+        hi, step = hi + step, 2.0 * step
+    return brentq(f, mu - 1.0 + eps, hi, xtol=1e-12, rtol=4.0 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("name", ["uniform-1d", "quadratic-1d", "uniform-ball:2", "uniform-ball:3"])
+def test_batched_h_matches_the_brent_solve(name):
+    m = model(name)
+    mags = np.geomspace(1e-3, 50.0, 60)
+    if name == "quadratic-1d":
+        # both sides of the singular boundary |p| = l
+        mags = np.concatenate([mags, L_QUAD * (1.0 + np.array([-1e-3, -1e-9, 1e-9, 1e-3]))])
+    rng = np.random.default_rng(3)
+    E = rng.standard_normal((mags.size, m.dim))
+    P = mags[:, None] * E / np.linalg.norm(E, axis=1, keepdims=True)
+    got = kf.dispersion.hamiltonian_values(m, P)
+    want = np.array([_brent_h(m, p) for p in P])
+    # brentq's own guarantee: |x - root| <= xtol + rtol |root|
+    np.testing.assert_allclose(got, want, rtol=4.0 * np.finfo(float).eps, atol=1e-12)
+    if name == "uniform-1d":
+        # |p| = 50 sits on the eps_min floor: its root is below quadrature resolution
+        eps_min = 50.0 * m.directional_grid(P[-1]).edge_tail * 2.0**13
+        assert abs(P[-1, 0]) == 50.0 and got[-1] == 49.0 + eps_min
+
+
+@st.composite
+def _continuum_rows(draw):
+    """A continuum preset and frequencies of widely spread size and sign."""
+    name = draw(st.sampled_from(["uniform-1d", "quadratic-1d", "uniform-ball:2", "uniform-ball:3"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = model(name)
+    P = rng.standard_normal((draw(st.integers(2, 12)), m.dim))
+    return m, P * 10.0 ** rng.uniform(-3.0, 1.7, (len(P), 1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_continuum_rows())
+def test_continuum_h_rows_do_not_depend_on_the_batch(case):
+    m, P = case
+    batch = kf.dispersion.hamiltonian_values(m, P)
+    for i, row in enumerate(P):
+        assert batch[i] == kf.dispersion.hamiltonian_values(m, row[None, :])[0]
+    assert list(kf.dispersion.hamiltonian_values(m, P[::-1])) == list(batch[::-1])

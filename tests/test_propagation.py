@@ -228,6 +228,37 @@ def test_collinear_atoms_spread_like_their_line():
     np.testing.assert_allclose(w, c_line, rtol=1e-8)
 
 
+def test_flat_atom_set_spreads_only_in_its_plane():
+    # +-e1, +-e2 in 3-D: c*(e3) = vbar(e3) = 0 with e3.e0 = 2/3 > 0, and no
+    # point off the plane is reachable
+    flat = kf.VelocityModel(kf.DiscreteSet([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)],
+                                           [0.25] * 4))
+    e0 = np.array([1.0, 2.0, 2.0]) / 3.0
+    assert kf.freidlin_gartner_speed(flat, 1.0, e0) == 0.0
+    assert kf.nullset_radius(flat, 1.0, e0, 2.0, init="point") == 0.0
+    for q in np.concatenate([[1e-9, 1e-6], np.linspace(5e-4, 0.01, 20)]):
+        assert kf.lagrangian(flat, 1.0, q * e0) == np.inf
+    # in the plane the conjugate stays finite
+    assert np.isfinite(kf.lagrangian(flat, 1.0, np.array([0.2, 0.1, 0.0])))
+
+
+def test_collinear_atoms_do_not_spread_across_their_line():
+    line = kf.VelocityModel(kf.DiscreteSet([(1.0, 1.0), (-1.0, -1.0)], [0.5, 0.5]))
+    e0 = np.array([1.0, -1.0]) / math.sqrt(2.0)
+    c = kf.minimal_speed(line, 0.5, e0, sample=False).c_star
+    assert c == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # flat ratio: any minimizer
+        assert kf.freidlin_gartner_speed(line, 0.5, e0) <= c
+
+
+def test_3d_direction_refinement_converges():
+    # the sup over directions, refined down to 1e-7 rad; an independent
+    # Nelder-Mead search over the sphere's angles gives -0.598949919266
+    L = kf.lagrangian(octahedron(), 0.8, np.array([0.31, 0.17, 0.12]))
+    np.testing.assert_allclose(L, -0.598949919266, rtol=1e-8)
+
+
 def test_hj_solution_bundle():
     m = model("uniform-1d")
     sol = kf.hj_solution(m, 1.0, n_samples=21)

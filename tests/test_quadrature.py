@@ -135,7 +135,8 @@ def _outcome(fn):
         return "raised: %s" % exc
 
 
-def test_kernel_integral_matches_the_per_ladder_loop():
+def _grids_and_kernels():
+    """Grids and kernels that reach every outcome of the ladder classification."""
     grids = [
         _unit_grid(),
         GradedGrid([0.0, 0.5, 1.0], lambda s: np.ones_like(s), vbar=1.0),
@@ -156,6 +157,11 @@ def test_kernel_integral_matches_the_per_ladder_loop():
         d, beta = 10.0 ** rng.uniform(-12, 1), 10.0 ** rng.uniform(-2, 2)
         power = rng.uniform(0.5, 3)
         kernels.append(lambda s, d=d, beta=beta, power=power: (d + beta * s) ** -power)
+    return grids, kernels
+
+
+def test_kernel_integral_matches_the_per_ladder_loop():
+    grids, kernels = _grids_and_kernels()
     seen = set()
     for g in grids:
         for kernel in kernels:
@@ -165,3 +171,23 @@ def test_kernel_integral_matches_the_per_ladder_loop():
             seen.add(want if isinstance(want, str) else ("inf" if np.isinf(want) else "finite"))
     # every outcome of the classification occurs among the cases
     assert len(seen) == 4, seen
+
+
+def test_row_integrals_classify_each_row_as_kernel_integral_does():
+    from kinfront.quadrature import FAILURES
+
+    grids, kernels = _grids_and_kernels()
+    for g in grids:
+        with np.errstate(all="ignore"):
+            Y = np.array([k(g.s) * g.w for k in kernels])
+        total, fail = g.integrals(Y)
+        got = [("raised: %s" % FAILURES[f]) if f else t for t, f in zip(total, fail)]
+        want = [_outcome(lambda: g.kernel_integral(k)) for k in kernels]
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a == b or (np.isnan(a) and np.isnan(b))
+        # a row gives the same on its own and in any order of the batch
+        order = np.random.default_rng(0).permutation(len(Y))
+        t2, f2 = g.integrals(Y[order])
+        np.testing.assert_array_equal(t2, total[order])
+        np.testing.assert_array_equal(f2, fail[order])

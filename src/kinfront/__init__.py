@@ -18,7 +18,6 @@ from .errors import (
     FrontLeftDomain,
     KinfrontError,
     QuadratureNotConverged,
-    RootNotBracketed,
     ValidationError,
 )
 from .models import (
@@ -86,7 +85,6 @@ __all__ = [
     "KinfrontError",
     "PRESET_NAMES",
     "QuadratureNotConverged",
-    "RootNotBracketed",
     "SimConfig",
     "SpeedCurve",
     "ValidationError",

@@ -27,7 +27,6 @@ from .errors import (
     DomainError,
     FrontLeftDomain,
     QuadratureNotConverged,
-    RootNotBracketed,
     ValidationError,
 )
 from .models import (
@@ -281,21 +280,14 @@ def cmd_spreading(args):
             "e0": _jsonable(e0),
             "c_star": _jsonable(dispersion.minimal_speed(model, args.r, e0, sample=False).c_star),
             "w_star": _jsonable(propagation.freidlin_gartner_speed(model, args.r, e0)),
-            "radii": {
-                "planar": {
-                    _fmt(t): _jsonable(
-                        propagation.nullset_radius(model, args.r, e0, t, init="planar")
-                    )
-                    for t in ts
-                },
-                "point": {
-                    _fmt(t): _jsonable(
-                        propagation.nullset_radius(model, args.r, e0, t, init="point")
-                    )
-                    for t in ts
-                },
-            },
         }
+        if any(t <= 0 for t in ts):
+            raise ValidationError("time t must be positive")
+        # phi(t, x) = t phi(1, x/t): each radius is t times its value at t = 1
+        entry["radii"] = {}
+        for init in ("planar", "point"):
+            q = propagation.nullset_radius(model, args.r, e0, 1.0, init=init)
+            entry["radii"][init] = {_fmt(t): _jsonable(t * q) for t in ts}
         report.append(entry)
     emit_json({"r": args.r, "directions": report}, args.out)
     return EXIT_OK
@@ -452,7 +444,7 @@ def main(argv=None):
     except ValidationError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
-    except (QuadratureNotConverged, RootNotBracketed, DomainError) as exc:
+    except (QuadratureNotConverged, DomainError) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return EXIT_NUMERICS
     except (FrontLeftDomain, CFLViolation) as exc:

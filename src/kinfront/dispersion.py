@@ -298,8 +298,9 @@ def _h_value(model, P):
     Returns the arrays (H, regular, lval, nrm) over the rows. Atom
     sets go to _discrete_h. On a continuum model the rows sharing a
     directional grid (each half-line in 1-D, every row of a ball) are
-    solved together: a singular row, l(e) <= |p|, gets mu - 1, the
-    others mu - 1 + _edge_roots. A row's H does not depend on the batch.
+    solved together on that grid, which gives vbar(e) and l(e): a
+    singular row, l(e) <= |p|, gets mu - 1, the others
+    mu - 1 + _edge_roots. A row's H does not depend on the batch.
     """
     P, nrm = _rows(model, P)
     m = nrm.size
@@ -315,15 +316,15 @@ def _h_value(model, P):
     for rows in map(np.flatnonzero, groups):
         if rows.size == 0:
             continue
-        e = P[rows[0]] / nrm[rows[0]]
-        lval[rows] = l_integral(model, e)
+        grid = model.directional_grid(P[rows[0]] / nrm[rows[0]])
+        lval[rows] = grid.l
         # the relative slack absorbs roundoff when p sits exactly on the
         # singular boundary (both branches agree there by continuity)
         regular[rows] = lval[rows] > nrm[rows] * (1.0 + 1e-12)
-        H[rows] = nrm[rows] * model.support_max(e) - 1.0  # mu - 1
+        H[rows] = nrm[rows] * grid.vbar - 1.0  # mu - 1
         reg = rows[regular[rows]]
         if reg.size:
-            H[reg] += _edge_roots(model.directional_grid(e), nrm[reg])
+            H[reg] += _edge_roots(grid, nrm[reg])
     return H, regular, lval, nrm
 
 

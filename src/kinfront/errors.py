@@ -15,11 +15,6 @@ class QuadratureNotConverged(KinfrontError):
     as a clean divergence within the allowed number of levels."""
 
 
-class RootNotBracketed(KinfrontError):
-    """The implicit-relation solve could not bracket a root; indicates a
-    quadrature result inconsistent with the singular-set classification."""
-
-
 class DomainError(KinfrontError):
     """An argument is outside the mathematical domain of the requested
     quantity (e.g. a wave profile past the critical decay rate)."""

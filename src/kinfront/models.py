@@ -10,8 +10,10 @@ mean, bounded support) are verified at construction and violations raise
 ``ValidationError``.
 
 Directional integrals against the slice marginal of M (the near-singular
-l and j integrals and the dispersion-relation kernels) are served by a
-cached per-direction `GradedGrid`; see the `quadrature` module.
+l and j integrals and the dispersion-relation kernels) run on a
+`GradedGrid`; see the `quadrature` module. A continuum model builds every
+grid it uses at construction, one per half-line in 1-D and one for a ball,
+and keeps nothing else between calls.
 """
 
 from dataclasses import dataclass
@@ -19,17 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .quadrature import GradedGrid, gl_rule
+from .quadrature import GradedGrid, _Ladder, gl_rule
 
 MASS_TOL = 1e-8
 MEAN_TOL = 1e-8
-# entries of a model's scalar cache before it is cleared, as the grid
-# cache is past 512 grids: one spreading direction of a 2-D or 3-D atom
-# set stores about 300 minimal speeds (the Freidlin-Gartner scan) and a
-# few dozen conjugate values (the null-set root solves)
-SCALAR_CACHE_MAX = 1024
 _MARGINAL_LEVELS = 16
 _MARGINAL_ORDER = 12
+# unit graded ladder on (0, 1] toward 0 for the 2-ball marginal, level-major
+_MARGINAL_LADDER = _Ladder(0.0, 1.0, "down", _MARGINAL_LEVELS, _MARGINAL_ORDER)
 
 
 def direction(x):
@@ -168,8 +167,6 @@ class VelocityModel:
     def __init__(self, support, density=None, name=None):
         self.support = support
         self.name = name
-        self._dir_cache = {}
-        self._scalar_cache = {}
 
         if isinstance(support, DiscreteSet):
             if density is not None:
@@ -193,6 +190,11 @@ class VelocityModel:
             if not np.isfinite(raw_mass) or raw_mass <= 0:
                 raise ValidationError("density has non-finite or zero mass")
             self._norm_const = 1.0 / raw_mass
+            # the grids of every direction: one per half-line in 1-D, and
+            # one for a ball, whose slice marginal is the same along every e
+            self._grids = tuple(
+                self._build_grid(sgn * e0) for sgn in ((1.0, -1.0) if self.dim == 1 else (1.0,))
+            )
             self._validate_moments()
 
     # -- basic geometry ------------------------------------------------
@@ -275,10 +277,7 @@ class VelocityModel:
         Uses the graded directional grid with nonnegative kernels: the
         mean along e is vbar - integral of s, avoiding signed kernels.
         """
-        for sgn in (1.0, -1.0) if self.dim == 1 else (1.0,):
-            e = np.zeros(self.dim)
-            e[0] = sgn
-            grid = self.directional_grid(e)
+        for grid in self._grids:
             mass = grid.kernel_integral(np.ones_like)
             if abs(mass - 1.0) > MASS_TOL:
                 raise ValidationError("density mass is %.12g, not 1" % mass)
@@ -290,31 +289,16 @@ class VelocityModel:
 
     # -- directional machinery ------------------------------------------
 
-    def _dir_key(self, e):
-        if isinstance(self.support, Ball) and self.support.dim >= 2:
-            return "radial"  # slice marginal independent of direction
-        # exact: a rounded key would hand one direction another's values
-        return tuple(e.tolist())
-
-    def _remember(self, key, val):
-        """Store a scalar in the per-model cache, clearing it when full."""
-        if len(self._scalar_cache) >= SCALAR_CACHE_MAX:
-            self._scalar_cache.clear()
-        self._scalar_cache[key] = val
-
     def directional_grid(self, e):
-        """GradedGrid over t = v.e for continuum supports (None for discrete)."""
+        """GradedGrid over s = vbar(e) - v.e for continuum supports (None for discrete).
+
+        One of the grids built at construction: the half-line's grid in
+        1-D, the ball's one grid otherwise.
+        """
+        e = direction(e)
         if self.is_discrete:
             return None
-        e = direction(e)
-        key = self._dir_key(e)
-        grid = self._dir_cache.get(key)
-        if grid is None:
-            grid = self._build_grid(e)
-            if len(self._dir_cache) > 512:
-                self._dir_cache.clear()
-            self._dir_cache[key] = grid
-        return grid
+        return self._grids[1 if self.dim == 1 and e[0] < 0.0 else 0]
 
     def _build_grid(self, e):
         vbar = self.support_max(e)
@@ -384,32 +368,14 @@ class VelocityModel:
         R = self.support.radius
         t = np.abs(R - np.asarray(s, dtype=float))
         xi_max = np.sqrt(np.maximum(R - t, 0.0))
-        x, w, levels, order = _marginal_ladder()
+        x, w = _MARGINAL_LADDER.s, _MARGINAL_LADDER.w
         xi = xi_max[:, None] * x[None, :]
         wgt = xi_max[:, None] * w[None, :]
         rho = t[:, None] + xi**2
         y = 4.0 * self._density_of_speed(rho) * rho / np.sqrt(t[:, None] + rho)
-        inc = (wgt * y).reshape(t.size, levels, order).sum(axis=2)
+        inc = (wgt * y).reshape(t.size, _MARGINAL_LEVELS, _MARGINAL_ORDER).sum(axis=2)
         # integrand is smooth at xi = 0: geometric tail with ratio 1/2
         return inc.sum(axis=1) + inc[:, -1]
-
-
-_marginal_ladder_cache = {}
-
-
-def _marginal_ladder(levels=_MARGINAL_LEVELS, order=_MARGINAL_ORDER):
-    """Unit graded ladder on (0, 1], level-major, graded toward 0."""
-    key = (levels, order)
-    got = _marginal_ladder_cache.get(key)
-    if got is not None:
-        return got
-    x, w = gl_rule(order)
-    hi = np.exp2(-np.arange(levels, dtype=float))
-    lo = 0.5 * hi
-    nodes = (lo[:, None] + (hi - lo)[:, None] * x[None, :]).ravel()
-    wts = ((hi - lo)[:, None] * w[None, :]).ravel()
-    _marginal_ladder_cache[key] = (nodes, wts, levels, order)
-    return nodes, wts, levels, order
 
 
 # -- edge-kernel integrals (shared by l, j and the dispersion relation) --
@@ -433,24 +399,16 @@ def edge_kernel_integral(model, e, d, beta, power):
     return grid.power_kernel(d, beta, power)
 
 
-def _cached_edge_scalar(model, e, power, tag):
-    e = direction(e)
-    key = (tag, model._dir_key(e))
-    val = model._scalar_cache.get(key)
-    if val is None:
-        val = edge_kernel_integral(model, e, 0.0, 1.0, power)
-        model._remember(key, val)
-    return val
-
-
 def l_integral(model, e):
-    """l(e): integral of M / (vbar(e) - v.e); +inf when divergent."""
-    return _cached_edge_scalar(model, e, 1, "l")
+    """l(e): integral of M / (vbar(e) - v.e); +inf when divergent, as on every atom set."""
+    grid = model.directional_grid(e)
+    return np.inf if grid is None else grid.l
 
 
 def j_integral(model, e):
-    """Integral of M / (vbar(e) - v.e)^2; +inf when divergent."""
-    return _cached_edge_scalar(model, e, 2, "j")
+    """Integral of M / (vbar(e) - v.e)^2; +inf when divergent, as on every atom set."""
+    grid = model.directional_grid(e)
+    return np.inf if grid is None else grid.j
 
 
 # -- presets ----------------------------------------------------------

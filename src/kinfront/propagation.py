@@ -18,6 +18,7 @@ recovered here by root-finding on phi, not by quoting the speeds, so the
 two routes cross-check each other.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -233,26 +234,17 @@ def hopf_lax_phi(model, r, t, x, init="point", e0=None):
 
 
 def _cstars(model, r, E):
-    """Minimal speeds c*(e) on the rows of E, cached per model.
+    """Minimal speeds c*(e) on the rows of E, solved on every call.
 
-    Reads and fills the ("cstar", direction, r) entries of the model's
-    scalar cache; the directions not yet cached are solved together, in
-    one _atom_min_speeds call for an atom set. Continuum models reach
+    An atom set solves all rows in one _atom_min_speeds call, where a
+    row's c* does not depend on the other rows. Continuum models reach
     here only for 1-D and radial models, one direction at a time.
     """
     E = np.atleast_2d(E)
     E = E / np.linalg.norm(E, axis=1, keepdims=True)
-    keys = [("cstar", model._dir_key(e), float(r)) for e in E]
-    vals = np.array([model._scalar_cache.get(key, np.nan) for key in keys])
-    todo = np.flatnonzero(np.isnan(vals))
-    if todo.size:
-        if model.is_discrete:
-            vals[todo] = _atom_min_speeds(model, r, E[todo])[0]
-        else:
-            vals[todo] = [minimal_speed(model, r, E[i], sample=False).c_star for i in todo]
-        for i in todo:
-            model._remember(keys[i], float(vals[i]))
-    return vals
+    if model.is_discrete:
+        return _atom_min_speeds(model, r, E)[0]
+    return np.array([minimal_speed(model, r, e, sample=False).c_star for e in E])
 
 
 def _hull_facets(model):
@@ -354,24 +346,22 @@ def nullset_radius(model, r, e0, t, init="point", tol=1e-9):
     extent along e0 times t: vbar(e0) t for planar data, and for point
     data on a full-dimensional hull of atoms the distance to its
     boundary, found from the hull's facets, where L jumps to +inf.
+
+    Every call solves its root: a caller that wants the radii at several
+    times can solve once at t = 1 and scale. Within the call each
+    conjugate value is computed once, as the ballistic test and brentq
+    both take f(vbar).
     """
     if t <= 0:
         raise ValidationError("time t must be positive")
     e0 = direction(e0)
     vb = model.support_max(e0)
-    cache = model._scalar_cache
-    dkey = model._dir_key(e0)
 
+    @functools.lru_cache(maxsize=None)
     def f(q):
-        key = ("nullray", init, dkey, float(r), round(q, 14))
-        val = cache.get(key)
-        if val is None:
-            if init == "planar":
-                val = planar_conjugate(model, r, e0, q)
-            else:
-                val = lagrangian(model, r, q * e0)
-            model._remember(key, val)
-        return val
+        if init == "planar":
+            return planar_conjugate(model, r, e0, q)
+        return lagrangian(model, r, q * e0)
 
     if init == "point":
         # L jumps to +inf past the hull, which can end before vbar(e0):

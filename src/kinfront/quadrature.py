@@ -10,11 +10,14 @@ direction e). `GradedGrid` handles them: geometrically graded panels
 toward both ends of each smooth segment, with per-kernel tail
 extrapolation and divergence classification on the panel increments.
 
-All node/weight construction is done once per (model, direction). The
+A model builds its grids, nodes and weights, once, at construction, and
+a grid computes its edge integrals l and j once, on first use. The
 kernel values of many rows (the dispersion relation at every frequency of
 a batched H solve) are integrated in one vectorized pass, `integrals`;
 `kernel_integral` is its one-row case.
 """
+
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import roots_legendre
@@ -29,18 +32,12 @@ DIVERGENCE_RATIO = 0.85
 RATIO_SCATTER_TOL = 0.25
 _TAIL_RATIO_FLOOR = 1e-3
 
-_gl_cache = {}
 
-
+@lru_cache(maxsize=None)
 def gl_rule(order):
-    """Gauss-Legendre nodes/weights on [0, 1], cached per order."""
-    try:
-        return _gl_cache[order]
-    except KeyError:
-        x, w = roots_legendre(order)
-        pair = (0.5 * (x + 1.0), 0.5 * w)
-        _gl_cache[order] = pair
-        return pair
+    """Gauss-Legendre nodes/weights on [0, 1], computed once per order."""
+    x, w = roots_legendre(order)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 def panel_nodes(a, b, order):
@@ -207,3 +204,13 @@ class GradedGrid:
         if power == 2:
             return self.kernel_integral(lambda s: 1.0 / (d + beta * s) ** 2)
         return self.kernel_integral(lambda s: (d + beta * s) ** (-power))
+
+    @cached_property
+    def l(self):
+        """l: integral of 1/s against the marginal, computed once; +inf when divergent."""
+        return self.power_kernel(0.0, 1.0, 1)
+
+    @cached_property
+    def j(self):
+        """j: integral of 1/s^2 against the marginal, computed once; +inf when divergent."""
+        return self.power_kernel(0.0, 1.0, 2)

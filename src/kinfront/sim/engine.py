@@ -23,6 +23,15 @@ from ..models import direction
 from ..quadrature import panel_nodes
 from . import kernels
 
+# density levels whose crossings are tracked besides config.threshold
+_THRESHOLDS = (0.1, 0.5, 0.9)
+# time between recorded front positions
+_RECORD_INTERVAL = 0.05
+# cells at either window edge that a tracked crossing must stay clear of
+_BOUNDARY_MARGIN = 8
+# the window recentres once the front has moved this many cells past the middle
+_RECENTER_CELLS = 16
+
 
 @dataclass
 class SimConfig:
@@ -34,12 +43,8 @@ class SimConfig:
     cfl: float = 0.9
     nv: int = 48
     threshold: float = 0.5
-    thresholds: tuple = (0.1, 0.5, 0.9)
     fit_fraction: float = 0.5
     gamma: float = 1.0
-    record_interval: float = 0.05
-    boundary_margin: int = 8
-    recenter_cells: int = 16
 
     def __post_init__(self):
         if self.dx <= 0 or self.t_end <= 0 or self.length <= 0:
@@ -216,12 +221,12 @@ def run_front_experiment(model, r, config=None, e=None):
     dt_max = config.cfl * config.dx / vmax
     n_steps = max(1, int(np.ceil(config.t_end / dt_max - 1e-12)))
     dt = config.t_end / n_steps
-    record_every = max(1, int(round(config.record_interval / dt)))
+    record_every = max(1, int(round(_RECORD_INTERVAL / dt)))
 
     g1, rho, rho1 = _scratch_for(g)
     nu_half = state.v_nodes * (0.5 * dt / config.dx)
     masses = state.v_weights
-    levels = sorted(set(config.thresholds) | {config.threshold})
+    levels = sorted(set(_THRESHOLDS) | {config.threshold})
     times = []
     positions = {lev: [] for lev in levels}
     clamp_max = 0.0
@@ -246,17 +251,17 @@ def run_front_experiment(model, r, config=None, e=None):
                 raise FrontLeftDomain(
                     "no rho = %g crossing inside the window at t = %.3f" % (lev, state.time)
                 )
-            if idx < config.boundary_margin or idx > nx - config.boundary_margin:
+            if idx < _BOUNDARY_MARGIN or idx > nx - _BOUNDARY_MARGIN:
                 raise FrontLeftDomain(
                     "front at cell %d is inside the %d-cell boundary margin"
-                    % (idx, config.boundary_margin)
+                    % (idx, _BOUNDARY_MARGIN)
                 )
             positions[lev].append(xc)
             if lev == config.threshold:
                 idx_main = idx
         times.append(state.time)
         shift = idx_main - center
-        if shift >= config.recenter_cells:
+        if shift >= _RECENTER_CELLS:
             g[:, : nx - shift] = g[:, shift:]
             g[:, nx - shift:] = 0.0
             state.x0 += shift * config.dx

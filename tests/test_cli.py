@@ -6,6 +6,7 @@ CSV/JSON shapes, run-to-run byte determinism, and the model-file parser.
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -221,32 +222,41 @@ def test_spreading_radii_scale_linearly(capsys):
                                2.0 * entry["w_star"], atol=1e-6)
 
 
-def test_spreading_scan_keeps_the_scalar_cache_bounded(capsys, tmp_path, monkeypatch):
-    # a 64-direction scan of the diamond stores more scalars per model than
-    # the bound; the cache is cleared on the way and the output is the same
-    sizes = []
-    remember = kf.VelocityModel._remember
+DIAMOND = ("support = discrete\npoint = 1,0 : 0.25\npoint = -1,0 : 0.25\n"
+           "point = 0,1 : 0.25\npoint = 0,-1 : 0.25\n")
 
-    def counted(self, key, val):
-        remember(self, key, val)
-        sizes.append(len(self._scalar_cache))
 
-    monkeypatch.setattr(kf.VelocityModel, "_remember", counted)
+def test_spreading_scan_matches_a_fresh_model(capsys, tmp_path):
+    # each direction of a scan runs on a model that earlier directions
+    # used; a freshly parsed model gives every value bit for bit
     path = tmp_path / "diamond.model"
-    path.write_text("support = discrete\npoint = 1,0 : 0.25\npoint = -1,0 : 0.25\n"
-                    "point = 0,1 : 0.25\npoint = 0,-1 : 0.25\n")
+    path.write_text(DIAMOND)
     code, out, _ = run_cli(capsys, "spreading", "--model-file", str(path), "--r", "3",
-                           "--t", "1", "--directions", "64")
+                           "--t", "1,2", "--directions", "8")
     assert code == 0
-    assert len(sizes) > kf.models.SCALAR_CACHE_MAX >= max(sizes)
-    # the last directions ran after the cache was cleared; a fresh model
-    # gives them bit for bit
-    for entry in json.loads(out)["directions"][-2:]:
+    for entry in json.loads(out)["directions"]:
         m, e0 = parse_model_file(str(path)), np.array(entry["e0"])
         assert entry["c_star"] == kf.minimal_speed(m, 3.0, e0, sample=False).c_star
         assert entry["w_star"] == kf.freidlin_gartner_speed(m, 3.0, e0)
         for init in ("planar", "point"):
-            assert entry["radii"][init]["1"] == kf.nullset_radius(m, 3.0, e0, 1.0, init=init)
+            for t in (1.0, 2.0):
+                want = kf.nullset_radius(m, 3.0, e0, t, init=init)
+                assert entry["radii"][init][_fmt(t)] == want
+
+
+def test_spreading_radii_are_exactly_linear_in_t(capsys, tmp_path):
+    path = tmp_path / "diamond.model"
+    path.write_text(DIAMOND)
+    e = "%r,%r" % (math.cos(0.46), math.sin(0.46))
+    code, out, _ = run_cli(capsys, "spreading", "--model-file", str(path), "--r", "0.8",
+                           "--e", e, "--t", "0.5,1,2,4")
+    assert code == 0
+    (entry,) = json.loads(out)["directions"]
+    for init in ("planar", "point"):
+        radii = entry["radii"][init]
+        assert sorted(radii) == ["0.5", "1", "2", "4"]
+        for t in radii:
+            assert radii[t] == float(t) * radii["1"]
 
 
 def test_spreading_direction_scan_needs_2d(capsys):
@@ -336,7 +346,12 @@ def test_model_file_drives_subcommands(capsys, tmp_path):
 
 
 def test_installed_entry_point_reports_version():
+    # the child imports kinfront from where this process found it, which
+    # the pytest pythonpath setting puts on sys.path but not in the environment
+    src = os.path.dirname(os.path.dirname(kf.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run([sys.executable, "-c",
                            "from kinfront.cli import main; main(['--version'])"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert "kinfront" in proc.stdout

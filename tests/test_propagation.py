@@ -259,6 +259,19 @@ def test_3d_direction_refinement_converges():
     np.testing.assert_allclose(L, -0.598949919266, rtol=1e-8)
 
 
+@pytest.mark.parametrize("make", [diamond, lambda: kf.preset("uniform-ball:2")])
+def test_spreading_calls_leave_the_model_as_built(make):
+    # a model keeps no state between calls beyond the grids it built
+    m = make()
+    before = dict(vars(m))
+    e0 = np.array([math.cos(0.46), math.sin(0.46)])
+    kf.freidlin_gartner_speed(m, 0.8, e0)
+    kf.nullset_radius(m, 0.8, e0, 1.0, init="point")
+    assert vars(m).keys() == before.keys()
+    assert all(vars(m)[k] is v for k, v in before.items())
+    assert not any(isinstance(v, dict) for v in vars(m).values())
+
+
 def test_hj_solution_bundle():
     m = model("uniform-1d")
     sol = kf.hj_solution(m, 1.0, n_samples=21)

@@ -69,8 +69,7 @@ def test_saturated_region_remains_saturated():
 
 
 def test_front_advances_monotonically():
-    config = kf.SimConfig(dx=0.02, t_end=8.0, length=16.0, nv=16,
-                          record_interval=0.2)
+    config = kf.SimConfig(dx=0.02, t_end=8.0, length=16.0, nv=16)
     trace = kf.run_front_experiment(model("uniform-1d"), 1.0, config)
     assert np.all(np.diff(trace.front_positions) > -1e-9)
     assert trace.times[-1] == pytest.approx(8.0, abs=0.05)

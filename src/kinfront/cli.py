@@ -269,24 +269,28 @@ def cmd_spreading(args):
             "direction scans need a 2-D model, not a %d-dimensional one" % model.dim
         )
     ts = [float(tok) for tok in args.t.split(",")] if args.t else [1.0]
+    if any(t <= 0 for t in ts):
+        raise ValidationError("time t must be positive")
     if args.directions > 1:
         angles = 2.0 * np.pi * np.arange(args.directions) / args.directions
         dirs = [np.array([np.cos(a), np.sin(a)]) for a in angles]
     else:
         dirs = [_default_e(args, model)]
     report = []
+    # on 1-D and radial models w*(e0) is c*(e0), the same solve
+    fg_is_cstar = model.dim == 1 or propagation._is_radial(model)
     for e0 in dirs:
-        entry = {
-            "e0": _jsonable(e0),
-            "c_star": _jsonable(dispersion.minimal_speed(model, args.r, e0, sample=False).c_star),
-            "w_star": _jsonable(propagation.freidlin_gartner_speed(model, args.r, e0)),
-        }
-        if any(t <= 0 for t in ts):
-            raise ValidationError("time t must be positive")
-        # phi(t, x) = t phi(1, x/t): each radius is t times its value at t = 1
+        c_star = dispersion.minimal_speed(model, args.r, e0, sample=False).c_star
+        if fg_is_cstar:
+            w_star = c_star
+        else:
+            w_star = propagation.freidlin_gartner_speed(model, args.r, e0)
+        entry = {"e0": _jsonable(e0), "c_star": _jsonable(c_star), "w_star": _jsonable(w_star)}
+        # phi(t, x) = t phi(1, x/t): each radius is t times its value at t = 1;
+        # the speeds only narrow each root's bracket
         entry["radii"] = {}
-        for init in ("planar", "point"):
-            q = propagation.nullset_radius(model, args.r, e0, 1.0, init=init)
+        for init, speed in (("planar", c_star), ("point", w_star)):
+            q = propagation.nullset_radius(model, args.r, e0, 1.0, init=init, speed=speed)
             entry["radii"][init] = {_fmt(t): _jsonable(t * q) for t in ts}
         report.append(entry)
     emit_json({"r": args.r, "directions": report}, args.out)

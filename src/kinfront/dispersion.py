@@ -404,28 +404,58 @@ def speed_derivative_left(model, r, e, lam, c=None):
 def _zoom_min(f, lo, hi, rounds=6, n=65):
     """Minimize k unimodal functions at once, on the brackets [lo, hi].
 
-    f maps a (k, n) array of abscissae, row i in [lo[i], hi[i]], to the
-    values of the k functions there. Each round evaluates n points per
-    row and keeps the two intervals around the row's smallest value,
-    shrinking the bracket by (n-1)/2. This is the package's one
-    minimiser. The batched scans over many rays take 6 rounds of 65
-    points; a refinement of a single bracket takes 10 rounds of 17,
-    the same 1e9 shrink for 170 evaluations instead of 390 (a continuum
-    minimal speed then takes about 40 ms instead of 80 to 130 on a
-    2-core x86-64 host). Returns the arrays (x, f(x)) of the smallest
-    values seen.
+    f(xs, rows) maps an array xs of abscissae, its row i lying in the
+    bracket rows[i], to the values of those rows' functions there. Each
+    round spaces n points (n odd) per row and keeps the two intervals
+    around the row's smallest value, shrinking the bracket by (n-1)/2.
+    This is the package's one minimiser. The batched scans over many
+    rays take 6 rounds of 65 points; a refinement of a single bracket
+    takes 10 rounds of 17, the same 1e9 shrink for at most 152 evaluations
+    instead of 380 (a continuum minimal speed then takes about 40 ms
+    instead of 80 to 130 on a 2-core x86-64 host). Returns the arrays
+    (x, f(x)) of the smallest values seen.
+
+    f sees each abscissa of a row at most once. A round's bracket ends
+    are points of the round before (_spaced reproduces lo and hi
+    exactly), and its middle point often rounds onto the abscissa of an
+    earlier round's smallest value; those values are carried over. f
+    must give each (row, abscissa) the same value in any batch, as every
+    H solve here does, so the results are those of evaluating every
+    point.
     """
     best_x, best_f = lo.copy(), np.full(lo.size, np.inf)
     idx = np.arange(lo.size)
+    mid = n // 2
+    fresh = np.r_[1:mid, mid + 1 : n - 1]
+    # each round's smallest value and its abscissa, per row
+    past_x = past_f = np.empty((lo.size, 0))
+    fs = None
     for _ in range(rounds):
         xs = _spaced(lo, hi, n)
-        fs = f(xs)
+        if fs is None:
+            fs = f(xs, idx)
+        else:
+            prev = fs
+            fs = np.empty_like(xs)
+            fs[:, 0], fs[:, -1] = prev[idx, left], prev[idx, right]
+            seen = xs[:, mid, None] == past_x
+            again = seen.any(axis=1)
+            if again.any():
+                fs[again, mid] = past_f[again, np.argmax(seen[again], axis=1)]
+                fs[:, fresh] = f(xs[:, fresh], idx)
+                new = np.flatnonzero(~again)
+                if new.size:
+                    fs[new, mid] = f(xs[new, mid : mid + 1], new)[:, 0]
+            else:
+                fs[:, 1:-1] = f(xs[:, 1:-1], idx)
         j = np.argmin(fs, axis=1)
-        better = fs[idx, j] < best_f
-        best_x = np.where(better, xs[idx, j], best_x)
-        best_f = np.where(better, fs[idx, j], best_f)
-        lo = xs[idx, np.maximum(j - 1, 0)]
-        hi = xs[idx, np.minimum(j + 1, n - 1)]
+        xj, fj = xs[idx, j], fs[idx, j]
+        past_x, past_f = np.column_stack([past_x, xj]), np.column_stack([past_f, fj])
+        better = fj < best_f
+        best_x = np.where(better, xj, best_x)
+        best_f = np.where(better, fj, best_f)
+        left, right = np.maximum(j - 1, 0), np.minimum(j + 1, n - 1)
+        lo, hi = xs[idx, left], xs[idx, right]
     return best_x, best_f
 
 
@@ -470,7 +500,7 @@ def _atom_min_speeds(model, r, E, n_grid=64):
         m = kk[rows]
         lo = np.where(m > 0, grid[m - 1], 0.5 * grid[0])
         hi = np.where(m < n_grid - 1, grid[np.minimum(m + 1, n_grid - 1)], LAMBDA_CAP)
-        lam_star[rows], c_star[rows] = _zoom_min(lambda lams: cvals(lams, rows), lo, hi)
+        lam_star[rows], c_star[rows] = _zoom_min(lambda lams, sel: cvals(lams, rows[sel]), lo, hi)
     return c_star, lam_star
 
 
@@ -542,7 +572,7 @@ def minimal_speed(model, r, e, deriv_tol=DERIV_TOL, n_grid=64, sample=True):
             else:
                 lo = np.array([grid[k - 1] if k > 0 else 0.5 * grid[0]])
                 top = np.array([grid[min(k + 1, n_grid - 1)]])
-                xs, cs = _zoom_min(lambda lams: cvals_on(lams[0])[None, :], lo, top, 10, 17)
+                xs, cs = _zoom_min(lambda lams, _: cvals_on(lams[0])[None, :], lo, top, 10, 17)
                 lam_star, c_star = xs[0], cs[0]
 
     if sample:

@@ -15,7 +15,10 @@ initial conditions, planar fronts and compactly supported (point) data,
 whose null sets propagate at the minimal speed c*(e0) and at the
 directional spreading speed w*(e0) respectively. Those radii are
 recovered here by root-finding on phi, not by quoting the speeds, so the
-two routes cross-check each other.
+two routes cross-check each other. A caller that knows the speed may
+pass it to nullset_radius: it only narrows the bracket, and the root is
+still certified by a sign change of the conjugate, so a wrong speed
+falls back to the full bracket instead of becoming the radius.
 """
 
 import functools
@@ -44,6 +47,8 @@ ANGLES_LAGRANGIAN = 128
 ANGLES_FG = 256
 _LAM_FLOOR = 1e-8
 _LAM_CEIL = 2.0**24
+# relative half-width of the bracket about a known speed in nullset_radius
+_SEED_REL = 1e-6
 
 
 def _is_radial(model):
@@ -97,7 +102,7 @@ def _ray_sups(model, r, E, a):
         grow = grow[(pair[:, 1] > pair[:, 0]) & (hi[grow] < _LAM_CEIL)]
     lo = np.full(rows.size, _LAM_FLOOR)
     rounds, n = (6, 65) if model.is_discrete else (10, 17)
-    _, neg = _zoom_min(lambda lams: -g(lams), lo, hi, rounds, n)
+    _, neg = _zoom_min(lambda lams, sel: -g(lams, sel), lo, hi, rounds, n)
     out[rows] = -neg
     return out
 
@@ -187,7 +192,7 @@ def lagrangian(model, r, p, n_angles=ANGLES_LAGRANGIAN):
             return np.inf
         span = 2.0 * math.pi / n_angles
 
-        def neg(ts):
+        def neg(ts, _):
             E = _circle_dirs(ts[0])
             return -_ray_sups(model, r, E, E @ p)[None, :]
 
@@ -299,7 +304,7 @@ def freidlin_gartner_speed(model, r, e0, n_angles=ANGLES_FG):
         lo = max(offs[k] - span, -half + 1e-9)
         hi = min(offs[k] + span, half - 1e-9)
 
-        def ratios(phis):
+        def ratios(phis, _):
             return (_cstars(model, r, _circle_dirs(theta0 + phis[0])) / np.cos(phis[0]))[None, :]
 
         phi_star, best = _zoom_min(ratios, np.array([lo]), np.array([hi]), 10, 17)
@@ -334,7 +339,7 @@ def _hull_extent(model, e0):
     return max(0.0, min(vb, float(np.min(-facets[up, -1] / (facets[up, :-1] @ e0)))))
 
 
-def nullset_radius(model, r, e0, t, init="point", tol=1e-9):
+def nullset_radius(model, r, e0, t, init="point", tol=1e-9, speed=None):
     """Extent of the null set of phi(t, .) along e0, by root-finding.
 
     Planar data: the largest x.e0 with phi = 0, equal to c*(e0) t.
@@ -347,6 +352,17 @@ def nullset_radius(model, r, e0, t, init="point", tol=1e-9):
     data on a full-dimensional hull of atoms the distance to its
     boundary, found from the hull's facets, where L jumps to +inf.
 
+    speed, when given, is the expected radius per unit time (c*(e0) for
+    planar data, w*(e0) for point data). It only narrows the bracket to
+    speed (1 -+ 1e-6), and only when that bracket lies inside the hull
+    and the conjugate changes sign across it. The conjugate is convex
+    and nondecreasing along e0 for q >= 0 and negative at 0, so such a
+    sign change holds its one positive root, which brentq then finds to
+    the same tol. Otherwise the full bracket runs as without a speed:
+    a speed whose bracket misses the root gives the unseeded radius bit
+    for bit, and one that holds it still gives the root of phi, not the
+    speed.
+
     Every call solves its root: a caller that wants the radii at several
     times can solve once at t = 1 and scale. Within the call each
     conjugate value is computed once, as the ballistic test and brentq
@@ -356,6 +372,7 @@ def nullset_radius(model, r, e0, t, init="point", tol=1e-9):
         raise ValidationError("time t must be positive")
     e0 = direction(e0)
     vb = model.support_max(e0)
+    top = _hull_extent(model, e0) if init == "point" else vb
 
     @functools.lru_cache(maxsize=None)
     def f(q):
@@ -363,6 +380,11 @@ def nullset_radius(model, r, e0, t, init="point", tol=1e-9):
             return planar_conjugate(model, r, e0, q)
         return lagrangian(model, r, q * e0)
 
+    rtol = 4.0 * np.finfo(float).eps
+    if speed is not None:
+        a, b = speed * (1.0 - _SEED_REL), speed * (1.0 + _SEED_REL)
+        if 0.0 < a < b < top and f(a) < 0.0 < f(b):
+            return t * float(brentq(f, a, b, xtol=tol, rtol=rtol))
     if init == "point":
         # L jumps to +inf past the hull, which can end before vbar(e0):
         # when L <= 0 up to the hull the radius is the hull's extent, where
@@ -372,12 +394,11 @@ def nullset_radius(model, r, e0, t, init="point", tol=1e-9):
         # the facets alone, and the radii repeat those of that solve bit
         # for bit, where Brent on [0, extent] moves them within its xtol
         # (by 1e-10 relative at one diamond direction)
-        top = _hull_extent(model, e0)
         if top < vb * (1.0 - 1e-12) and f(top) <= 0.0:
             return t * top
     if f(vb) <= 0.0:
         return t * vb
-    q_star = brentq(f, 0.0, vb, xtol=tol, rtol=4.0 * np.finfo(float).eps)
+    q_star = brentq(f, 0.0, vb, xtol=tol, rtol=rtol)
     return t * float(q_star)
 
 

@@ -1,11 +1,15 @@
-"""The benchmark's tracer must still find the H solvers it counts.
+"""The benchmark's tracer must still find the calls it counts.
 
 perfbench/spans.py wraps `dispersion._h_value` and `dispersion._discrete_h`
-by name to count H solves; renaming or deleting either breaks
+by name to count H solves, and the public functions of each layer by
+name, `propagation.nullset_radius` and `propagation.lagrangian` among
+them; renaming or deleting any of these breaks a per-layer metric of
 `perfbench/run.py --trace 1`. This imports the tracer read-only and runs
-it on one continuum and one atom-set H solve.
+it on one continuum and one atom-set H solve, and on one `spreading`
+call.
 """
 
+import math
 import os
 import sys
 
@@ -16,15 +20,21 @@ from kinfront import dispersion
 from kinfront.models import preset
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+DIAMOND = ("support = discrete\npoint = 1,0 : 0.25\npoint = -1,0 : 0.25\n"
+           "point = 0,1 : 0.25\npoint = 0,-1 : 0.25\n")
 
 
-def test_tracer_counts_h_solves():
+def _tracer():
     sys.path.insert(0, PERFBENCH)
     try:
         import spans
     finally:
         sys.path.remove(PERFBENCH)
-    tracer = spans.Tracer()
+    return spans.Tracer()
+
+
+def test_tracer_counts_h_solves():
+    tracer = _tracer()
     tracer.install()
     try:
         P = np.array([[0.5], [-2.0], [3.0]])
@@ -37,3 +47,21 @@ def test_tracer_counts_h_solves():
     assert layer["h_solves"] == 4
     assert layer["calls"]["dispersion._h_value"] == 2
     assert not hasattr(dispersion.hamiltonian_values, "__wrapped__")
+
+
+def test_tracer_counts_spreading_root_solves(tmp_path, capsys):
+    path = tmp_path / "diamond.model"
+    path.write_text(DIAMOND)
+    argv = ["spreading", "--model-file", str(path), "--r", "0.8",
+            "--e", "%r,%r" % (math.cos(0.46), math.sin(0.46)), "--t", "1,2"]
+    tracer = _tracer()
+    tracer.install()
+    try:
+        assert kinfront.cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    calls = tracer.per_layer(tracer.take())["calls"]
+    # one planar and one point radius; the point root is bracketed about w*
+    assert calls["propagation.nullset_radius"] == 2
+    assert 1 <= calls["propagation.lagrangian"] <= 5

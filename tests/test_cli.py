@@ -259,6 +259,49 @@ def test_spreading_radii_are_exactly_linear_in_t(capsys, tmp_path):
             assert radii[t] == float(t) * radii["1"]
 
 
+def test_spreading_radii_equal_library_calls_given_the_speeds(capsys, tmp_path):
+    # at r = 0.8 neither radius is ballistic, so both root solves take the
+    # bracket narrowed about c* and w*
+    path = tmp_path / "diamond.model"
+    path.write_text(DIAMOND)
+    e = "%r,%r" % (math.cos(0.46), math.sin(0.46))
+    code, out, _ = run_cli(capsys, "spreading", "--model-file", str(path), "--r", "0.8",
+                           "--e", e, "--t", "1")
+    assert code == 0
+    (entry,) = json.loads(out)["directions"]
+    m, e0 = parse_model_file(str(path)), np.array(entry["e0"])
+    c_star = kf.minimal_speed(m, 0.8, e0, sample=False).c_star
+    w_star = kf.freidlin_gartner_speed(m, 0.8, e0)
+    assert (entry["c_star"], entry["w_star"]) == (c_star, w_star)
+    planar = kf.nullset_radius(m, 0.8, e0, 1.0, init="planar", speed=c_star)
+    point = kf.nullset_radius(m, 0.8, e0, 1.0, init="point", speed=w_star)
+    assert entry["radii"]["planar"]["1"] == planar < m.support_max(e0)
+    assert entry["radii"]["point"]["1"] == point < 1.0 / (math.cos(0.46) + math.sin(0.46))
+
+
+def test_spreading_takes_w_star_from_c_star_on_radial_models(capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("freidlin_gartner_speed called on a radial model")
+
+    monkeypatch.setattr(kf.propagation, "freidlin_gartner_speed", no_solve)
+    for argv in (["--model", "uniform-ball:2", "--e", "0.6,0.8"], ["--model", "quadratic-1d"]):
+        code, out, _ = run_cli(capsys, "spreading", *argv, "--r", "0.8")
+        assert code == 0
+        (entry,) = json.loads(out)["directions"]
+        assert entry["w_star"] == entry["c_star"]
+
+
+def test_spreading_rejects_nonpositive_t_before_solving(capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("minimal_speed called before the time check")
+
+    monkeypatch.setattr(kf.dispersion, "minimal_speed", no_solve)
+    code, _, err = run_cli(capsys, "spreading", "--model", "uniform-1d",
+                           "--r", "1", "--t", "0,1")
+    assert code == 2
+    assert "time t must be positive" in err
+
+
 def test_spreading_direction_scan_needs_2d(capsys):
     code, _, err = run_cli(capsys, "spreading", "--model", "uniform-1d",
                            "--r", "1.0", "--directions", "8")

@@ -132,9 +132,7 @@ def test_diamond_spreading_at_ballistic_corner():
     np.testing.assert_allclose(w, hull, rtol=1e-12)
 
 
-def test_point_radius_at_ballistic_corner_stops_at_the_hull(monkeypatch):
-    # L <= 0 up to the hull along e0: the radius is the hull's extent, found
-    # without root-finding onto the jump of L to +inf past the hull
+def _count_lagrangian_calls(monkeypatch):
     calls = []
     lagrangian = P.lagrangian
 
@@ -143,12 +141,55 @@ def test_point_radius_at_ballistic_corner_stops_at_the_hull(monkeypatch):
         return lagrangian(*args, **kwargs)
 
     monkeypatch.setattr(P, "lagrangian", counted)
+    return calls
+
+
+def test_point_radius_at_ballistic_corner_stops_at_the_hull(monkeypatch):
+    # L <= 0 up to the hull along e0: the radius is the hull's extent, found
+    # without root-finding onto the jump of L to +inf past the hull
+    calls = _count_lagrangian_calls(monkeypatch)
     theta = 0.46
     e0 = (math.cos(theta), math.sin(theta))
     rad = kf.nullset_radius(diamond(), 1.1, e0, 2.0)
     hull = 1.0 / (abs(math.cos(theta)) + abs(math.sin(theta)))
     np.testing.assert_allclose(rad, 2.0 * hull, rtol=1e-12)
     assert len(calls) <= 2
+    # w* is that hull extent, so the speed cannot narrow the bracket: it
+    # adds no Lagrangian call
+    plain_calls = len(calls)
+    w = kf.freidlin_gartner_speed(diamond(), 1.1, e0)
+    del calls[:]
+    assert kf.nullset_radius(diamond(), 1.1, e0, 2.0, speed=w) == rad
+    assert len(calls) == plain_calls
+
+
+GENERIC = (math.cos(0.46), math.sin(0.46))
+
+
+@lru_cache(maxsize=None)
+def _generic_point_radius():
+    """w* and the point radius without a speed, diamond at angle 0.46, r = 0.8."""
+    w = kf.freidlin_gartner_speed(diamond(), 0.8, GENERIC)
+    return w, kf.nullset_radius(diamond(), 0.8, GENERIC, 1.0)
+
+
+def test_seeded_point_radius_is_few_lagrangian_calls(monkeypatch):
+    w, plain = _generic_point_radius()
+    calls = _count_lagrangian_calls(monkeypatch)
+    seeded = kf.nullset_radius(diamond(), 0.8, GENERIC, 1.0, speed=w)
+    # the two bracket ends and a step or two of Brent, against 16-17
+    assert len(calls) <= 4
+    assert abs(seeded - plain) <= 2e-9
+
+
+def test_point_radius_does_not_follow_the_speed():
+    w, plain = _generic_point_radius()
+    # no sign change across the narrow bracket: the full solve, bit for bit
+    assert kf.nullset_radius(diamond(), 0.8, GENERIC, 1.0, speed=0.5 * w) == plain
+    # a speed off by 1e-7 still brackets the root, which stays where phi puts it
+    off = kf.nullset_radius(diamond(), 0.8, GENERIC, 1.0, speed=w * (1.0 + 1e-7))
+    assert abs(off - plain) <= 2e-9
+    assert abs(off - w * (1.0 + 1e-7)) > 2e-8
 
 
 def test_lagrangian_is_infinite_past_the_hull_without_solving(monkeypatch):
@@ -215,6 +256,59 @@ def test_batched_scans_equal_one_ray_at_a_time(monkeypatch, rays_per_chunk):
         for i in range(len(dirs)):
             c1, lam1 = kf.dispersion._atom_min_speeds(m, r, dirs[i:i + 1])
             assert (c1[0], lam1[0]) == (c[i], lam[i])
+
+
+def _zoom_min_every_point(f, lo, hi, rounds, n):
+    """_zoom_min evaluating all n points of every round, as the oracle."""
+    best_x, best_f = lo.copy(), np.full(lo.size, np.inf)
+    idx = np.arange(lo.size)
+    for _ in range(rounds):
+        xs = kf.dispersion._spaced(lo, hi, n)
+        fs = f(xs, idx)
+        j = np.argmin(fs, axis=1)
+        better = fs[idx, j] < best_f
+        best_x = np.where(better, xs[idx, j], best_x)
+        best_f = np.where(better, fs[idx, j], best_f)
+        lo = xs[idx, np.maximum(j - 1, 0)]
+        hi = xs[idx, np.minimum(j + 1, n - 1)]
+    return best_x, best_f
+
+
+@pytest.mark.parametrize("case", ["atom-set rays", "continuum c*", "2-D angle"])
+def test_zoom_min_evaluates_each_abscissa_once(monkeypatch, case):
+    zoom = kf.dispersion._zoom_min
+    sizes = []
+
+    def checked(f, lo, hi, rounds=6, n=65):
+        rows, xs_seen = [], []
+
+        def recorded(xs, sel):
+            rows.append(np.repeat(sel, xs.shape[1]))
+            xs_seen.append(xs.ravel())
+            return f(xs, sel)
+
+        got = zoom(recorded, lo, hi, rounds, n)
+        pairs = np.column_stack([np.concatenate(rows), np.concatenate(xs_seen)])
+        assert len(np.unique(pairs, axis=0)) == len(pairs)
+        want = _zoom_min_every_point(f, lo, hi, rounds, n)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        sizes.append((lo.size, n))
+        return got
+
+    monkeypatch.setattr(kf.dispersion, "_zoom_min", checked)
+    monkeypatch.setattr(P, "_zoom_min", checked)
+    if case == "atom-set rays":
+        dirs = P._circle_dirs(np.linspace(0.1, 3.0, 7))
+        P._ray_sups(diamond(), 0.8, dirs, dirs @ np.array([0.3, 0.2]))
+        assert sizes == [(7, 65)]
+    elif case == "continuum c*":
+        kf.minimal_speed(model("uniform-1d"), 1.0, 1.0, sample=False)
+        assert sizes == [(1, 17)]
+    else:
+        # the 128-ray scan, then the angle refinement over nested ray scans
+        kf.lagrangian(diamond(), 0.8, np.array([0.3, 0.2]))
+        assert (1, 17) in sizes and (128, 65) in sizes
 
 
 def test_collinear_atoms_spread_like_their_line():

@@ -268,8 +268,8 @@ def cmd_spreading(args):
         raise ValidationError(
             "direction scans need a 2-D model, not a %d-dimensional one" % model.dim
         )
-    ts = [float(tok) for tok in args.t.split(",")] if args.t else [1.0]
-    if any(t <= 0 for t in ts):
+    ts = parse_vector(args.t) if args.t else [1.0]
+    if not all(0.0 < t < np.inf for t in ts):
         raise ValidationError("time t must be positive")
     if args.directions > 1:
         angles = 2.0 * np.pi * np.arange(args.directions) / args.directions

@@ -29,6 +29,8 @@ from .quadrature import FAILURES
 # sits on a measure-zero boundary in r, the tolerance makes it observable
 DERIV_TOL = 1e-6
 LAMBDA_CAP = 1e3
+# log-spaced decay rates of the minimal-speed scan and of the sampled curve
+N_SCAN = 64
 _I_CAP = 1e6
 
 
@@ -85,17 +87,33 @@ def _rows(model, P):
     return P, nrm
 
 
+def _check_rate(r):
+    """Raise ValidationError unless the growth rate is finite and positive (NaN fails)."""
+    if not 0.0 < r < np.inf:
+        raise ValidationError("growth rate r must be positive")
+
+
+def _singular(lval, nrm):
+    """p is singular when l(p/|p|) <= |p|.
+
+    The relative slack absorbs roundoff when p sits exactly on the
+    singular boundary (both branches of H agree there by continuity).
+    """
+    return lval <= nrm * (1.0 + 1e-12)
+
+
 def in_singular_set(model, p):
     """True iff p lies in the singular set, i.e. l(p/|p|) <= |p|.
 
-    The origin is never singular; models with l = +inf (positive density
-    near the support edge, or any finite velocity set) have an empty
-    singular set.
+    The test is _singular, slack included, as in hamiltonian, so the
+    two agree at the boundary. The origin is never singular; models with
+    l = +inf (positive density near the support edge, or any finite
+    velocity set) have an empty singular set.
     """
     P, nrm = _rows(model, p)
     if nrm[0] == 0.0:
         return False
-    return l_integral(model, P[0] / nrm[0]) <= nrm[0]
+    return bool(_singular(l_integral(model, P[0] / nrm[0]), nrm[0]))
 
 
 def singular_boundary_radius(model, e, tol=1e-9, r_max=1e9):
@@ -240,29 +258,52 @@ def _spaced(lo, hi, n):
     return pts
 
 
-# matrix entries per _discrete_h call in _h_on_rays: a few MB of temporaries
+# matrix entries per _discrete_h call in _h_rays: a few MB of temporaries
 _H_CHUNK = 2**18
 
 
-def _h_on_rays(weights, scales, dots):
-    """H at the frequencies scales[i, j] * e_i of k rays of an atom set.
+def _h_rays(model, scales, E):
+    """H at the frequencies scales[i, j] * E[i] on k rays, shaped like scales.
 
-    dots (k, atoms) holds the projections of the atoms on the unit
-    directions e_i and scales (k, n) the frequency magnitudes along
-    each; returns H with the shape of scales. The (k n, atoms)
-    projection matrix goes to _discrete_h in row chunks of about
-    _H_CHUNK entries, so sets with many atoms keep their temporaries
-    small; _discrete_h solves rows independently, so chunking does not
-    change the result.
+    E holds the k unit directions and scales (k, n) the frequency
+    magnitudes along each. On an atom set the (k n, atoms) matrix of
+    scales times the atoms' projections on E goes to _discrete_h in row
+    chunks of about _H_CHUNK entries, so sets with many atoms keep their
+    temporaries small; a continuum model solves all k n frequencies in
+    one _h_value call. A ray's H does not depend on the other rays, nor
+    on the chunking.
     """
     k, n = scales.shape
+    if not model.is_discrete:
+        Q = scales[:, :, None] * E[:, None, :]
+        return hamiltonian_values(model, Q.reshape(-1, model.dim)).reshape(k, n)
+    dots = _atom_dots(model.support.points, E)
     atoms = dots.shape[1]
     out = np.empty((k, n))
     rays = max(1, _H_CHUNK // (n * atoms))
     for i in range(0, k, rays):
         X = scales[i : i + rays, :, None] * dots[i : i + rays, None, :]
-        out[i : i + rays] = _discrete_h(weights, X.reshape(-1, atoms)).reshape(-1, n)
+        out[i : i + rays] = _discrete_h(model.support.weights, X.reshape(-1, atoms)).reshape(-1, n)
     return out
+
+
+def _ray_edges(model, E):
+    """The arrays vbar(e) and l(e) over the unit rows of E.
+
+    An atom set takes vbar from one projection of its atoms on every
+    row, the one _h_rays makes, and has l = +inf; a continuum model
+    reads both from its grids, row by row.
+    """
+    if E.shape[1] != model.dim:
+        raise ValidationError("e has %d components, model is %d-dimensional" % (E.shape[1], model.dim))
+    if model.is_discrete:
+        return _atom_dots(model.support.points, E).max(axis=1), np.full(len(E), np.inf)
+    return np.array([model.support_max(e) for e in E]), np.array([l_integral(model, e) for e in E])
+
+
+def _zoom_shape(model):
+    """(rounds, points) of _zoom_min over decay rates: atom sets batch many cheap rays."""
+    return (6, 65) if model.is_discrete else (10, 17)
 
 
 def _edge_roots(grid, beta):
@@ -318,9 +359,7 @@ def _h_value(model, P):
             continue
         grid = model.directional_grid(P[rows[0]] / nrm[rows[0]])
         lval[rows] = grid.l
-        # the relative slack absorbs roundoff when p sits exactly on the
-        # singular boundary (both branches agree there by continuity)
-        regular[rows] = lval[rows] > nrm[rows] * (1.0 + 1e-12)
+        regular[rows] = ~_singular(lval[rows], nrm[rows])
         H[rows] = nrm[rows] * grid.vbar - 1.0  # mu - 1
         reg = rows[regular[rows]]
         if reg.size:
@@ -362,8 +401,7 @@ def hamiltonian(model, p):
 
 def lambda_tilde(model, r, e):
     """Critical decay (1+r) l(e); +inf when l(e) diverges."""
-    if r <= 0:
-        raise ValidationError("growth rate r must be positive")
+    _check_rate(r)
     return (1.0 + r) * l_integral(model, e)
 
 
@@ -373,8 +411,7 @@ def speed(model, r, e, lam):
     On the singular branch lambda >= lambda_tilde(e) this reduces to
     vbar(e) - 1/lambda without any special-casing.
     """
-    if r <= 0:
-        raise ValidationError("growth rate r must be positive")
+    _check_rate(r)
     if lam <= 0:
         raise ValidationError("decay rate lambda must be positive")
     e = direction(e)
@@ -409,11 +446,12 @@ def _zoom_min(f, lo, hi, rounds=6, n=65):
     round spaces n points (n odd) per row and keeps the two intervals
     around the row's smallest value, shrinking the bracket by (n-1)/2.
     This is the package's one minimiser. The batched scans over many
-    rays take 6 rounds of 65 points; a refinement of a single bracket
-    takes 10 rounds of 17, the same 1e9 shrink for at most 152 evaluations
-    instead of 380 (a continuum minimal speed then takes about 40 ms
-    instead of 80 to 130 on a 2-core x86-64 host). Returns the arrays
-    (x, f(x)) of the smallest values seen.
+    atom-set rays take 6 rounds of 65 points; a single angle bracket or
+    a continuum H solve takes 10 rounds of 17, the same 1e9 shrink for
+    at most 152 evaluations instead of 380 (a continuum minimal speed
+    then takes about 40 ms instead of 80 to 130 on a 2-core x86-64
+    host). _zoom_shape makes this choice over decay rates. Returns the
+    arrays (x, f(x)) of the smallest values seen.
 
     f sees each abscissa of a row at most once. A round's bracket ends
     are points of the round before (_spaced reproduces lo and hi
@@ -459,49 +497,66 @@ def _zoom_min(f, lo, hi, rounds=6, n=65):
     return best_x, best_f
 
 
-def _atom_min_speeds(model, r, E, n_grid=64):
-    """Minimal speeds c*(e) and their decay rates on the unit rows of E.
+def _min_speeds(model, r, E):
+    """Minimal speeds c*(e) on the unit rows of E, for any velocity set.
 
-    For a finite velocity set, where l(e) = +inf and every curve is
-    Case1. The steps of minimal_speed's Case1 path, each done for all k
-    directions in one batched _discrete_h solve: a scan of n_grid
-    log-spaced rates up to LAMBDA_CAP; where the scan bottoms out at the
-    cap, the sign of c'(LAMBDA_CAP-) decides between the ballistic limit
-    (c* = vbar(e), lambda* = inf) and a minimum near the cap; then
-    _zoom_min refines the bracket around the scan's minimum. Returns the arrays (c_star, lambda_star); a row's values
-    do not depend on the other rows.
+    Returns the arrays (c_star, lambda_star, lambda_tilde, dleft, case)
+    over the rows, dleft being c'(lambda_tilde-) (nan where lambda_tilde
+    is +inf) and case the shape label of SpeedCurve. Each step is one
+    batched solve over the rows it concerns:
+    - a row with finite lambda_tilde takes dleft from
+      speed_derivative_left; within DERIV_TOL of 0 (Case3) or below it
+      (Case4) the minimum sits at the kink, lambda_star = lambda_tilde;
+    - the other rows scan N_SCAN log-spaced rates up to lambda_tilde,
+      or up to LAMBDA_CAP where it is +inf (Case1);
+    - a Case1 row whose scan still falls at the cap takes the sign of
+      c'(LAMBDA_CAP-) from speed_derivative_left: negative is the
+      ballistic limit c_star = vbar(e), lambda_star = +inf;
+    - _zoom_min refines the remaining rows about their scan's minimum.
+    A row's values do not depend on the other rows.
     """
-    w = model.support.weights
-    dots = _atom_dots(model.support.points, E)
-    vbar = dots.max(axis=1)
-    k = dots.shape[0]
+    vbar, lval = _ray_edges(model, E)
+    lam_tilde = (1.0 + r) * lval
+    k = len(E)
+    c_star, lam_star, dleft = np.empty(k), np.full(k, np.inf), np.full(k, np.nan)
+    case = np.where(np.isinf(lam_tilde), "Case1", "Case2")
 
     def cvals(lams, rows):
-        H = _h_on_rays(w, lams / (1.0 + r), dots[rows])
+        H = _h_rays(model, lams / (1.0 + r), E[rows])
         return ((1.0 + r) * H + r) / lams
 
-    grid = np.geomspace(1e-3, LAMBDA_CAP, n_grid)
-    scan = cvals(np.broadcast_to(grid, (k, n_grid)), slice(None))
-    kk = np.argmin(scan, axis=1)
-    c_star = np.empty(k)
-    lam_star = np.full(k, np.inf)
-    # at the cap: c'(LAMBDA_CAP-) from the derivative integral, as in
-    # speed_derivative_left (jcal = +inf, i.e. c' > 0, on a zero divisor)
-    top = np.flatnonzero(kk == n_grid - 1)
-    d = np.maximum(1.0 + LAMBDA_CAP * (scan[top, -1] - vbar[top]), 0.0)
-    den = (d[:, None] + LAMBDA_CAP * (vbar[top, None] - dots[top])) ** 2
-    with np.errstate(divide="ignore"):
-        jcal = np.where((den == 0.0).any(axis=1), np.inf, (w / den).sum(axis=1))
-    ballistic = top[1.0 - 1.0 / ((1.0 + r) * jcal) < 0.0]
-    c_star[ballistic] = vbar[ballistic]
+    kinked = np.flatnonzero(np.isfinite(lam_tilde))
+    dleft[kinked] = [speed_derivative_left(model, r, E[i], lam_tilde[i]) for i in kinked]
+    case[kinked[np.abs(dleft[kinked]) <= DERIV_TOL]] = "Case3"
+    case[kinked[dleft[kinked] <= -DERIV_TOL]] = "Case4"
+    kink = np.flatnonzero((case == "Case3") | (case == "Case4"))
+    if kink.size:
+        lam_star[kink] = lam_tilde[kink]
+        c_star[kink] = cvals(lam_tilde[kink, None], kink)[:, 0]
 
-    rows = np.setdiff1d(np.arange(k), ballistic)
+    rows = np.setdiff1d(np.arange(k), kink)
+    if rows.size == 0:
+        return c_star, lam_star, lam_tilde, dleft, case
+    grid = np.geomspace(1e-3, np.where(np.isinf(lam_tilde), LAMBDA_CAP, lam_tilde)[rows], N_SCAN, axis=1)
+    scan = cvals(grid, rows)
+    m = np.argmin(scan, axis=1)
+    # a Case1 curve still falling at the cap: a minimum hiding near it, or
+    # a curve that decreases toward its ballistic limit forever
+    top = np.flatnonzero(np.isinf(lam_tilde[rows]) & (m == N_SCAN - 1))
+    down = np.array(
+        [j for j in top if speed_derivative_left(model, r, E[rows[j]], LAMBDA_CAP, c=scan[j, -1]) < 0.0],
+        dtype=int,
+    )
+    c_star[rows[down]] = vbar[rows[down]]
+    keep = np.setdiff1d(np.arange(rows.size), down)
+    rows, grid, m = rows[keep], grid[keep], m[keep]
     if rows.size:
-        m = kk[rows]
-        lo = np.where(m > 0, grid[m - 1], 0.5 * grid[0])
-        hi = np.where(m < n_grid - 1, grid[np.minimum(m + 1, n_grid - 1)], LAMBDA_CAP)
-        lam_star[rows], c_star[rows] = _zoom_min(lambda lams, sel: cvals(lams, rows[sel]), lo, hi)
-    return c_star, lam_star
+        idx = np.arange(rows.size)
+        lo = np.where(m > 0, grid[idx, m - 1], 0.5 * grid[:, 0])
+        hi = grid[idx, np.minimum(m + 1, N_SCAN - 1)]
+        zoom = _zoom_min(lambda lams, sel: cvals(lams, rows[sel]), lo, hi, *_zoom_shape(model))
+        lam_star[rows], c_star[rows] = zoom
+    return c_star, lam_star, lam_tilde, dleft, case
 
 
 def _sample_grid(lo, hi, n, focus=None, extra=4):
@@ -514,71 +569,28 @@ def _sample_grid(lo, hi, n, focus=None, extra=4):
     return grid
 
 
-def minimal_speed(model, r, e, deriv_tol=DERIV_TOL, n_grid=64, sample=True):
+def minimal_speed(model, r, e, sample=True):
     """Minimize c(., e) over decay rates and classify the curve shape.
 
-    A log-spaced scan brackets the minimum and _zoom_min refines it,
-    each step one batched H solve; with a finite lambda_tilde the sign
-    of the left derivative there decides between an interior minimum
-    (Case2) and a minimum at the kink (Case3 if the derivative vanishes
-    within deriv_tol, Case4 if negative). With lambda_tilde = +inf (Case1) the
-    scan is capped at LAMBDA_CAP; a curve still decreasing at the cap is
-    reported as the ballistic limit c_star = vbar(e), lambda_star = inf.
+    The minimum and its label come from _min_speeds with one row, the
+    minimal-speed solver of every velocity set: with a finite
+    lambda_tilde the sign of the left derivative there decides between
+    an interior minimum (Case2) and a minimum at the kink (Case3 if the
+    derivative vanishes within DERIV_TOL, Case4 if negative). With
+    lambda_tilde = +inf (Case1) the scan is capped at LAMBDA_CAP; a
+    curve still decreasing at the cap is reported as the ballistic
+    limit c_star = vbar(e), lambda_star = inf. With sample, the curve is
+    also sampled on N_SCAN log-spaced rates, refined about lambda_star.
     """
-    if r <= 0:
-        raise ValidationError("growth rate r must be positive")
+    _check_rate(r)
     e = direction(e)
-    vbar = model.support_max(e)
-    lam_tilde = lambda_tilde(model, r, e)
-    capped = not np.isfinite(lam_tilde)
-    hi = LAMBDA_CAP if capped else lam_tilde
-
-    def cvals_on(lams):
-        H = hamiltonian_values(model, np.multiply.outer(lams / (1.0 + r), e))
-        return ((1.0 + r) * H + r) / lams
-
-    lam_star = None
-    c_star = None
-    dleft = None
-
-    if model.is_discrete:
-        # an atom set always has l = +inf (Case1); the direction scans
-        # batch the same solver over many directions
-        c_stars, lam_stars = _atom_min_speeds(model, r, e[None, :], n_grid)
-        case, c_star, lam_star = "Case1", c_stars[0], lam_stars[0]
-    else:
-        if not capped:
-            dleft = speed_derivative_left(model, r, e, lam_tilde)
-            if dleft <= -deriv_tol:
-                case, lam_star = "Case4", lam_tilde
-            elif abs(dleft) <= deriv_tol:
-                case, lam_star = "Case3", lam_tilde
-            else:
-                case = "Case2"
-        else:
-            case = "Case1"
-        if lam_star is not None:
-            c_star = speed(model, r, e, lam_star)
-        else:
-            grid = np.geomspace(1e-3, hi, n_grid)
-            cvals = cvals_on(grid)
-            k = int(np.argmin(cvals))
-            # decide between a minimum hiding near the cap and a curve
-            # that decreases toward its ballistic limit forever
-            if capped and k == n_grid - 1 and (
-                speed_derivative_left(model, r, e, hi, c=cvals[-1]) < 0.0
-            ):
-                lam_star, c_star = np.inf, vbar
-            else:
-                lo = np.array([grid[k - 1] if k > 0 else 0.5 * grid[0]])
-                top = np.array([grid[min(k + 1, n_grid - 1)]])
-                xs, cs = _zoom_min(lambda lams, _: cvals_on(lams[0])[None, :], lo, top, 10, 17)
-                lam_star, c_star = xs[0], cs[0]
-
+    c_star, lam_star, lam_tilde, dleft, case = (a[0] for a in _min_speeds(model, r, e[None, :]))
+    capped = np.isinf(lam_tilde)
     if sample:
-        focus = lam_star if np.isfinite(lam_star) else hi
-        lambda_grid = _sample_grid(1e-3, hi, n_grid, focus=focus)
-        c_values = cvals_on(lambda_grid)
+        hi = LAMBDA_CAP if capped else lam_tilde
+        lambda_grid = _sample_grid(1e-3, hi, N_SCAN, focus=lam_star if np.isfinite(lam_star) else hi)
+        H = hamiltonian_values(model, np.multiply.outer(lambda_grid / (1.0 + r), e))
+        c_values = ((1.0 + r) * H + r) / lambda_grid
     else:
         lambda_grid = np.empty(0)
         c_values = np.empty(0)
@@ -587,15 +599,15 @@ def minimal_speed(model, r, e, deriv_tol=DERIV_TOL, n_grid=64, sample=True):
         r=float(r),
         lambda_grid=lambda_grid,
         c_values=c_values,
-        lambda_tilde=lam_tilde,
+        lambda_tilde=float(lam_tilde),
         lambda_star=float(lam_star),
         c_star=float(c_star),
-        case_label=case,
-        left_derivative_at_tilde=dleft,
+        case_label=str(case),
+        left_derivative_at_tilde=None if capped else float(dleft),
     )
 
 
-def case_from_square_criterion(model, r, e, deriv_tol=DERIV_TOL):
+def case_from_square_criterion(model, r, e):
     """Classify the speed curve from the moment inequality alone.
 
     The minimum sits at lambda_tilde iff
@@ -605,8 +617,7 @@ def case_from_square_criterion(model, r, e, deriv_tol=DERIV_TOL):
     two are tied by c'(lambda_tilde-) = (1 - (1+r) l^2 / j) /
     lambda_tilde^2.
     """
-    if r <= 0:
-        raise ValidationError("growth rate r must be positive")
+    _check_rate(r)
     e = direction(e)
     lval = l_integral(model, e)
     if np.isinf(lval):
@@ -616,9 +627,9 @@ def case_from_square_criterion(model, r, e, deriv_tol=DERIV_TOL):
     if np.isinf(jval):
         return "Case2"
     dleft = (1.0 - (1.0 + r) * lval**2 / jval) / lam_tilde**2
-    if dleft <= -deriv_tol:
+    if dleft <= -DERIV_TOL:
         return "Case4"
-    if abs(dleft) <= deriv_tol:
+    if abs(dleft) <= DERIV_TOL:
         return "Case3"
     return "Case2"
 
@@ -647,8 +658,7 @@ def wave_profile(model, r, e, lam):
     beyond lambda_tilde the dispersion relation no longer holds and no
     integrable profile exists.
     """
-    if r <= 0:
-        raise ValidationError("growth rate r must be positive")
+    _check_rate(r)
     if lam <= 0:
         raise ValidationError("decay rate lambda must be positive")
     e = direction(e)

@@ -31,15 +31,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.spatial import ConvexHull, QhullError
 
-from .dispersion import (
-    _atom_dots,
-    _atom_min_speeds,
-    _h_on_rays,
-    _zoom_min,
-    hamiltonian_values,
-    lambda_tilde,
-    minimal_speed,
-)
+from .dispersion import _check_rate, _h_rays, _min_speeds, _ray_edges, _zoom_min, _zoom_shape
 from .errors import ValidationError
 from .models import Ball, direction
 
@@ -64,17 +56,15 @@ def _ray_sups(model, r, E, a):
     Otherwise g is concave, and its sup lies in (0, lambda_tilde(e)]
     when that is finite (beyond it the branch is linear with slope
     a - vbar <= 0); else the window [0, hi] grows from hi = 64 by
-    factors of 4 while g still rises at hi. _zoom_min then pins the
-    maximum to ~1e-9 of the window. Each step is one batched H solve
-    over all rays, and a ray's value does not depend on the other rays.
+    factors of 4 while g still rises at hi. _zoom_min, shaped by
+    _zoom_shape as for the minimal speeds, then pins the maximum to
+    ~1e-9 of the window. Each step is one batched _h_rays solve over all
+    rays, for any velocity set, and a ray's value does not depend on the
+    other rays.
     """
     E = np.atleast_2d(E)
     a = np.asarray(a, dtype=float)
-    if model.is_discrete:
-        dots = _atom_dots(model.support.points, E)
-        vbar = dots.max(axis=1)
-    else:
-        vbar = np.array([model.support_max(e) for e in E])
+    vbar, lval = _ray_edges(model, E)
     out = np.full(a.shape, np.inf)
     rows = np.flatnonzero(~(a > vbar + 1e-12 * (1.0 + np.abs(vbar))))
     if rows.size == 0:
@@ -83,14 +73,9 @@ def _ray_sups(model, r, E, a):
     scale = 1.0 / (1.0 + r)
 
     def g(lams, sel=slice(None)):
-        if model.is_discrete:
-            H = _h_on_rays(model.support.weights, lams * scale, dots[rows[sel]])
-        else:
-            Q = (lams * scale)[:, :, None] * E[sel, None, :]
-            H = hamiltonian_values(model, Q.reshape(-1, model.dim)).reshape(lams.shape)
-        return lams * a[sel, None] - (1.0 + r) * H - r
+        return lams * a[sel, None] - (1.0 + r) * _h_rays(model, lams * scale, E[sel]) - r
 
-    hi = np.array([np.inf if model.is_discrete else lambda_tilde(model, r, e) for e in E])
+    hi = (1.0 + r) * lval[rows]
     grow = np.flatnonzero(np.isinf(hi))
     hi[grow] = 64.0
     if grow.size:
@@ -101,8 +86,7 @@ def _ray_sups(model, r, E, a):
         pair = g(np.column_stack([0.25 * hi[grow], hi[grow]]), grow)
         grow = grow[(pair[:, 1] > pair[:, 0]) & (hi[grow] < _LAM_CEIL)]
     lo = np.full(rows.size, _LAM_FLOOR)
-    rounds, n = (6, 65) if model.is_discrete else (10, 17)
-    _, neg = _zoom_min(lambda lams, sel: -g(lams, sel), lo, hi, rounds, n)
+    _, neg = _zoom_min(lambda lams, sel: -g(lams, sel), lo, hi, *_zoom_shape(model))
     out[rows] = -neg
     return out
 
@@ -164,8 +148,7 @@ def lagrangian(model, r, p, n_angles=ANGLES_LAGRANGIAN):
     and the radial H does not depend on e). The direction scans only
     ever see atom sets (balls are radial, intervals 1-D).
     """
-    if r <= 0:
-        raise ValidationError("growth rate r must be positive")
+    _check_rate(r)
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if p.size != model.dim:
         raise ValidationError(
@@ -210,8 +193,7 @@ def lagrangian(model, r, p, n_angles=ANGLES_LAGRANGIAN):
 
 def planar_conjugate(model, r, e0, q):
     """One-dimensional conjugate along e0: sup_lam [lam q - (1+r)H - r]."""
-    if r <= 0:
-        raise ValidationError("growth rate r must be positive")
+    _check_rate(r)
     e0 = direction(e0)
     return float(_ray_sups(model, r, e0, [float(q)])[0])
 
@@ -241,15 +223,11 @@ def hopf_lax_phi(model, r, t, x, init="point", e0=None):
 def _cstars(model, r, E):
     """Minimal speeds c*(e) on the rows of E, solved on every call.
 
-    An atom set solves all rows in one _atom_min_speeds call, where a
-    row's c* does not depend on the other rows. Continuum models reach
-    here only for 1-D and radial models, one direction at a time.
+    One _min_speeds call on the normalised rows, for any velocity set;
+    a row's c* does not depend on the other rows.
     """
     E = np.atleast_2d(E)
-    E = E / np.linalg.norm(E, axis=1, keepdims=True)
-    if model.is_discrete:
-        return _atom_min_speeds(model, r, E)[0]
-    return np.array([minimal_speed(model, r, e, sample=False).c_star for e in E])
+    return _min_speeds(model, r, E / np.linalg.norm(E, axis=1, keepdims=True))[0]
 
 
 def _hull_facets(model):
@@ -289,8 +267,7 @@ def freidlin_gartner_speed(model, r, e0, n_angles=ANGLES_FG):
     turns ballistic near such a normal the minimum can sit at that
     corner of the ratio, which neither refinement is guaranteed to find.
     """
-    if r <= 0:
-        raise ValidationError("growth rate r must be positive")
+    _check_rate(r)
     e0 = direction(e0)
     if model.dim == 1 or _is_radial(model):
         return float(_cstars(model, r, e0)[0])

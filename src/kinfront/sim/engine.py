@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..dispersion import _check_rate
 from ..errors import CFLViolation, FrontLeftDomain, ValidationError
 from ..models import direction
 from ..quadrature import panel_nodes
@@ -47,8 +48,8 @@ class SimConfig:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if self.dx <= 0 or self.t_end <= 0 or self.length <= 0:
-            raise ValidationError("dx, t_end and length must be positive")
+        if not all(0.0 < x < np.inf for x in (self.dx, self.t_end, self.length)):
+            raise ValidationError("dx, t_end and length must be finite and positive")
         if not 0 < self.cfl <= 1.0:
             raise ValidationError("cfl must lie in (0, 1]")
         if not 0 < self.gamma <= 1.0:
@@ -211,6 +212,7 @@ def run_front_experiment(model, r, config=None, e=None):
     reaches the window edge (the moving window recenters as the front
     advances, so this indicates a window shorter than the front).
     """
+    _check_rate(r)
     config = config or SimConfig()
     state = initial_front_state(model, r, e, config)
     g = state.g

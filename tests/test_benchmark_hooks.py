@@ -5,8 +5,8 @@ by name to count H solves, and the public functions of each layer by
 name, `propagation.nullset_radius` and `propagation.lagrangian` among
 them; renaming or deleting any of these breaks a per-layer metric of
 `perfbench/run.py --trace 1`. This imports the tracer read-only and runs
-it on one continuum and one atom-set H solve, and on one `spreading`
-call.
+it on one continuum and one atom-set H solve, on one `spreading` call,
+and on one `sweep` of each kind of velocity set.
 """
 
 import math
@@ -65,3 +65,20 @@ def test_tracer_counts_spreading_root_solves(tmp_path, capsys):
     # one planar and one point radius; the point root is bracketed about w*
     assert calls["propagation.nullset_radius"] == 2
     assert 1 <= calls["propagation.lagrangian"] <= 5
+
+
+def test_tracer_counts_sweep_solves(tmp_path, capsys):
+    # every minimal speed goes through _min_speeds and _h_rays; the counts
+    # are those of the separate atom-set and continuum paths they replaced
+    for name, grid, h_solves in (("uniform-ball:2", "0.2:1.2:3", 36), ("two-speed", "0.5:2:3", 567)):
+        argv = ["sweep", "--model", name, "--r-grid", grid, "--out", str(tmp_path / "sweep.csv")]
+        tracer = _tracer()
+        tracer.install()
+        try:
+            assert kinfront.cli.main(argv) == 0
+        finally:
+            tracer.uninstall()
+        layer = tracer.per_layer(tracer.take())
+        assert layer["calls"]["dispersion.minimal_speed"] == 3
+        assert layer["h_solves"] == h_solves
+    capsys.readouterr()

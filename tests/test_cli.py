@@ -302,6 +302,56 @@ def test_spreading_rejects_nonpositive_t_before_solving(capsys, monkeypatch):
     assert "time t must be positive" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["spreading", "--model", "two-speed", "--r", "nan"],
+    ["speed-curve", "--model", "quadratic-1d", "--r", "inf"],
+    ["speed-curve", "--model", "uniform-1d", "--r", "nan"],
+    ["sweep", "--model", "two-speed", "--r-grid", "1:nan:2"],
+    ["simulate", "--model", "two-speed", "--r", "nan", "--t-end", "1", "--length", "4"],
+])
+def test_growth_rate_must_be_finite(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "growth rate r must be positive" in err
+    assert out == "" and os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--model", "two-speed", "--r-grid", "0.5:1:2"],
+    ["spreading", "--model", "two-speed", "--r", "0.5"],
+    ["speed-curve", "--model", "uniform-ball:2", "--r", "0.5"],
+])
+def test_direction_of_the_wrong_dimension_is_config_error(capsys, tmp_path, argv):
+    e = "1,1" if "two-speed" in argv else "1,0,0"
+    code, _, err = run_cli(capsys, *argv, "--e", e, "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "model is" in err and "dimensional" in err
+
+
+@pytest.mark.parametrize("times", ["1,abc", "1,,2"])
+def test_spreading_rejects_unparsable_t(capsys, times):
+    code, out, err = run_cli(capsys, "spreading", "--model", "two-speed", "--r", "1", "--t", times)
+    assert code == 2
+    assert "cannot parse vector" in err and out == ""
+
+
+def test_spreading_rejects_non_finite_t(capsys):
+    code, out, err = run_cli(capsys, "spreading", "--model", "two-speed", "--r", "1",
+                             "--t", "nan,inf")
+    assert code == 2
+    assert "time t must be positive" in err and out == ""
+
+
+@pytest.mark.parametrize("flag,value", [("--dx", "nan"), ("--t-end", "nan"),
+                                        ("--length", "nan"), ("--t-end", "inf")])
+def test_simulate_rejects_non_finite_grid(capsys, tmp_path, flag, value):
+    code, _, err = run_cli(capsys, "simulate", "--model", "two-speed", "--r", "0.5",
+                           flag, value, "--out", str(tmp_path / "run"))
+    assert code == 2
+    assert "must be finite and positive" in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_spreading_direction_scan_needs_2d(capsys):
     code, _, err = run_cli(capsys, "spreading", "--model", "uniform-1d",
                            "--r", "1.0", "--directions", "8")

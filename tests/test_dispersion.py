@@ -209,6 +209,36 @@ def test_argument_validation():
         kf.lambda_tilde(m, -0.5, 1.0)
 
 
+@pytest.mark.parametrize("r", [math.nan, math.inf, 0.0, -1.0])
+def test_growth_rate_must_be_finite_and_positive(r):
+    m = model("uniform-1d")
+    calls = [
+        lambda: kf.lambda_tilde(m, r, 1.0),
+        lambda: kf.speed(m, r, 1.0, 1.0),
+        lambda: kf.minimal_speed(m, r, 1.0),
+        lambda: kf.case_from_square_criterion(m, r, 1.0),
+        lambda: kf.wave_profile(m, r, 1.0, 1.0),
+        lambda: kf.lagrangian(m, r, 0.1),
+        lambda: kf.planar_conjugate(m, r, 1.0, 0.1),
+        lambda: kf.freidlin_gartner_speed(m, r, 1.0),
+        lambda: kf.run_front_experiment(m, r, kf.SimConfig(t_end=1.0, length=4.0)),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="growth rate r must be positive"):
+            call()
+
+
+@pytest.mark.parametrize("name", ["quadratic-1d", "uniform-ball:2"])
+def test_hamiltonian_and_membership_agree_at_the_singular_boundary(name):
+    m = model(name)
+    e = np.eye(m.dim)[0]
+    lval = kf.models.l_integral(m, e)
+    for scale, singular in ((1.0 - 5e-13, True), (1.0 + 5e-13, True), (1.0 - 1e-9, False)):
+        p = lval * scale * e
+        assert kf.in_singular_set(m, p) is singular
+        assert kf.hamiltonian(m, p).regular is not singular
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.floats(min_value=-6.0, max_value=6.0),
        st.floats(min_value=-6.0, max_value=6.0))
@@ -324,3 +354,35 @@ def test_continuum_h_rows_do_not_depend_on_the_batch(case):
     for i, row in enumerate(P):
         assert batch[i] == kf.dispersion.hamiltonian_values(m, row[None, :])[0]
     assert list(kf.dispersion.hamiltonian_values(m, P[::-1])) == list(batch[::-1])
+
+
+def _min_speed_rows_match(m, r, E):
+    """_min_speeds on E, checked row by row against one-row calls and minimal_speed."""
+    batch = kf.dispersion._min_speeds(m, r, E)
+    for i, e in enumerate(E):
+        assert np.array_equal(kf.direction(e), e)  # minimal_speed sees the same row
+        one = [a[0] for a in kf.dispersion._min_speeds(m, r, E[i:i + 1])]
+        sc = kf.minimal_speed(m, r, e, sample=False)
+        dleft = np.nan if sc.left_derivative_at_tilde is None else sc.left_derivative_at_tilde
+        curve = [sc.c_star, sc.lambda_star, sc.lambda_tilde, dleft, sc.case_label]
+        row = [a[i] for a in batch]
+        for got in (one, curve):
+            np.testing.assert_array_equal(np.array(got[:4], dtype=float), np.array(row[:4], dtype=float))
+            assert got[4] == row[4]
+    return set(batch[4])
+
+
+def test_continuum_min_speed_rows_do_not_depend_on_the_batch():
+    lval = kf.models.l_integral(model("quadratic-1d"), np.ones(1))
+    jval = kf.models.j_integral(model("quadratic-1d"), np.ones(1))
+    pm = np.array([[1.0], [-1.0]])
+    cases = _min_speed_rows_match(model("uniform-1d"), 1.0, pm)
+    # Case2, Case3 on the square-criterion boundary r = j / l^2 - 1, Case4
+    for r in (0.1, jval / lval**2 - 1.0, 1.0):
+        cases |= _min_speed_rows_match(model("quadratic-1d"), r, pm)
+    plane = np.array([[1.0, 0.0], [0.6, 0.8], [0.0, -1.0], [-0.8, 0.6]])
+    space = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8], [0.36, 0.48, 0.8], [0.8, -0.36, 0.48]])
+    for r in (0.3, 2.0):
+        cases |= _min_speed_rows_match(model("uniform-ball:2"), r, plane)
+        cases |= _min_speed_rows_match(model("uniform-ball:3"), r, space)
+    assert cases == {"Case1", "Case2", "Case3", "Case4"}

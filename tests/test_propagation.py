@@ -250,11 +250,11 @@ def test_batched_scans_equal_one_ray_at_a_time(monkeypatch, rays_per_chunk):
         assert P._ray_sups(m, 0.8, dirs[i:i + 1], a[i:i + 1])[0] == sups[i]
     # at r = 3 the tie directions are ballistic (lambda* = inf), the others not
     for r in (0.8, 3.0):
-        c, lam = kf.dispersion._atom_min_speeds(m, r, dirs)
+        c, lam = kf.dispersion._min_speeds(m, r, dirs)[:2]
         if r == 3.0:
             assert np.isinf(lam).any() and np.isfinite(lam).any()
         for i in range(len(dirs)):
-            c1, lam1 = kf.dispersion._atom_min_speeds(m, r, dirs[i:i + 1])
+            c1, lam1 = kf.dispersion._min_speeds(m, r, dirs[i:i + 1])[:2]
             assert (c1[0], lam1[0]) == (c[i], lam[i])
 
 
@@ -303,7 +303,7 @@ def test_zoom_min_evaluates_each_abscissa_once(monkeypatch, case):
         P._ray_sups(diamond(), 0.8, dirs, dirs @ np.array([0.3, 0.2]))
         assert sizes == [(7, 65)]
     elif case == "continuum c*":
-        kf.minimal_speed(model("uniform-1d"), 1.0, 1.0, sample=False)
+        kf.dispersion._min_speeds(model("uniform-1d"), 1.0, np.array([[1.0]]))
         assert sizes == [(1, 17)]
     else:
         # the 128-ray scan, then the angle refinement over nested ray scans

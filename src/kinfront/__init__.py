@@ -49,9 +49,7 @@ from .dispersion import (
     wave_profile,
 )
 from .propagation import (
-    HJSolution,
     freidlin_gartner_speed,
-    hj_solution,
     hopf_lax_phi,
     lagrangian,
     nullset_radius,
@@ -79,7 +77,6 @@ __all__ = [
     "DomainError",
     "FrontLeftDomain",
     "FrontTrace",
-    "HJSolution",
     "Interval",
     "KineticState",
     "KinfrontError",
@@ -96,7 +93,6 @@ __all__ = [
     "freidlin_gartner_speed",
     "hamiltonian",
     "hamiltonian_value",
-    "hj_solution",
     "hopf_lax_phi",
     "in_singular_set",
     "initial_front_state",

@@ -269,8 +269,8 @@ def cmd_spreading(args):
             "direction scans need a 2-D model, not a %d-dimensional one" % model.dim
         )
     ts = parse_vector(args.t) if args.t else [1.0]
-    if not all(0.0 < t < np.inf for t in ts):
-        raise ValidationError("time t must be positive")
+    for t in ts:
+        propagation._check_time(t)
     if args.directions > 1:
         angles = 2.0 * np.pi * np.arange(args.directions) / args.directions
         dirs = [np.array([np.cos(a), np.sin(a)]) for a in angles]

@@ -24,14 +24,20 @@ falls back to the full bracket instead of becoming the radius.
 import functools
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.spatial import ConvexHull, QhullError
 
-from .dispersion import _check_rate, _h_rays, _min_speeds, _ray_edges, _zoom_min, _zoom_shape
+from .dispersion import (
+    _check_rate,
+    _h_rays,
+    _min_speeds,
+    _ray_edges,
+    _rows,
+    _zoom_min,
+    _zoom_shape,
+)
 from .errors import ValidationError
 from .models import Ball, direction
 
@@ -46,6 +52,12 @@ _SEED_REL = 1e-6
 def _is_radial(model):
     # slice marginal, hence H, depends only on |p| for these
     return isinstance(model.support, Ball) and model.support.dim >= 2
+
+
+def _check_time(t):
+    """Raise ValidationError unless the time is finite and positive (NaN fails)."""
+    if not 0.0 < t < np.inf:
+        raise ValidationError("time t must be positive")
 
 
 def _ray_sups(model, r, E, a):
@@ -113,47 +125,94 @@ def _cap_dirs(center, rad):
     return D / np.linalg.norm(D, axis=1, keepdims=True)
 
 
-def _cap_search(f, center, best, rad, keep=None):
-    """Minimize f over the directions near center, by shrinking cap grids.
+def _direction_min(f, pole, n, half=False, extra=None):
+    """Smallest value of f over the unit directions, or with half over
+    the open hemisphere about the unit pole: the one direction search.
 
-    Each round evaluates f on a 5 x 5 _cap_dirs grid of half-width rad
-    about the best direction so far, in one batch (keep drops unwanted
-    directions), then narrows the grid by 4, until its half-width is at
-    most 1e-7 rad. Returns the smallest value, best on entry included.
+    f(D, cos) maps unit rows D and their cosines with the pole to values;
+    each step below is one call. cos is cos(offset) on the half circle
+    and D @ pole everywhere else. 2-D: n angles (2 pi k / n, or with
+    half the cell midpoints of the offsets from the pole in
+    (-pi/2, pi/2)), then ten _zoom_min rounds about the best one; with
+    half the bracket stops 1e-9 short of the equator, and a minimizer
+    near it is flagged, as a ratio over e.e0 blows up there and
+    attainment relies on interior angles. 3-D: the pole and a Fibonacci
+    spiral of 2n directions (with half, those with cos > 1e-6), then
+    5 x 5 cap grids about the best direction, from the spiral spacing
+    down to 1e-7 rad by factors of 4. A scan whose best value is -inf
+    returns it at once. The rows of extra are candidates too, taken
+    last.
     """
-    while True:
-        D = _cap_dirs(center, rad)
-        if keep is not None:
-            D = D[keep(D)]
-        vals = f(D)
+    if pole.size == 2:
+        if half:
+            base, span = math.atan2(pole[1], pole[0]), math.pi / n
+            ts = -0.5 * math.pi + math.pi * (np.arange(n) + 0.5) / n
+        else:
+            base, span = 0.0, 2.0 * math.pi / n
+            ts = 2.0 * math.pi * np.arange(n) / n
+
+        def g(ts):
+            D = _circle_dirs(base + ts)
+            return f(D, np.cos(ts) if half else D @ pole)
+
+        vals = g(ts)
         k = int(np.argmin(vals))
-        if vals[k] < best:
-            best, center = float(vals[k]), D[k]
-        if rad <= 1e-7:
+        best = float(vals[k])
+        if best == -np.inf:
             return best
-        rad *= 0.25
+        lo, hi = ts[k] - span, ts[k] + span
+        if half:
+            lo, hi = max(lo, -0.5 * math.pi + 1e-9), min(hi, 0.5 * math.pi - 1e-9)
+        zoom = lambda ts, _: g(ts[0])[None, :]
+        t_star, zoomed = _zoom_min(zoom, np.array([lo]), np.array([hi]), 10, 17)
+        if half and abs(t_star[0]) > 0.5 * math.pi - 2.0 * span:
+            warnings.warn(
+                "Freidlin-Gartner minimizer lies near the equator e.e0 = 0; "
+                "increase ANGLES_FG if the minimum looks truncated",
+                RuntimeWarning,
+            )
+        best = min(best, float(zoomed[0]))
+    else:
+
+        def g(D):
+            if half:
+                D = D[D @ pole > 1e-6]
+            return D, f(D, D @ pole)
+
+        D, vals = g(np.vstack([pole, _fibonacci_sphere(2 * n)]))
+        k = int(np.argmin(vals))
+        best, center = float(vals[k]), D[k]
+        if best == -np.inf:
+            return best
+        rad = math.sqrt(4.0 * math.pi / (2 * n))
+        while True:
+            D, vals = g(_cap_dirs(center, rad))
+            k = int(np.argmin(vals))
+            if vals[k] < best:
+                best, center = float(vals[k]), D[k]
+            if rad <= 1e-7:
+                break
+            rad *= 0.25
+    if extra is not None:
+        best = min(best, float(np.min(f(extra, extra @ pole))))
+    return best
 
 
-def lagrangian(model, r, p, n_angles=ANGLES_LAGRANGIAN):
+def lagrangian(model, r, p):
     """Convex conjugate L(p); +inf outside the closed velocity hull.
 
-    The directional sup uses every grid direction plus a local
-    refinement around the best one, each step one batched _ray_sups
-    call: _zoom_min over the angle in 2-D, shrinking 5 x 5 direction
-    grids about the best direction in 3-D (_cap_search), where p's own
-    direction is also a candidate. Past a facet of the atoms' hull, or
-    off the span of a flat set, L is +inf without a scan.
-    Rotation-invariant models collapse to the aligned direction
-    e = p/|p| exactly (the per-direction value is nondecreasing in p.e
-    and the radial H does not depend on e). The direction scans only
-    ever see atom sets (balls are radial, intervals 1-D).
+    The sup over directions e of the ray conjugates at p.e (_ray_sups) is
+    one _direction_min about p's direction, with ANGLES_LAGRANGIAN
+    angles. Past a facet of the atoms' hull, or off the span of a flat
+    set, L is +inf without a search. Rotation-invariant models collapse
+    to the aligned direction e = p/|p| exactly (the per-direction value
+    is nondecreasing in p.e and the radial H does not depend on e). The
+    direction search only ever sees atom sets (balls are radial,
+    intervals 1-D).
     """
     _check_rate(r)
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    if p.size != model.dim:
-        raise ValidationError(
-            "p has %d components, model is %d-dimensional" % (p.size, model.dim)
-        )
+    P, _ = _rows(model, np.ravel(p))
+    p = P[0]
     nrm = float(np.linalg.norm(p))
     if model.dim == 1:
         E = np.array([[1.0], [-1.0]])
@@ -162,40 +221,22 @@ def lagrangian(model, r, p, n_angles=ANGLES_LAGRANGIAN):
         e = p / nrm if nrm > 0 else np.eye(model.dim)[0]
         return float(_ray_sups(model, r, e, [nrm])[0])
     # past a facet of the hull the ray along its normal already gives
-    # +inf, which the direction grid below may step over
+    # +inf, which the direction search may step over
     facets = _hull_facets(model)
     if np.any(facets[:, :-1] @ p + facets[:, -1] > 1e-12 * (1.0 + np.abs(facets[:, -1]))):
         return np.inf
-    if model.dim == 2:
-        thetas = 2.0 * math.pi * np.arange(n_angles) / n_angles
-        E = _circle_dirs(thetas)
-        vals = _ray_sups(model, r, E, E @ p)
-        k = int(np.argmax(vals))
-        if np.isinf(vals[k]):
-            return np.inf
-        span = 2.0 * math.pi / n_angles
-
-        def neg(ts, _):
-            E = _circle_dirs(ts[0])
-            return -_ray_sups(model, r, E, E @ p)[None, :]
-
-        _, negv = _zoom_min(neg, thetas[k : k + 1] - span, thetas[k : k + 1] + span, 10, 17)
-        return max(float(vals[k]), -float(negv[0]))
-    # dim == 3: spiral scan, with p's own direction, then the cap grids
-    dirs = np.vstack([p / nrm, _fibonacci_sphere(2 * n_angles)])
-    vals = _ray_sups(model, r, dirs, dirs @ p)
-    k = int(np.argmax(vals))
-    if np.isinf(vals[k]):
-        return np.inf
-    rad = math.sqrt(4.0 * math.pi / (2 * n_angles))
-    return -_cap_search(lambda D: -_ray_sups(model, r, D, D @ p), dirs[k], -float(vals[k]), rad)
+    neg = lambda D, _: -_ray_sups(model, r, D, D @ p)
+    return -_direction_min(neg, p / nrm, ANGLES_LAGRANGIAN)
 
 
 def planar_conjugate(model, r, e0, q):
     """One-dimensional conjugate along e0: sup_lam [lam q - (1+r)H - r]."""
     _check_rate(r)
     e0 = direction(e0)
-    return float(_ray_sups(model, r, e0, [float(q)])[0])
+    q = float(q)
+    if not np.isfinite(q):
+        raise ValidationError("q must be finite")
+    return float(_ray_sups(model, r, e0, [q])[0])
 
 
 def hopf_lax_phi(model, r, t, x, init="point", e0=None):
@@ -205,8 +246,7 @@ def hopf_lax_phi(model, r, t, x, init="point", e0=None):
     with Lbar the conjugate along e0. Point data: phi = max(t*L(x/t), 0).
     phi = +inf outside the reachable cone.
     """
-    if t <= 0:
-        raise ValidationError("time t must be positive")
+    _check_time(t)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if init == "planar":
         if e0 is None:
@@ -251,58 +291,26 @@ def _hull_facets(model):
         return np.column_stack([normals, np.zeros(len(normals))])
 
 
-def freidlin_gartner_speed(model, r, e0, n_angles=ANGLES_FG):
+def freidlin_gartner_speed(model, r, e0):
     """Spreading speed of point data: min of c*(e)/(e.e0) over e.e0 > 0.
 
     In 1-D (and for rotation-invariant models, where the minimizing
-    direction is e0 itself) this is just c*(e0). Otherwise the open
-    hemisphere is scanned on a grid, in one batched c* solve, and the
-    best bracket refined, each step one batched c* solve: by _zoom_min
-    over the angle in 2-D, a minimizer hugging the equator being
-    flagged, since there c*/(e.e0) blows up and attainment relies on
-    interior angles; by shrinking 5 x 5 direction grids in 3-D
-    (_cap_search). e0 itself is a candidate too. For a velocity set of
-    atoms the ratio is also taken at the outward facet normals of their
-    convex hull (for a flat set, the normals of its span): once c*
-    turns ballistic near such a normal the minimum can sit at that
-    corner of the ratio, which neither refinement is guaranteed to find.
+    direction is e0 itself) this is just c*(e0). Otherwise it is one
+    _direction_min over the open hemisphere about e0, with ANGLES_FG
+    angles. e0 itself is a candidate, and for a velocity set of atoms so
+    are the outward facet normals of their convex hull that face e0 (for
+    a flat set, the normals of its span): once c* turns ballistic near
+    such a normal the minimum can sit at that corner of the ratio, which
+    the search is not guaranteed to find.
     """
     _check_rate(r)
     e0 = direction(e0)
     if model.dim == 1 or _is_radial(model):
         return float(_cstars(model, r, e0)[0])
-    if model.dim == 2:
-        theta0 = math.atan2(e0[1], e0[0])
-        half = 0.5 * math.pi
-        offs = -half + math.pi * (np.arange(n_angles) + 0.5) / n_angles
-        vals = _cstars(model, r, _circle_dirs(theta0 + offs)) / np.cos(offs)
-        k = int(np.argmin(vals))
-        span = math.pi / n_angles
-        lo = max(offs[k] - span, -half + 1e-9)
-        hi = min(offs[k] + span, half - 1e-9)
-
-        def ratios(phis, _):
-            return (_cstars(model, r, _circle_dirs(theta0 + phis[0])) / np.cos(phis[0]))[None, :]
-
-        phi_star, best = _zoom_min(ratios, np.array([lo]), np.array([hi]), 10, 17)
-        if abs(phi_star[0]) > half - 2.0 * span:
-            warnings.warn(
-                "Freidlin-Gartner minimizer lies near the equator e.e0 = 0; "
-                "increase n_angles if the minimum looks truncated",
-                RuntimeWarning,
-            )
-        best = min(float(np.min(vals)), float(best[0]))
-    else:
-        dirs = _fibonacci_sphere(2 * n_angles)
-        dirs = np.vstack([e0, dirs[dirs @ e0 > 1e-6]])
-        vals = _cstars(model, r, dirs) / (dirs @ e0)
-        k = int(np.argmin(vals))
-        rad = math.sqrt(4.0 * math.pi / (2 * n_angles))
-        ratios = lambda D: _cstars(model, r, D) / (D @ e0)
-        best = _cap_search(ratios, dirs[k], float(vals[k]), rad, keep=lambda D: D @ e0 > 1e-6)
     normals = _hull_facets(model)[:, :-1]
     normals = np.vstack([e0, normals[normals @ e0 > 0.0]])
-    return min(best, float(np.min(_cstars(model, r, normals) / (normals @ e0))))
+    ratios = lambda D, cos: _cstars(model, r, D) / cos
+    return _direction_min(ratios, e0, ANGLES_FG, half=True, extra=normals)
 
 
 def _hull_extent(model, e0):
@@ -345,8 +353,7 @@ def nullset_radius(model, r, e0, t, init="point", tol=1e-9, speed=None):
     conjugate value is computed once, as the ballistic test and brentq
     both take f(vbar).
     """
-    if t <= 0:
-        raise ValidationError("time t must be positive")
+    _check_time(t)
     e0 = direction(e0)
     vb = model.support_max(e0)
     top = _hull_extent(model, e0) if init == "point" else vb
@@ -378,45 +385,3 @@ def nullset_radius(model, r, e0, t, init="point", tol=1e-9, speed=None):
     q_star = brentq(f, 0.0, vb, xtol=tol, rtol=rtol)
     return t * float(q_star)
 
-
-@dataclass
-class HJSolution:
-    """Bundle of the macroscopic predictions for one model and rate.
-
-    lagrangian_samples holds (q, L(q e0)) pairs along the reference
-    direction; phi and nullset_radius are closures over the model.
-    """
-
-    model_ref: object
-    r: float
-    e0: np.ndarray
-    lagrangian_samples: np.ndarray
-    phi: Callable
-    nullset_radius: Callable
-
-
-def hj_solution(model, r, e0=None, n_samples=41):
-    """Assemble an HJSolution along the direction e0 (first axis default)."""
-    if e0 is None:
-        e0 = np.eye(model.dim)[0]
-    e0 = direction(e0)
-    fwd = model.support_max(e0)
-    back = model.support_max(-e0)
-    qs = np.linspace(-back, fwd, n_samples)
-    lvals = np.array([lagrangian(model, r, q * e0) for q in qs])
-    samples = np.column_stack([qs, lvals])
-
-    def phi(t, x, init="point"):
-        return hopf_lax_phi(model, r, t, x, init=init, e0=e0)
-
-    def radius(t, init="point"):
-        return nullset_radius(model, r, e0, t, init=init)
-
-    return HJSolution(
-        model_ref=model,
-        r=float(r),
-        e0=e0,
-        lagrangian_samples=samples,
-        phi=phi,
-        nullset_radius=radius,
-    )

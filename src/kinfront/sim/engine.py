@@ -50,6 +50,9 @@ class SimConfig:
     def __post_init__(self):
         if not all(0.0 < x < np.inf for x in (self.dx, self.t_end, self.length)):
             raise ValidationError("dx, t_end and length must be finite and positive")
+        # sim_nodes puts nv // 2 Gauss-Legendre nodes on each of its two panels
+        if not (isinstance(self.nv, (int, np.integer)) and self.nv >= 4):
+            raise ValidationError("nv must be an integer of at least 4")
         if not 0 < self.cfl <= 1.0:
             raise ValidationError("cfl must lie in (0, 1]")
         if not 0 < self.gamma <= 1.0:
@@ -123,7 +126,7 @@ def sim_nodes(model, e, nv):
         return s[order], masses / masses.sum(), masses
     t_hi = model.support_max(e)
     t_lo = -model.support_max(-e)
-    half = max(2, nv // 2)
+    half = nv // 2
     segs = [(t_lo, 0.0), (0.0, t_hi)] if t_lo < 0.0 < t_hi else [(t_lo, t_hi)]
     xs, ws = [], []
     for a, b in segs:

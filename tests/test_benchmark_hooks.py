@@ -6,7 +6,8 @@ name, `propagation.nullset_radius` and `propagation.lagrangian` among
 them; renaming or deleting any of these breaks a per-layer metric of
 `perfbench/run.py --trace 1`. This imports the tracer read-only and runs
 it on one continuum and one atom-set H solve, on one `spreading` call,
-and on one `sweep` of each kind of velocity set.
+on one `sweep` of each kind of velocity set, and on direct L and w*
+calls in 2-D and 3-D.
 """
 
 import math
@@ -16,8 +17,8 @@ import sys
 import numpy as np
 
 import kinfront.cli  # noqa: F401  (the tracer wraps every kinfront layer module)
-from kinfront import dispersion
-from kinfront.models import preset
+from kinfront import dispersion, propagation
+from kinfront.models import DiscreteSet, VelocityModel, preset
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 DIAMOND = ("support = discrete\npoint = 1,0 : 0.25\npoint = -1,0 : 0.25\n"
@@ -82,3 +83,26 @@ def test_tracer_counts_sweep_solves(tmp_path, capsys):
         assert layer["calls"]["dispersion.minimal_speed"] == 3
         assert layer["h_solves"] == h_solves
     capsys.readouterr()
+
+
+def test_tracer_counts_direction_search_solves():
+    # the one direction search behind L and w* makes exactly the H solves
+    # of the separate 2-D and 3-D searches it replaced
+    pts = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
+    diamond = VelocityModel(DiscreteSet(pts, [0.25] * 4))
+    octahedron = VelocityModel(DiscreteSet(np.vstack([np.eye(3), -np.eye(3)]), [1.0 / 6.0] * 6))
+    calls = (
+        (lambda: propagation.freidlin_gartner_speed(diamond, 0.8, [math.cos(0.46), math.sin(0.46)]),
+         176_978),
+        (lambda: propagation.lagrangian(diamond, 0.8, [0.3, 0.2]), 103_600),
+        (lambda: propagation.freidlin_gartner_speed(octahedron, 0.8, [1.0, 2.0, 2.0]), 248_442),
+        (lambda: propagation.lagrangian(octahedron, 0.8, [0.31, 0.17, 0.12]), 211_189),
+    )
+    for call, h_solves in calls:
+        tracer = _tracer()
+        tracer.install()
+        try:
+            call()
+        finally:
+            tracer.uninstall()
+        assert tracer.per_layer(tracer.take())["h_solves"] == h_solves

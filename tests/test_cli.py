@@ -352,6 +352,15 @@ def test_simulate_rejects_non_finite_grid(capsys, tmp_path, flag, value):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("nv", ["0", "-3", "3"])
+def test_simulate_rejects_too_few_velocity_nodes(capsys, tmp_path, nv):
+    code, _, err = run_cli(capsys, "simulate", "--model", "uniform-1d", "--r", "1",
+                           "--nv", nv, "--out", str(tmp_path / "run"))
+    assert code == 2
+    assert "nv must be an integer of at least 4" in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_spreading_direction_scan_needs_2d(capsys):
     code, _, err = run_cli(capsys, "spreading", "--model", "uniform-1d",
                            "--r", "1.0", "--directions", "8")

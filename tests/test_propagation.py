@@ -366,18 +366,93 @@ def test_spreading_calls_leave_the_model_as_built(make):
     assert not any(isinstance(v, dict) for v in vars(m).values())
 
 
-def test_hj_solution_bundle():
+def test_hopf_lax_along_the_first_axis():
     m = model("uniform-1d")
-    sol = kf.hj_solution(m, 1.0, n_samples=21)
-    assert sol.lagrangian_samples.shape == (21, 2)
-    qs, ls = sol.lagrangian_samples.T
-    assert qs[0] == -1.0 and qs[-1] == 1.0
+    e0 = np.ones(1)
+    qs = np.linspace(-1.0, 1.0, 21)
+    ls = np.array([kf.lagrangian(m, 1.0, q * e0) for q in qs])
     # conjugate is -r at rest and grows toward the hull edge
-    k = np.argmin(np.abs(qs))
-    np.testing.assert_allclose(ls[k], -1.0, atol=1e-9)
-    rad = sol.nullset_radius(2.0)
-    assert sol.phi(2.0, np.array([rad * 0.99])) == 0.0
-    assert sol.phi(2.0, np.array([rad * 1.01])) > 0.0
+    np.testing.assert_allclose(ls[10], -1.0, atol=1e-9)
+    assert np.all(np.diff(ls[10:]) > 0.0)
+    rad = kf.nullset_radius(m, 1.0, e0, 2.0)
+    assert kf.hopf_lax_phi(m, 1.0, 2.0, rad * 0.99 * e0) == 0.0
+    assert kf.hopf_lax_phi(m, 1.0, 2.0, rad * 1.01 * e0) > 0.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: kf.lagrangian(model("two-speed"), 0.8, [math.nan]),
+    lambda: kf.lagrangian(diamond(), 0.8, [math.nan, 0.0]),
+    lambda: kf.planar_conjugate(model("two-speed"), 0.5, 1.0, math.nan),
+    lambda: kf.hopf_lax_phi(model("two-speed"), 0.5, math.nan, [0.1]),
+    lambda: kf.hopf_lax_phi(model("two-speed"), 0.5, math.inf, [0.1]),
+    lambda: kf.nullset_radius(model("two-speed"), 0.5, 1.0, math.nan),
+    lambda: kf.nullset_radius(model("two-speed"), 0.5, 1.0, math.inf),
+])
+def test_hopf_lax_layer_rejects_non_finite_inputs(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
+def _dense_min(f, pole, n, half):
+    # brute force: every direction of a fine circle or spiral, in one batch
+    if pole.size == 2:
+        D = P._circle_dirs(2.0 * math.pi * np.arange(n) / n)
+    else:
+        D = P._fibonacci_sphere(n)
+    if half:
+        D = D[D @ pole > 0.0]
+    return float(np.min(f(D, D @ pole)))
+
+
+def _direction_case(dim, half):
+    a = np.array([0.6, -0.8, 0.0][:dim])
+    a /= np.linalg.norm(a)
+    pole = np.array([1.0, 0.3, 0.5][:dim])
+    pole /= np.linalg.norm(pole)
+
+    def f(D, cos):
+        # the cosines handed over are those of the rows with the pole
+        np.testing.assert_allclose(cos, D @ pole, atol=1e-15)
+        vals = np.exp(-2.0 * (D @ a)) + 0.3 * D[:, 1] ** 2
+        return vals / cos if half else vals
+
+    return f, pole
+
+
+@pytest.mark.parametrize("dim,half,n_dense,atol", [
+    (2, False, 1_000_000, 2e-10), (2, True, 1_000_000, 2e-10), (3, False, 400_000, 1e-5),
+    (3, True, 400_000, 1e-5),
+])
+def test_direction_min_matches_a_dense_scan(dim, half, n_dense, atol):
+    f, pole = _direction_case(dim, half)
+    got = P._direction_min(f, pole, 64, half=half)
+    dense = _dense_min(f, pole, n_dense, half)
+    # the search refines past the dense grid, so it may only come out lower
+    assert dense - atol <= got <= dense + 1e-12
+
+
+def test_direction_min_returns_minus_inf_from_the_scan():
+    calls = []
+
+    def f(D, cos):
+        calls.append(len(D))
+        vals = -D[:, 0]
+        vals[D[:, 1] > 0.5] = -np.inf
+        return vals
+
+    for pole in (np.array([1.0, 0.0]), np.array([0.0, 0.0, 1.0])):
+        calls.clear()
+        assert P._direction_min(f, pole, 16, extra=np.array([pole])) == -np.inf
+        assert len(calls) == 1
+
+
+def test_freidlin_gartner_flags_a_minimizer_at_the_equator():
+    # on the line of atoms +-(1, 1), c*(e) = 0 at the line's normal, which
+    # lies just inside the equator of an e0 just off the line
+    line = kf.VelocityModel(kf.DiscreteSet([(1.0, 1.0), (-1.0, -1.0)], [0.5, 0.5]))
+    theta = 0.25 * math.pi + 0.01
+    with pytest.warns(RuntimeWarning, match="equator"):
+        kf.freidlin_gartner_speed(line, 0.5, [math.cos(theta), math.sin(theta)])
 
 
 def test_lagrangian_rejects_bad_rate():

@@ -34,6 +34,14 @@ def test_sim_nodes_continuum_masses():
     np.testing.assert_allclose(masses @ s, 0.0, atol=1e-12)
 
 
+def test_fewest_velocity_nodes():
+    # nv = 4 is the fewest nodes SimConfig takes: two per side of v.e = 0
+    config = kf.SimConfig(dx=0.1, length=10.0, nv=4)
+    state = kf.initial_front_state(model("uniform-1d"), 1.0, config=config)
+    assert state.v_nodes.size == 4
+    np.testing.assert_allclose(state.v_weights.sum(), 1.0, rtol=1e-15)
+
+
 def test_initial_front_state_layout():
     config = kf.SimConfig(dx=0.1, length=10.0, nv=8)
     state = kf.initial_front_state(model("uniform-1d"), 1.0, config=config)

@@ -13,7 +13,6 @@ cross-validation of the predicted speeds.
 """
 
 from .errors import (
-    CFLViolation,
     DomainError,
     FrontLeftDomain,
     KinfrontError,
@@ -59,17 +58,14 @@ from .sim import (
     FrontTrace,
     KineticState,
     SimConfig,
-    behind_front_profile,
     initial_front_state,
     run_front_experiment,
-    step,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Ball",
-    "CFLViolation",
     "DERIV_TOL",
     "DensityFamily",
     "DiscreteSet",
@@ -87,7 +83,6 @@ __all__ = [
     "ValidationError",
     "VelocityModel",
     "WaveProfile",
-    "behind_front_profile",
     "case_from_square_criterion",
     "direction",
     "freidlin_gartner_speed",
@@ -108,6 +103,5 @@ __all__ = [
     "singular_boundary_radius",
     "speed",
     "speed_derivative_left",
-    "step",
     "wave_profile",
 ]

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import __version__, dispersion, propagation
 from .errors import (
-    CFLViolation,
     DomainError,
     FrontLeftDomain,
     QuadratureNotConverged,
@@ -36,7 +35,8 @@ from .models import (
     Interval,
     PRESET_NAMES,
     VelocityModel,
-    direction,
+    _positive,
+    _unit,
     j_integral,
     l_integral,
     preset,
@@ -165,8 +165,8 @@ def build_model(args):
 
 
 def _default_e(args, model):
-    if getattr(args, "e", None):
-        return direction(parse_vector(args.e))
+    if args.e is not None:
+        return _unit(model, parse_vector(args.e))
     return np.eye(model.dim)[0]
 
 
@@ -205,6 +205,8 @@ def _jsonable(x):
 
 def cmd_hamiltonian(args):
     model = build_model(args)
+    if args.e is not None and args.p_grid is None:
+        raise ValidationError("--e sets the direction of --p-grid and needs it")
     if args.p is not None:
         ps = [parse_vector(args.p)]
     elif args.p_grid is not None:
@@ -264,13 +266,17 @@ def cmd_speed_curve(args):
 
 def cmd_spreading(args):
     model = build_model(args)
+    if args.directions < 1:
+        raise ValidationError("--directions must be at least 1")
+    if args.directions > 1 and args.e is not None:
+        raise ValidationError("--e and a --directions scan exclude each other")
     if args.directions > 1 and model.dim != 2:
         raise ValidationError(
             "direction scans need a 2-D model, not a %d-dimensional one" % model.dim
         )
-    ts = parse_vector(args.t) if args.t else [1.0]
+    ts = parse_vector(args.t) if args.t is not None else [1.0]
     for t in ts:
-        propagation._check_time(t)
+        _positive(t, "time t")
     if args.directions > 1:
         angles = 2.0 * np.pi * np.arange(args.directions) / args.directions
         dirs = [np.array([np.cos(a), np.sin(a)]) for a in angles]
@@ -395,8 +401,9 @@ def build_parser():
 
     p = sub.add_parser("hamiltonian", help="evaluate H(p) on a grid or a point")
     common(p)
-    p.add_argument("--p", help="single frequency, comma-separated components")
-    p.add_argument("--p-grid", help="scalar grid lo:hi:n along --e")
+    freq = p.add_mutually_exclusive_group()
+    freq.add_argument("--p", help="single frequency, comma-separated components")
+    freq.add_argument("--p-grid", help="scalar grid lo:hi:n along --e")
     p.add_argument("--e", help="direction for --p-grid (default first axis)")
     p.set_defaults(func=cmd_hamiltonian)
 
@@ -451,7 +458,7 @@ def main(argv=None):
     except (QuadratureNotConverged, DomainError) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return EXIT_NUMERICS
-    except (FrontLeftDomain, CFLViolation) as exc:
+    except FrontLeftDomain as exc:
         print("simulation failure: %s" % exc, file=sys.stderr)
         return EXIT_SIM
     except OSError as exc:

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, QuadratureNotConverged, ValidationError
-from .models import direction, edge_kernel_integral, j_integral, l_integral
+from .models import _positive, _unit, edge_kernel_integral, j_integral, l_integral
 from .quadrature import FAILURES
 
 # classification threshold on c'(lambda_tilde-); the zero-derivative case
@@ -87,12 +87,6 @@ def _rows(model, P):
     return P, nrm
 
 
-def _check_rate(r):
-    """Raise ValidationError unless the growth rate is finite and positive (NaN fails)."""
-    if not 0.0 < r < np.inf:
-        raise ValidationError("growth rate r must be positive")
-
-
 def _singular(lval, nrm):
     """p is singular when l(p/|p|) <= |p|.
 
@@ -123,7 +117,7 @@ def singular_boundary_radius(model, e, tol=1e-9, r_max=1e9):
     direction). The radius equals l(e) by construction; this routine
     recovers it from in_singular_set alone.
     """
-    e = direction(e)
+    e = _unit(model, e)
     hi = 1.0
     while not in_singular_set(model, hi * e):
         hi *= 2.0
@@ -294,8 +288,6 @@ def _ray_edges(model, E):
     row, the one _h_rays makes, and has l = +inf; a continuum model
     reads both from its grids, row by row.
     """
-    if E.shape[1] != model.dim:
-        raise ValidationError("e has %d components, model is %d-dimensional" % (E.shape[1], model.dim))
     if model.is_discrete:
         return _atom_dots(model.support.points, E).max(axis=1), np.full(len(E), np.inf)
     return np.array([model.support_max(e) for e in E]), np.array([l_integral(model, e) for e in E])
@@ -401,7 +393,7 @@ def hamiltonian(model, p):
 
 def lambda_tilde(model, r, e):
     """Critical decay (1+r) l(e); +inf when l(e) diverges."""
-    _check_rate(r)
+    _positive(r, "growth rate r")
     return (1.0 + r) * l_integral(model, e)
 
 
@@ -411,10 +403,9 @@ def speed(model, r, e, lam):
     On the singular branch lambda >= lambda_tilde(e) this reduces to
     vbar(e) - 1/lambda without any special-casing.
     """
-    _check_rate(r)
-    if lam <= 0:
-        raise ValidationError("decay rate lambda must be positive")
-    e = direction(e)
+    _positive(r, "growth rate r")
+    _positive(lam, "decay rate lambda")
+    e = _unit(model, e)
     H = hamiltonian_value(model, (lam / (1.0 + r)) * e)
     return ((1.0 + r) * H + r) / lam
 
@@ -427,9 +418,13 @@ def speed_derivative_left(model, r, e, lam, c=None):
     differences are involved. Valid for lambda <= lambda_tilde(e); at
     lambda_tilde this is the left derivative.
     """
-    e = direction(e)
+    _positive(r, "growth rate r")
+    _positive(lam, "decay rate lambda")
+    e = _unit(model, e)
     if c is None:
         c = speed(model, r, e, lam)
+    elif not np.isfinite(c):
+        raise ValidationError("c must be finite")
     vbar = model.support_max(e)
     d = max(1.0 + lam * (c - vbar), 0.0)
     jcal = edge_kernel_integral(model, e, d, lam, 2)
@@ -582,8 +577,8 @@ def minimal_speed(model, r, e, sample=True):
     limit c_star = vbar(e), lambda_star = inf. With sample, the curve is
     also sampled on N_SCAN log-spaced rates, refined about lambda_star.
     """
-    _check_rate(r)
-    e = direction(e)
+    _positive(r, "growth rate r")
+    e = _unit(model, e)
     c_star, lam_star, lam_tilde, dleft, case = (a[0] for a in _min_speeds(model, r, e[None, :]))
     capped = np.isinf(lam_tilde)
     if sample:
@@ -617,8 +612,8 @@ def case_from_square_criterion(model, r, e):
     two are tied by c'(lambda_tilde-) = (1 - (1+r) l^2 / j) /
     lambda_tilde^2.
     """
-    _check_rate(r)
-    e = direction(e)
+    _positive(r, "growth rate r")
+    e = _unit(model, e)
     lval = l_integral(model, e)
     if np.isinf(lval):
         return "Case1"
@@ -658,10 +653,9 @@ def wave_profile(model, r, e, lam):
     beyond lambda_tilde the dispersion relation no longer holds and no
     integrable profile exists.
     """
-    _check_rate(r)
-    if lam <= 0:
-        raise ValidationError("decay rate lambda must be positive")
-    e = direction(e)
+    _positive(r, "growth rate r")
+    _positive(lam, "decay rate lambda")
+    e = _unit(model, e)
     lam_tilde = lambda_tilde(model, r, e)
     if lam > lam_tilde * (1.0 + 1e-12):
         raise DomainError(

@@ -20,10 +20,6 @@ class DomainError(KinfrontError):
     quantity (e.g. a wave profile past the critical decay rate)."""
 
 
-class CFLViolation(KinfrontError):
-    """Requested time step exceeds the CFL-stable step for the grid."""
-
-
 class FrontLeftDomain(KinfrontError):
     """The tracked front reached the edge of the computational window
     before the fitting window opened."""

@@ -44,6 +44,22 @@ def direction(x):
     return e / nrm
 
 
+def _unit(model, e):
+    """direction(e), the gate of every direction argument: it must also
+    have the model's dimension."""
+    e = direction(e)
+    if e.size != model.dim:
+        raise ValidationError("e has %d components, model is %d-dimensional" % (e.size, model.dim))
+    return e
+
+
+def _positive(x, what):
+    """Raise ValidationError unless x is finite and positive (NaN fails):
+    the gate of every r, t and lambda argument."""
+    if not 0.0 < x < np.inf:
+        raise ValidationError("%s must be positive" % what)
+
+
 @dataclass(frozen=True)
 class Interval:
     """1-D velocity support [a, b]."""
@@ -234,20 +250,12 @@ class VelocityModel:
 
     def support_max(self, e):
         """Support function vbar(e) = max of v.e over V."""
-        e = direction(e)
+        e = _unit(self, e)
         if isinstance(self.support, Interval):
             return float(max(self.support.a * e[0], self.support.b * e[0]))
         if isinstance(self.support, Ball):
             return float(self.support.radius)
         return float(np.max(self.support.points @ e))
-
-    def mu(self, p):
-        """mu(p) = |p| vbar(p/|p|); 0 at p = 0."""
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        nrm = float(np.linalg.norm(p))
-        if nrm == 0.0:
-            return 0.0
-        return nrm * self.support_max(p / nrm)
 
     def arg_mu(self, p, tol=1e-12):
         """Maximizers of v.p over V, as a list of velocity arrays.
@@ -295,7 +303,7 @@ class VelocityModel:
         One of the grids built at construction: the half-line's grid in
         1-D, the ball's one grid otherwise.
         """
-        e = direction(e)
+        e = _unit(self, e)
         if self.is_discrete:
             return None
         return self._grids[1 if self.dim == 1 and e[0] < 0.0 else 0]
@@ -337,7 +345,7 @@ class VelocityModel:
         """
         if self.is_discrete:
             raise ValidationError("DiscreteSet has atoms, not a slice density")
-        e = direction(e)
+        e = _unit(self, e)
         t = np.asarray(t, dtype=float)
         if isinstance(self.support, Interval) or self.support.dim == 1:
             sgn = 1.0 if e[0] > 0 else -1.0
@@ -389,7 +397,7 @@ def edge_kernel_integral(model, e, d, beta, power):
     integral of the dispersion relation and the wave-profile mass.
     """
     if model.is_discrete:
-        e = direction(e)
+        e = _unit(model, e)
         svals = model.support_max(e) - model.support.points @ e
         den = (d + beta * svals) ** power
         if np.any(den == 0.0):

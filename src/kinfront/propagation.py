@@ -30,7 +30,6 @@ from scipy.optimize import brentq
 from scipy.spatial import ConvexHull, QhullError
 
 from .dispersion import (
-    _check_rate,
     _h_rays,
     _min_speeds,
     _ray_edges,
@@ -39,7 +38,7 @@ from .dispersion import (
     _zoom_shape,
 )
 from .errors import ValidationError
-from .models import Ball, direction
+from .models import Ball, _positive, _unit
 
 ANGLES_LAGRANGIAN = 128
 ANGLES_FG = 256
@@ -52,12 +51,6 @@ _SEED_REL = 1e-6
 def _is_radial(model):
     # slice marginal, hence H, depends only on |p| for these
     return isinstance(model.support, Ball) and model.support.dim >= 2
-
-
-def _check_time(t):
-    """Raise ValidationError unless the time is finite and positive (NaN fails)."""
-    if not 0.0 < t < np.inf:
-        raise ValidationError("time t must be positive")
 
 
 def _ray_sups(model, r, E, a):
@@ -210,7 +203,7 @@ def lagrangian(model, r, p):
     direction search only ever sees atom sets (balls are radial,
     intervals 1-D).
     """
-    _check_rate(r)
+    _positive(r, "growth rate r")
     P, _ = _rows(model, np.ravel(p))
     p = P[0]
     nrm = float(np.linalg.norm(p))
@@ -231,8 +224,8 @@ def lagrangian(model, r, p):
 
 def planar_conjugate(model, r, e0, q):
     """One-dimensional conjugate along e0: sup_lam [lam q - (1+r)H - r]."""
-    _check_rate(r)
-    e0 = direction(e0)
+    _positive(r, "growth rate r")
+    e0 = _unit(model, e0)
     q = float(q)
     if not np.isfinite(q):
         raise ValidationError("q must be finite")
@@ -246,12 +239,12 @@ def hopf_lax_phi(model, r, t, x, init="point", e0=None):
     with Lbar the conjugate along e0. Point data: phi = max(t*L(x/t), 0).
     phi = +inf outside the reachable cone.
     """
-    _check_time(t)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    _positive(t, "time t")
+    x = _rows(model, np.ravel(x))[0][0]
     if init == "planar":
         if e0 is None:
             raise ValidationError("planar initial data needs the front normal e0")
-        q = float(x @ direction(e0)) / t
+        q = float(x @ _unit(model, e0)) / t
         val = t * planar_conjugate(model, r, e0, q)
     elif init == "point":
         val = t * lagrangian(model, r, x / t)
@@ -303,8 +296,8 @@ def freidlin_gartner_speed(model, r, e0):
     such a normal the minimum can sit at that corner of the ratio, which
     the search is not guaranteed to find.
     """
-    _check_rate(r)
-    e0 = direction(e0)
+    _positive(r, "growth rate r")
+    e0 = _unit(model, e0)
     if model.dim == 1 or _is_radial(model):
         return float(_cstars(model, r, e0)[0])
     normals = _hull_facets(model)[:, :-1]
@@ -353,8 +346,10 @@ def nullset_radius(model, r, e0, t, init="point", tol=1e-9, speed=None):
     conjugate value is computed once, as the ballistic test and brentq
     both take f(vbar).
     """
-    _check_time(t)
-    e0 = direction(e0)
+    if init not in ("planar", "point"):
+        raise ValidationError("init must be 'planar' or 'point'")
+    _positive(t, "time t")
+    e0 = _unit(model, e0)
     vb = model.support_max(e0)
     top = _hull_extent(model, e0) if init == "point" else vb
 

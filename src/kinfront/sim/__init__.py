@@ -2,8 +2,6 @@ from .engine import (  # noqa: F401
     FrontTrace,
     KineticState,
     SimConfig,
-    behind_front_profile,
     initial_front_state,
     run_front_experiment,
-    step,
 )

@@ -18,9 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from ..dispersion import _check_rate
-from ..errors import CFLViolation, FrontLeftDomain, ValidationError
-from ..models import direction
+from ..errors import FrontLeftDomain, ValidationError
+from ..models import _positive, _unit
 from ..quadrature import panel_nodes
 from . import kernels
 
@@ -101,12 +100,6 @@ class KineticState:
     def f(self):
         return self.g * self.m_vals[:, None]
 
-    def copy(self):
-        return KineticState(
-            self.model, self.r, self.e, self.x0, self.dx,
-            self.v_nodes, self.v_weights, self.m_vals, self.g.copy(), self.time,
-        )
-
 
 def sim_nodes(model, e, nv):
     """Velocity nodes for the planar sim: speeds v.e, masses, equilibria.
@@ -118,7 +111,7 @@ def sim_nodes(model, e, nv):
     and equilibrium values permuted alike), which the numpy stepping
     kernel relies on.
     """
-    e = direction(e)
+    e = _unit(model, e)
     if model.is_discrete:
         s = model.support.points @ e
         order = np.argsort(s, kind="stable")
@@ -145,11 +138,12 @@ def sim_nodes(model, e, nv):
 
 def initial_front_state(model, r, e=None, config=None):
     """Front-like data g = gamma for x <= 0, 0 ahead, on a centered window."""
+    _positive(r, "growth rate r")
     config = config or SimConfig()
     if e is None:
         e = np.zeros(model.dim)
         e[0] = 1.0
-    e = direction(e)
+    e = _unit(model, e)
     s, masses, m_vals = sim_nodes(model, e, config.nv)
     nx = int(round(config.length / config.dx)) + 1
     x0 = -0.5 * config.length
@@ -157,28 +151,6 @@ def initial_front_state(model, r, e=None, config=None):
     x = x0 + config.dx * np.arange(nx)
     g[:, x <= 0.0] = config.gamma
     return KineticState(model, r, e, x0, config.dx, s, masses, m_vals, g)
-
-
-def _scratch_for(g):
-    return np.empty_like(g), np.empty(g.shape[1]), np.empty(g.shape[1])
-
-
-def step(state, dt, cfl=0.9):
-    """One Strang-split step; returns a new KineticState.
-
-    Raises CFLViolation when dt exceeds cfl * dx / max |v.e|.
-    """
-    vmax = float(np.max(np.abs(state.v_nodes)))
-    if vmax > 0 and dt > cfl * state.dx / vmax * (1.0 + 1e-12):
-        raise CFLViolation(
-            "dt = %g exceeds %g * dx / vmax = %g" % (dt, cfl, cfl * state.dx / vmax)
-        )
-    out = state.copy()
-    g1, rho, rho1 = _scratch_for(out.g)
-    nu_half = out.v_nodes * (0.5 * dt / out.dx)
-    kernels.strang_step(out.g, g1, rho, rho1, nu_half, out.v_weights, out.r, dt, 1.0, 0.0)
-    out.time += dt
-    return out
 
 
 @dataclass
@@ -215,7 +187,6 @@ def run_front_experiment(model, r, config=None, e=None):
     reaches the window edge (the moving window recenters as the front
     advances, so this indicates a window shorter than the front).
     """
-    _check_rate(r)
     config = config or SimConfig()
     state = initial_front_state(model, r, e, config)
     g = state.g
@@ -228,7 +199,7 @@ def run_front_experiment(model, r, config=None, e=None):
     dt = config.t_end / n_steps
     record_every = max(1, int(round(_RECORD_INTERVAL / dt)))
 
-    g1, rho, rho1 = _scratch_for(g)
+    g1, rho, rho1 = np.empty_like(g), np.empty(nx), np.empty(nx)
     nu_half = state.v_nodes * (0.5 * dt / config.dx)
     masses = state.v_weights
     levels = sorted(set(_THRESHOLDS) | {config.threshold})
@@ -295,14 +266,3 @@ def run_front_experiment(model, r, config=None, e=None):
         clamp_count=clamp_count,
         final_state=state,
     )
-
-
-def behind_front_profile(state, x_probe):
-    """Deviation from equilibrium at x_probe: (max_v |f - M|, |rho - 1|)."""
-    i = int(round((x_probe - state.x0) / state.dx))
-    if not 0 <= i < state.nx:
-        raise ValidationError("x_probe = %g is outside the current window" % x_probe)
-    col = state.g[:, i]
-    f_dev = float(np.max(state.m_vals * np.abs(col - 1.0)))
-    rho_dev = float(abs(state.v_weights @ col - 1.0))
-    return f_dev, rho_dev

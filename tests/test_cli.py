@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -376,6 +377,47 @@ def test_spreading_direction_scan_rejects_3d_before_solving(capsys, monkeypatch)
                            "--r", "1", "--directions", "4")
     assert code == 2
     assert "2-D model" in err
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_spreading_needs_at_least_one_direction(capsys, n):
+    code, out, err = run_cli(capsys, "spreading", "--model", "uniform-ball:2",
+                             "--r", "1", "--directions", n)
+    assert code == 2
+    assert "--directions must be at least 1" in err and out == ""
+
+
+def test_spreading_direction_scan_excludes_e(capsys):
+    code, out, err = run_cli(capsys, "spreading", "--model", "uniform-ball:2",
+                             "--r", "1", "--directions", "4", "--e", "0,1")
+    assert code == 2
+    assert "--e" in err and out == ""
+
+
+def test_hamiltonian_takes_p_or_p_grid_not_both(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["hamiltonian", "--model", "uniform-1d", "--p", "1", "--p-grid", "0:1:3"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_hamiltonian_e_needs_p_grid(capsys):
+    for extra in ([], ["--p", "1"]):
+        code, out, err = run_cli(capsys, "hamiltonian", "--model", "uniform-1d",
+                                 "--e", "-1", *extra)
+        assert code == 2
+        assert "--p-grid" in err and out == ""
+
+
+def test_simulate_rejects_a_bad_direction_before_stepping(capsys, tmp_path):
+    # at the default t_end = 60 the run itself takes tens of seconds
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "simulate", "--model", "uniform-1d", "--r", "0.8",
+                             "--e", "1,0", "--out", str(tmp_path / "run"))
+    assert code == 2
+    assert time.perf_counter() - t0 < 5.0
+    assert "model is 1-dimensional" in err
+    assert out == "" and os.listdir(tmp_path) == []
 
 
 def test_simulate_has_no_kernel_switch(capsys):

@@ -62,8 +62,6 @@ def test_uniform_1d_basics():
     m = model("uniform-1d")
     assert m.support_max(1.0) == 1.0
     assert m.support_max(-1.0) == 1.0
-    np.testing.assert_allclose(m.mu((2.5,)), 2.5)
-    assert m.mu((0.0,)) == 0.0
     np.testing.assert_allclose(m.density(np.array([0.3])), [0.5])
     # mass and mean of the equilibrium
     np.testing.assert_allclose(_moment_1d(m, 0), 1.0, atol=1e-12)

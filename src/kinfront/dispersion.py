@@ -118,6 +118,8 @@ def singular_boundary_radius(model, e, tol=1e-9, r_max=1e9):
     recovers it from in_singular_set alone.
     """
     e = _unit(model, e)
+    _positive(tol, "tol")
+    _positive(r_max, "r_max")
     hi = 1.0
     while not in_singular_set(model, hi * e):
         hi *= 2.0
@@ -286,11 +288,12 @@ def _ray_edges(model, E):
 
     An atom set takes vbar from one projection of its atoms on every
     row, the one _h_rays makes, and has l = +inf; a continuum model
-    reads both from its grids, row by row.
+    reads both from its one grid, the same for every row.
     """
     if model.is_discrete:
         return _atom_dots(model.support.points, E).max(axis=1), np.full(len(E), np.inf)
-    return np.array([model.support_max(e) for e in E]), np.array([l_integral(model, e) for e in E])
+    grid = model.directional_grid(E[0])
+    return np.full(len(E), grid.vbar), np.full(len(E), grid.l)
 
 
 def _zoom_shape(model):
@@ -329,9 +332,8 @@ def _h_value(model, P):
     """H at the rows of P (shape (m, dim)): the one H solver for every model.
 
     Returns the arrays (H, regular, lval, nrm) over the rows. Atom
-    sets go to _discrete_h. On a continuum model the rows sharing a
-    directional grid (each half-line in 1-D, every row of a ball) are
-    solved together on that grid, which gives vbar(e) and l(e): a
+    sets go to _discrete_h. On a continuum model every row p != 0 is
+    solved on the model's one grid, which gives vbar(e) and l(e): a
     singular row, l(e) <= |p|, gets mu - 1, the others
     mu - 1 + _edge_roots. A row's H does not depend on the batch.
     """
@@ -344,16 +346,13 @@ def _h_value(model, P):
         H = np.where(nrm > 0.0, _discrete_h(model.support.weights, dots), 0.0)
         return H, regular, lval, nrm
     H = np.zeros(m)
-    live = nrm > 0.0
-    groups = (live & (P[:, 0] > 0.0), live & (P[:, 0] < 0.0)) if model.dim == 1 else (live,)
-    for rows in map(np.flatnonzero, groups):
-        if rows.size == 0:
-            continue
-        grid = model.directional_grid(P[rows[0]] / nrm[rows[0]])
-        lval[rows] = grid.l
-        regular[rows] = ~_singular(lval[rows], nrm[rows])
-        H[rows] = nrm[rows] * grid.vbar - 1.0  # mu - 1
-        reg = rows[regular[rows]]
+    live = np.flatnonzero(nrm > 0.0)
+    if live.size:
+        grid = model.directional_grid(P[live[0]])
+        lval[live] = grid.l
+        regular[live] = ~_singular(lval[live], nrm[live])
+        H[live] = nrm[live] * grid.vbar - 1.0  # mu - 1
+        reg = live[regular[live]]
         if reg.size:
             H[reg] += _edge_roots(grid, nrm[reg])
     return H, regular, lval, nrm
@@ -378,12 +377,6 @@ def hamiltonian(model, p):
     """
     H, regular, lval, nrm = (float(a[0]) for a in _h_value(model, p))
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    if nrm == 0.0:
-        if model.is_discrete:
-            prof = _profile_closure(model, p, 0.0)
-        else:
-            prof = lambda v: model.density(v)
-        return DispersionResult(p, 0.0, True, prof, 0.0, None)
     if not regular:
         weight = max(1.0 - lval / nrm, 0.0)
         loc = model.arg_mu(p)[0]

@@ -11,9 +11,10 @@ mean, bounded support) are verified at construction and violations raise
 
 Directional integrals against the slice marginal of M (the near-singular
 l and j integrals and the dispersion-relation kernels) run on a
-`GradedGrid`; see the `quadrature` module. A continuum model builds every
-grid it uses at construction, one per half-line in 1-D and one for a ball,
-and keeps nothing else between calls.
+`GradedGrid`; see the `quadrature` module. M is radial on a ball or a
+symmetric interval, so its slice marginal is the same along every
+direction: a continuum model builds that one grid at construction and
+keeps nothing else between calls.
 """
 
 from dataclasses import dataclass
@@ -55,7 +56,8 @@ def _unit(model, e):
 
 def _positive(x, what):
     """Raise ValidationError unless x is finite and positive (NaN fails):
-    the gate of every r, t and lambda argument."""
+    the gate of every r, t and lambda argument, and of the tolerance and
+    bound of a bisection."""
     if not 0.0 < x < np.inf:
         raise ValidationError("%s must be positive" % what)
 
@@ -197,20 +199,16 @@ class VelocityModel:
                     "radial density families need a symmetric interval (a = -b)"
                 )
             self.density_family = density
-            # family normalization constant, via the graded directional grid
+            # family normalization constant, via the graded edge grid
             # (robust to root-type endpoint behavior of non-integer exponents)
             self._norm_const = 1.0
-            e0 = np.zeros(self.dim)
-            e0[0] = 1.0
-            raw_mass = self._build_grid(e0).kernel_integral(np.ones_like)
+            raw_mass = self._build_grid().kernel_integral(np.ones_like)
             if not np.isfinite(raw_mass) or raw_mass <= 0:
                 raise ValidationError("density has non-finite or zero mass")
             self._norm_const = 1.0 / raw_mass
-            # the grids of every direction: one per half-line in 1-D, and
-            # one for a ball, whose slice marginal is the same along every e
-            self._grids = tuple(
-                self._build_grid(sgn * e0) for sgn in ((1.0, -1.0) if self.dim == 1 else (1.0,))
-            )
+            # a radial M on a ball or a symmetric interval has the same slice
+            # marginal along every e, so one grid serves every direction
+            self._grid = self._build_grid()
             self._validate_moments()
 
     # -- basic geometry ------------------------------------------------
@@ -227,52 +225,34 @@ class VelocityModel:
     def is_discrete(self):
         return isinstance(self.support, DiscreteSet)
 
-    @property
-    def radius(self):
-        if isinstance(self.support, Interval):
-            return self.support.b
-        if isinstance(self.support, Ball):
-            return self.support.radius
-        return self.support.v_max
-
     def density(self, v):
         """Normalized density M at velocity array v ((N,) in 1-D, (N, n) else)."""
         if self.is_discrete:
             raise ValidationError("DiscreteSet has weights, not a pointwise density")
         v = np.asarray(v, dtype=float)
-        rho = np.abs(v) if v.ndim == 1 else np.linalg.norm(v, axis=-1)
-        return self._norm_const * self.density_family.profile(rho / self.radius)
+        return self._density_of_speed(np.abs(v) if v.ndim == 1 else np.linalg.norm(v, axis=-1))
 
     def _density_of_speed(self, rho):
         return self._norm_const * self.density_family.profile(
-            np.asarray(rho, dtype=float) / self.radius
+            np.asarray(rho, dtype=float) / self.v_max
         )
 
     def support_max(self, e):
         """Support function vbar(e) = max of v.e over V."""
         e = _unit(self, e)
-        if isinstance(self.support, Interval):
-            return float(max(self.support.a * e[0], self.support.b * e[0]))
-        if isinstance(self.support, Ball):
-            return float(self.support.radius)
-        return float(np.max(self.support.points @ e))
+        if self.is_discrete:
+            return float(np.max(self.support.points @ e))
+        return float(self.v_max)
 
     def arg_mu(self, p, tol=1e-12):
         """Maximizers of v.p over V, as a list of velocity arrays.
 
-        For continuum supports the maximizer is unique; for DiscreteSet
-        all points within tol of the maximum are returned, sorted
-        lexicographically."""
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        nrm = float(np.linalg.norm(p))
-        if nrm == 0.0:
-            raise ValidationError("arg_mu undefined at p = 0")
-        e = p / nrm
-        if isinstance(self.support, Interval):
-            v = self.support.b if e[0] > 0 else self.support.a
-            return [np.array([v])]
-        if isinstance(self.support, Ball):
-            return [self.support.radius * e]
+        p takes the gate of every direction. For continuum supports the
+        maximizer is unique; for DiscreteSet all points within tol of the
+        maximum are returned, sorted lexicographically."""
+        e = _unit(self, p)
+        if not self.is_discrete:
+            return [self.v_max * e]
         vals = self.support.points @ e
         m = vals.max()
         hits = self.support.points[vals >= m - tol]
@@ -282,60 +262,37 @@ class VelocityModel:
     def _validate_moments(self):
         """Check unit mass and zero mean (continuum; DiscreteSet checks its own).
 
-        Uses the graded directional grid with nonnegative kernels: the
-        mean along e is vbar - integral of s, avoiding signed kernels.
+        Uses the graded edge grid with nonnegative kernels: the mean
+        along e is vbar - integral of s, avoiding signed kernels.
         """
-        for grid in self._grids:
-            mass = grid.kernel_integral(np.ones_like)
-            if abs(mass - 1.0) > MASS_TOL:
-                raise ValidationError("density mass is %.12g, not 1" % mass)
-            mean_e = grid.vbar * mass - grid.kernel_integral(lambda s: s)
-            if abs(mean_e) > MEAN_TOL:
-                raise ValidationError(
-                    "mean velocity along the first axis is %.3g, not 0" % mean_e
-                )
+        mass = self._grid.kernel_integral(np.ones_like)
+        if abs(mass - 1.0) > MASS_TOL:
+            raise ValidationError("density mass is %.12g, not 1" % mass)
+        mean_e = self._grid.vbar * mass - self._grid.kernel_integral(lambda s: s)
+        if abs(mean_e) > MEAN_TOL:
+            raise ValidationError("mean velocity along the first axis is %.3g, not 0" % mean_e)
 
     # -- directional machinery ------------------------------------------
 
     def directional_grid(self, e):
         """GradedGrid over s = vbar(e) - v.e for continuum supports (None for discrete).
 
-        One of the grids built at construction: the half-line's grid in
-        1-D, the ball's one grid otherwise.
+        The one grid built at construction, the same for every e.
         """
-        e = _unit(self, e)
-        if self.is_discrete:
-            return None
-        return self._grids[1 if self.dim == 1 and e[0] < 0.0 else 0]
+        _unit(self, e)
+        return None if self.is_discrete else self._grid
 
-    def _build_grid(self, e):
-        vbar = self.support_max(e)
-        if isinstance(self.support, Interval) or self.support.dim == 1:
-            a, b = (
-                (self.support.a, self.support.b)
-                if isinstance(self.support, Interval)
-                else (-self.support.radius, self.support.radius)
-            )
-            sgn = 1.0 if e[0] > 0 else -1.0
-            t_min = min(a * sgn, b * sgn)
-            # split at the |v| kink (t = 0) when it is interior
-            cuts = {0.0, vbar - t_min}
-            if t_min < 0.0 < vbar:
-                cuts.add(vbar)
-            s_break = np.array(sorted(cuts))
+    def _build_grid(self):
+        R = self.v_max
+        return GradedGrid(np.array([0.0, R, 2.0 * R]), self._edge_marginal, R)
 
-            def marginal(s):
-                return self.density((vbar - s) * sgn)
-
-            return GradedGrid(s_break, marginal, vbar)
-        # ball in 2 or 3 dimensions: radial density, marginal even in t
-        R = self.support.radius
-        s_break = np.array([0.0, R, 2.0 * R])
-        if self.support.dim == 3:
-            marginal = self._ball3_marginal
-        else:
-            marginal = self._ball2_marginal
-        return GradedGrid(s_break, marginal, vbar)
+    def _edge_marginal(self, s):
+        """Slice marginal at t = R - s, R = v_max: the same along every direction."""
+        if self.dim == 1:
+            return self.density(self.v_max - s)
+        if self.dim == 2:
+            return self._ball2_marginal(s)
+        return self._ball3_marginal(s)
 
     def slice_marginal(self, e, t):
         """Density of the projected speed v.e at value t (continuum only).
@@ -345,19 +302,15 @@ class VelocityModel:
         """
         if self.is_discrete:
             raise ValidationError("DiscreteSet has atoms, not a slice density")
-        e = _unit(self, e)
+        _unit(self, e)
         t = np.asarray(t, dtype=float)
-        if isinstance(self.support, Interval) or self.support.dim == 1:
-            sgn = 1.0 if e[0] > 0 else -1.0
-            return self.density(t * sgn)
-        R = self.support.radius
-        if self.support.dim == 3:
-            return self._ball3_marginal(R - t)
-        return self._ball2_marginal(R - t)
+        # in 1-D the marginal is M itself, read at t and not at R - (R - t),
+        # which rounds
+        return self.density(t) if self.dim == 1 else self._edge_marginal(self.v_max - t)
 
     def _ball3_marginal(self, s):
         """Slice marginal for the 3-ball: 2*pi*int_|t|^R m(rho) rho drho."""
-        R = self.support.radius
+        R = self.v_max
         t = np.abs(R - np.asarray(s, dtype=float))  # |t| for t = vbar - s, vbar = R
         x, w = gl_rule(8 * _MARGINAL_ORDER)
         rho = t[:, None] + (R - t)[:, None] * x[None, :]
@@ -373,7 +326,7 @@ class VelocityModel:
         endpoint, and a short graded ladder toward xi = 0 controls the
         near-origin scale sqrt(2|t|) when |t| is small.
         """
-        R = self.support.radius
+        R = self.v_max
         t = np.abs(R - np.asarray(s, dtype=float))
         xi_max = np.sqrt(np.maximum(R - t, 0.0))
         x, w = _MARGINAL_LADDER.s, _MARGINAL_LADDER.w

@@ -38,7 +38,7 @@ from .dispersion import (
     _zoom_shape,
 )
 from .errors import ValidationError
-from .models import Ball, _positive, _unit
+from .models import _positive, _unit
 
 ANGLES_LAGRANGIAN = 128
 ANGLES_FG = 256
@@ -49,8 +49,9 @@ _SEED_REL = 1e-6
 
 
 def _is_radial(model):
-    # slice marginal, hence H, depends only on |p| for these
-    return isinstance(model.support, Ball) and model.support.dim >= 2
+    # a continuum model in 2-D or 3-D is a ball with a radial M: its slice
+    # marginal, hence H, depends only on |p|
+    return not model.is_discrete and model.dim >= 2
 
 
 def _ray_sups(model, r, E, a):

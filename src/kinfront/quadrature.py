@@ -10,8 +10,9 @@ direction e). `GradedGrid` handles them: geometrically graded panels
 toward both ends of each smooth segment, with per-kernel tail
 extrapolation and divergence classification on the panel increments.
 
-A model builds its grids, nodes and weights, once, at construction, and
-a grid computes its edge integrals l and j once, on first use. The
+A continuum model builds one grid, nodes and weights, once, at
+construction: its slice marginal is the same along every direction. The
+grid computes its edge integrals l and j once, on first use. The
 kernel values of many rows (the dispersion relation at every frequency of
 a batched H solve) are integrated in one vectorized pass, `integrals`;
 `kernel_integral` is its one-row case.

@@ -58,6 +58,8 @@ class SimConfig:
             raise ValidationError("gamma must lie in (0, 1]")
         if not 0 < self.fit_fraction < 1:
             raise ValidationError("fit_fraction must lie in (0, 1)")
+        if not 0 < self.threshold < 1:
+            raise ValidationError("threshold must lie in (0, 1)")
 
 
 class KineticState:
@@ -104,9 +106,10 @@ class KineticState:
 def sim_nodes(model, e, nv):
     """Velocity nodes for the planar sim: speeds v.e, masses, equilibria.
 
-    DiscreteSet models use their atoms exactly; continuum models get a
-    two-panel Gauss-Legendre rule (split at v.e = 0) weighted by the
-    slice marginal of M, with masses renormalized to sum to one. Nodes
+    DiscreteSet models use their atoms exactly; continuum models, whose
+    speeds v.e fill [-R, R] with R = v_max, get a two-panel
+    Gauss-Legendre rule (split at v.e = 0) weighted by the slice
+    marginal of M, with masses renormalized to sum to one. Nodes
     come in ascending order of v.e (atoms are sorted, with their masses
     and equilibrium values permuted alike), which the numpy stepping
     kernel relies on.
@@ -117,17 +120,10 @@ def sim_nodes(model, e, nv):
         order = np.argsort(s, kind="stable")
         masses = model.support.weights[order].astype(float)
         return s[order], masses / masses.sum(), masses
-    t_hi = model.support_max(e)
-    t_lo = -model.support_max(-e)
-    half = nv // 2
-    segs = [(t_lo, 0.0), (0.0, t_hi)] if t_lo < 0.0 < t_hi else [(t_lo, t_hi)]
-    xs, ws = [], []
-    for a, b in segs:
-        x, w = panel_nodes(a, b, half)
-        xs.append(x)
-        ws.append(w)
-    t = np.concatenate(xs)
-    w = np.concatenate(ws)
+    R = model.support_max(e)
+    neg, pos = panel_nodes(-R, 0.0, nv // 2), panel_nodes(0.0, R, nv // 2)
+    t = np.concatenate([neg[0], pos[0]])
+    w = np.concatenate([neg[1], pos[1]])
     m_vals = model.slice_marginal(e, t)
     masses = w * m_vals
     total = masses.sum()
@@ -247,13 +243,9 @@ def run_front_experiment(model, r, config=None, e=None):
     mask = times >= t_start
     if mask.sum() < 2:
         raise FrontLeftDomain("fit window contains fewer than two records")
-    speeds = {}
-    for lev in levels:
-        pos = np.asarray(positions[lev])
-        coef = np.polyfit(times[mask], pos[mask], 1)
-        speeds[lev] = float(coef[0])
+    coefs = {lev: np.polyfit(times[mask], np.asarray(positions[lev])[mask], 1) for lev in levels}
     main = np.asarray(positions[config.threshold])
-    coef = np.polyfit(times[mask], main[mask], 1)
+    coef = coefs[config.threshold]
     resid = float(np.max(np.abs(np.polyval(coef, times[mask]) - main[mask])))
     return FrontTrace(
         times=times,
@@ -261,7 +253,7 @@ def run_front_experiment(model, r, config=None, e=None):
         fitted_speed=float(coef[0]),
         fit_window=(float(t_start), float(config.t_end)),
         residual=resid,
-        threshold_speeds=speeds,
+        threshold_speeds={lev: float(c[0]) for lev, c in coefs.items()},
         clamp_max=clamp_max,
         clamp_count=clamp_count,
         final_state=state,

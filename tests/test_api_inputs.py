@@ -2,9 +2,9 @@
 
 Every callable in kinfront.__all__ that takes a direction or a vector
 raises ValidationError on a wrong dimension, NaN, inf or (for a
-direction) the zero vector; every r, t and lambda argument does the
-same for 0, -1, NaN and inf; and every --e, --p and --t flag of the
-command line exits 2. Each bad input is caught before any solve. The
+direction) the zero vector; every r, t and lambda argument, and the
+tolerance and bound of a bisection, does the same for 0, -1, NaN and
+inf; and every --e, --p and --t flag of the command line exits 2. Each bad input is caught before any solve. The
 last test keeps library code that only the tests call out of the public
 API.
 """
@@ -39,6 +39,7 @@ SMALL_RUN = kf.SimConfig(dx=0.1, t_end=1.0, length=10.0, nv=8)
 # callables of (model, e): every public function that takes a direction
 DIRECTION_CALLS = {
     "support_max": lambda m, e: m.support_max(e),
+    "arg_mu": lambda m, e: m.arg_mu(e),
     "l_integral": lambda m, e: kf.l_integral(m, e),
     "j_integral": lambda m, e: kf.j_integral(m, e),
     "singular_boundary_radius": lambda m, e: kf.singular_boundary_radius(m, e),
@@ -74,8 +75,12 @@ def _e(m):
     return np.eye(m.dim)[0]
 
 
-# callables of (model, x) for every r, t and lambda argument
+# callables of (model, x) for every r, t and lambda argument, and the
+# bisection tolerance and bound of singular_boundary_radius
 SCALAR_CALLS = {
+    "singular_boundary_radius tol": lambda m, x: kf.singular_boundary_radius(m, _e(m), tol=x),
+    "singular_boundary_radius r_max": lambda m, x: kf.singular_boundary_radius(
+        m, _e(m), r_max=x),
     "lambda_tilde r": lambda m, x: kf.lambda_tilde(m, x, _e(m)),
     "speed r": lambda m, x: kf.speed(m, x, _e(m), 0.5),
     "speed lambda": lambda m, x: kf.speed(m, 1.0, _e(m), x),

@@ -344,12 +344,16 @@ def test_spreading_rejects_non_finite_t(capsys):
 
 
 @pytest.mark.parametrize("flag,value", [("--dx", "nan"), ("--t-end", "nan"),
-                                        ("--length", "nan"), ("--t-end", "inf")])
+                                        ("--length", "nan"), ("--t-end", "inf"),
+                                        ("--threshold", "1.5")])
 def test_simulate_rejects_non_finite_grid(capsys, tmp_path, flag, value):
     code, _, err = run_cli(capsys, "simulate", "--model", "two-speed", "--r", "0.5",
                            flag, value, "--out", str(tmp_path / "run"))
     assert code == 2
-    assert "must be finite and positive" in err
+    if flag == "--threshold":
+        assert "threshold must lie in (0, 1)" in err
+    else:
+        assert "must be finite and positive" in err
     assert os.listdir(tmp_path) == []
 
 

@@ -172,6 +172,16 @@ def test_directional_grid_is_cached_per_direction():
     e = np.array([1.0])
     assert m.directional_grid(e) is m.directional_grid(e)
     assert model("two-speed").directional_grid(np.array([1.0])) is None
+    # one grid serves every direction of a continuum model, -e included
+    for name in ("uniform-1d", "quadratic-1d"):
+        m = model(name)
+        assert m.directional_grid(-e) is m.directional_grid(e)
+    rng = np.random.default_rng(3)
+    for name in ("uniform-ball:2", "uniform-ball:3"):
+        m = model(name)
+        grid = m.directional_grid(np.eye(m.dim)[0])
+        for d in rng.normal(size=(5, m.dim)):
+            assert m.directional_grid(d) is grid and m.directional_grid(-d) is grid
 
 
 def test_arg_mu_extremal_velocities():

@@ -283,21 +283,25 @@ def cmd_spreading(args):
     else:
         dirs = [_default_e(args, model)]
     report = []
-    # on 1-D and radial models w*(e0) is c*(e0), the same solve
-    fg_is_cstar = model.dim == 1 or propagation._is_radial(model)
+    # on 1-D and radial models L(q e0) is the planar conjugate along e0 at
+    # q, so w*(e0) is c*(e0) and the point null set is the planar one: one
+    # speed and one root serve both
+    planar_is_point = model.dim == 1 or propagation._is_radial(model)
     for e0 in dirs:
         c_star = dispersion.minimal_speed(model, args.r, e0, sample=False).c_star
-        if fg_is_cstar:
-            w_star = c_star
-        else:
-            w_star = propagation.freidlin_gartner_speed(model, args.r, e0)
-        entry = {"e0": _jsonable(e0), "c_star": _jsonable(c_star), "w_star": _jsonable(w_star)}
         # phi(t, x) = t phi(1, x/t): each radius is t times its value at t = 1;
         # the speeds only narrow each root's bracket
-        entry["radii"] = {}
-        for init, speed in (("planar", c_star), ("point", w_star)):
-            q = propagation.nullset_radius(model, args.r, e0, 1.0, init=init, speed=speed)
-            entry["radii"][init] = {_fmt(t): _jsonable(t * q) for t in ts}
+        planar = propagation.nullset_radius(model, args.r, e0, 1.0, init="planar", speed=c_star)
+        if planar_is_point:
+            w_star, point = c_star, planar
+        else:
+            w_star = propagation.freidlin_gartner_speed(model, args.r, e0)
+            point = propagation.nullset_radius(model, args.r, e0, 1.0, init="point", speed=w_star)
+        entry = {"e0": _jsonable(e0), "c_star": _jsonable(c_star), "w_star": _jsonable(w_star)}
+        entry["radii"] = {
+            init: {_fmt(t): _jsonable(t * q) for t in ts}
+            for init, q in (("planar", planar), ("point", point))
+        }
         report.append(entry)
     emit_json({"r": args.r, "directions": report}, args.out)
     return EXIT_OK

@@ -296,9 +296,14 @@ def _ray_edges(model, E):
     return np.full(len(E), grid.vbar), np.full(len(E), grid.l)
 
 
-def _zoom_shape(model):
-    """(rounds, points) of _zoom_min over decay rates: atom sets batch many cheap rays."""
-    return (6, 65) if model.is_discrete else (10, 17)
+def _zoom_shape(model, rounds=None):
+    """(rounds, points) of _zoom_min over decay rates: atom sets batch many cheap rays.
+
+    rounds, when given, replaces the full count: fewer rounds see a
+    subset of the full zoom's points, for solves that only rank rows.
+    """
+    full, points = (6, 65) if model.is_discrete else (10, 17)
+    return rounds or full, points
 
 
 def _edge_roots(grid, beta):
@@ -485,7 +490,7 @@ def _zoom_min(f, lo, hi, rounds=6, n=65):
     return best_x, best_f
 
 
-def _min_speeds(model, r, E):
+def _min_speeds(model, r, E, rounds=None):
     """Minimal speeds c*(e) on the unit rows of E, for any velocity set.
 
     Returns the arrays (c_star, lambda_star, lambda_tilde, dleft, case)
@@ -500,7 +505,9 @@ def _min_speeds(model, r, E):
     - a Case1 row whose scan still falls at the cap takes the sign of
       c'(LAMBDA_CAP-) from speed_derivative_left: negative is the
       ballistic limit c_star = vbar(e), lambda_star = +inf;
-    - _zoom_min refines the remaining rows about their scan's minimum.
+    - _zoom_min refines the remaining rows about their scan's minimum,
+      in rounds rounds when given (_zoom_shape): fewer rounds give a c*
+      never below the full one, which serves to rank rows.
     A row's values do not depend on the other rows.
     """
     vbar, lval = _ray_edges(model, E)
@@ -542,7 +549,7 @@ def _min_speeds(model, r, E):
         idx = np.arange(rows.size)
         lo = np.where(m > 0, grid[idx, m - 1], 0.5 * grid[:, 0])
         hi = grid[idx, np.minimum(m + 1, N_SCAN - 1)]
-        zoom = _zoom_min(lambda lams, sel: cvals(lams, rows[sel]), lo, hi, *_zoom_shape(model))
+        zoom = _zoom_min(lambda lams, sel: cvals(lams, rows[sel]), lo, hi, *_zoom_shape(model, rounds))
         lam_star[rows], c_star[rows] = zoom
     return c_star, lam_star, lam_tilde, dleft, case
 

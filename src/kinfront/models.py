@@ -57,7 +57,7 @@ def _unit(model, e):
 def _positive(x, what):
     """Raise ValidationError unless x is finite and positive (NaN fails):
     the gate of every r, t and lambda argument, and of the tolerance and
-    bound of a bisection."""
+    bound of a bisection or a root solve."""
     if not 0.0 < x < np.inf:
         raise ValidationError("%s must be positive" % what)
 

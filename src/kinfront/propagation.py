@@ -19,6 +19,14 @@ two routes cross-check each other. A caller that knows the speed may
 pass it to nullset_radius: it only narrows the bracket, and the root is
 still certified by a sign change of the conjugate, so a wrong speed
 falls back to the full bracket instead of becoming the radius.
+
+L and w* are searches over directions, as the minimum over e need not
+be set by a first-order condition: a scan, then a refinement about the
+scan's best row. The scan only picks where the refinement works, so its
+rows are ranked with _RANK_ROUNDS-round solves, which see a subset of
+the full solve's points; the chosen row, the refinement and the extra
+candidates are solved in full. An output then differs from that of a
+scan solved in full only where the cheap ranking picks another row.
 """
 
 import functools
@@ -46,6 +54,8 @@ _LAM_FLOOR = 1e-8
 _LAM_CEIL = 2.0**24
 # relative half-width of the bracket about a known speed in nullset_radius
 _SEED_REL = 1e-6
+# zoom rounds of the solves that only rank the rows of a direction scan
+_RANK_ROUNDS = 2
 
 
 def _is_radial(model):
@@ -54,7 +64,7 @@ def _is_radial(model):
     return not model.is_discrete and model.dim >= 2
 
 
-def _ray_sups(model, r, E, a):
+def _ray_sups(model, r, E, a, rounds=None):
     """sup over lam >= 0 of g(lam) = lam*a - (1+r)H(lam*e/(1+r)) - r, on k rays.
 
     The rays are the pairs (E[i], a[i]). +inf where a[i] > vbar(E[i]):
@@ -64,9 +74,10 @@ def _ray_sups(model, r, E, a):
     a - vbar <= 0); else the window [0, hi] grows from hi = 64 by
     factors of 4 while g still rises at hi. _zoom_min, shaped by
     _zoom_shape as for the minimal speeds, then pins the maximum to
-    ~1e-9 of the window. Each step is one batched _h_rays solve over all
-    rays, for any velocity set, and a ray's value does not depend on the
-    other rays.
+    ~1e-9 of the window, or in rounds rounds when given (_zoom_shape),
+    which gives a sup never above the full one. Each step is one batched
+    _h_rays solve over all rays, for any velocity set, and a ray's value
+    does not depend on the other rays.
     """
     E = np.atleast_2d(E)
     a = np.asarray(a, dtype=float)
@@ -92,7 +103,7 @@ def _ray_sups(model, r, E, a):
         pair = g(np.column_stack([0.25 * hi[grow], hi[grow]]), grow)
         grow = grow[(pair[:, 1] > pair[:, 0]) & (hi[grow] < _LAM_CEIL)]
     lo = np.full(rows.size, _LAM_FLOOR)
-    _, neg = _zoom_min(lambda lams, sel: -g(lams, sel), lo, hi, *_zoom_shape(model))
+    _, neg = _zoom_min(lambda lams, sel: -g(lams, sel), lo, hi, *_zoom_shape(model, rounds))
     out[rows] = -neg
     return out
 
@@ -119,45 +130,61 @@ def _cap_dirs(center, rad):
     return D / np.linalg.norm(D, axis=1, keepdims=True)
 
 
-def _direction_min(f, pole, n, half=False, extra=None):
+def _direction_min(f, pole, n, half=False, extra=None, rank=None):
     """Smallest value of f over the unit directions, or with half over
-    the open hemisphere about the unit pole: the one direction search.
+    the open hemisphere about the pole: the one direction search.
 
-    f(D, cos) maps unit rows D and their cosines with the pole to values;
-    each step below is one call. cos is cos(offset) on the half circle
-    and D @ pole everywhere else. 2-D: n angles (2 pi k / n, or with
-    half the cell midpoints of the offsets from the pole in
-    (-pi/2, pi/2)), then ten _zoom_min rounds about the best one; with
-    half the bracket stops 1e-9 short of the equator, and a minimizer
-    near it is flagged, as a ratio over e.e0 blows up there and
-    attainment relies on interior angles. 3-D: the pole and a Fibonacci
-    spiral of 2n directions (with half, those with cos > 1e-6), then
-    5 x 5 cap grids about the best direction, from the spiral spacing
-    down to 1e-7 rad by factors of 4. A scan whose best value is -inf
-    returns it at once. The rows of extra are candidates too, taken
-    last.
+    f(D, dots) maps unit rows D and their dot products D @ pole to
+    values; each step below is one call. pole is nonzero, and unit with
+    half, where dots is cos(offset) on the half circle. 2-D: n angles
+    (2 pi k / n, or with half the cell midpoints of the offsets from the
+    pole in (-pi/2, pi/2)), then ten _zoom_min rounds about the best
+    one; with half the bracket stops 1e-9 short of the equator, and a
+    minimizer near it is flagged, as a ratio over e.e0 blows up there
+    and attainment relies on interior angles. 3-D: the pole's direction
+    and a Fibonacci spiral of 2n directions (with half, those with
+    dots > 1e-6), then 5 x 5 cap grids about the best direction, from
+    the spiral spacing down to 1e-7 rad by factors of 4. rank, when
+    given, gives the scan's values instead: a cheaper function whose
+    values are never below f's. They only pick the best row, which f
+    then solves alone, with its dots from the scan, to seed the smallest
+    value. A scan whose best value is -inf returns it at once. The rows
+    of extra are candidates too, taken last, except one that repeats the
+    scan's best row.
     """
     if pole.size == 2:
         if half:
             base, span = math.atan2(pole[1], pole[0]), math.pi / n
-            ts = -0.5 * math.pi + math.pi * (np.arange(n) + 0.5) / n
+            scan = -0.5 * math.pi + math.pi * (np.arange(n) + 0.5) / n
         else:
             base, span = 0.0, 2.0 * math.pi / n
-            ts = 2.0 * math.pi * np.arange(n) / n
+            scan = 2.0 * math.pi * np.arange(n) / n
 
         def g(ts):
             D = _circle_dirs(base + ts)
-            return f(D, np.cos(ts) if half else D @ pole)
+            return D, (np.cos(ts) if half else D @ pole)
 
-        vals = g(ts)
-        k = int(np.argmin(vals))
-        best = float(vals[k])
-        if best == -np.inf:
-            return best
-        lo, hi = ts[k] - span, ts[k] + span
+    else:
+        scan = np.vstack([pole if half else pole / np.linalg.norm(pole), _fibonacci_sphere(2 * n)])
+
+        def g(D):
+            if half:
+                D = D[D @ pole > 1e-6]
+            return D, D @ pole
+
+    D, dots = g(scan)
+    vals = (rank or f)(D, dots)
+    k = int(np.argmin(vals))
+    best, center = float(vals[k]), D[k]
+    if best == -np.inf:
+        return best
+    if rank is not None:
+        best = float(f(D[k : k + 1], dots[k : k + 1])[0])
+    if pole.size == 2:
+        lo, hi = scan[k] - span, scan[k] + span
         if half:
             lo, hi = max(lo, -0.5 * math.pi + 1e-9), min(hi, 0.5 * math.pi - 1e-9)
-        zoom = lambda ts, _: g(ts[0])[None, :]
+        zoom = lambda ts, _: f(*g(ts[0]))[None, :]
         t_star, zoomed = _zoom_min(zoom, np.array([lo]), np.array([hi]), 10, 17)
         if half and abs(t_star[0]) > 0.5 * math.pi - 2.0 * span:
             warnings.warn(
@@ -167,28 +194,20 @@ def _direction_min(f, pole, n, half=False, extra=None):
             )
         best = min(best, float(zoomed[0]))
     else:
-
-        def g(D):
-            if half:
-                D = D[D @ pole > 1e-6]
-            return D, f(D, D @ pole)
-
-        D, vals = g(np.vstack([pole, _fibonacci_sphere(2 * n)]))
-        k = int(np.argmin(vals))
-        best, center = float(vals[k]), D[k]
-        if best == -np.inf:
-            return best
-        rad = math.sqrt(4.0 * math.pi / (2 * n))
+        rad, cap = math.sqrt(4.0 * math.pi / (2 * n)), center
         while True:
-            D, vals = g(_cap_dirs(center, rad))
-            k = int(np.argmin(vals))
-            if vals[k] < best:
-                best, center = float(vals[k]), D[k]
+            D, dots = g(_cap_dirs(cap, rad))
+            vals = f(D, dots)
+            j = int(np.argmin(vals))
+            if vals[j] < best:
+                best, cap = float(vals[j]), D[j]
             if rad <= 1e-7:
                 break
             rad *= 0.25
     if extra is not None:
-        best = min(best, float(np.min(f(extra, extra @ pole))))
+        extra = extra[np.any(extra != center, axis=1)]
+        if len(extra):
+            best = min(best, float(np.min(f(extra, extra @ pole))))
     return best
 
 
@@ -197,12 +216,16 @@ def lagrangian(model, r, p):
 
     The sup over directions e of the ray conjugates at p.e (_ray_sups) is
     one _direction_min about p's direction, with ANGLES_LAGRANGIAN
-    angles. Past a facet of the atoms' hull, or off the span of a flat
-    set, L is +inf without a search. Rotation-invariant models collapse
-    to the aligned direction e = p/|p| exactly (the per-direction value
-    is nondecreasing in p.e and the radial H does not depend on e). The
-    direction search only ever sees atom sets (balls are radial,
-    intervals 1-D).
+    angles: the scan ranks its rays with _RANK_ROUNDS-round sups, and
+    the chosen ray, the angle zoom and the cap grids solve them in full.
+    p.e is the search's dots with the pole p, one product per batch of
+    rays (its rounding can depend on the batch's shape), so the chosen
+    ray keeps the p.e of its scan row. Past a facet of the atoms' hull,
+    or off the span of a flat set, L is +inf without a search.
+    Rotation-invariant models collapse to the aligned direction
+    e = p/|p| exactly (the per-direction value is nondecreasing in p.e
+    and the radial H does not depend on e). The direction search only
+    ever sees atom sets (balls are radial, intervals 1-D).
     """
     _positive(r, "growth rate r")
     P, _ = _rows(model, np.ravel(p))
@@ -219,8 +242,9 @@ def lagrangian(model, r, p):
     facets = _hull_facets(model)
     if np.any(facets[:, :-1] @ p + facets[:, -1] > 1e-12 * (1.0 + np.abs(facets[:, -1]))):
         return np.inf
-    neg = lambda D, _: -_ray_sups(model, r, D, D @ p)
-    return -_direction_min(neg, p / nrm, ANGLES_LAGRANGIAN)
+    # the pole p makes each batch's dots the rays' p.e
+    neg = lambda rounds: lambda D, a: -_ray_sups(model, r, D, a, rounds)
+    return -_direction_min(neg(None), p, ANGLES_LAGRANGIAN, rank=neg(_RANK_ROUNDS))
 
 
 def planar_conjugate(model, r, e0, q):
@@ -254,14 +278,15 @@ def hopf_lax_phi(model, r, t, x, init="point", e0=None):
     return max(val, 0.0)
 
 
-def _cstars(model, r, E):
+def _cstars(model, r, E, rounds=None):
     """Minimal speeds c*(e) on the rows of E, solved on every call.
 
-    One _min_speeds call on the normalised rows, for any velocity set;
-    a row's c* does not depend on the other rows.
+    One _min_speeds call on the normalised rows, for any velocity set,
+    its zoom cut to rounds rounds when given; a row's c* does not depend
+    on the other rows.
     """
     E = np.atleast_2d(E)
-    return _min_speeds(model, r, E / np.linalg.norm(E, axis=1, keepdims=True))[0]
+    return _min_speeds(model, r, E / np.linalg.norm(E, axis=1, keepdims=True), rounds)[0]
 
 
 def _hull_facets(model):
@@ -291,11 +316,15 @@ def freidlin_gartner_speed(model, r, e0):
     In 1-D (and for rotation-invariant models, where the minimizing
     direction is e0 itself) this is just c*(e0). Otherwise it is one
     _direction_min over the open hemisphere about e0, with ANGLES_FG
-    angles. e0 itself is a candidate, and for a velocity set of atoms so
+    angles: the scan ranks its directions with _RANK_ROUNDS-round minimal
+    speeds, and the chosen one, the zoom and the cap grids solve them in
+    full. e0 itself is a candidate, and for a velocity set of atoms so
     are the outward facet normals of their convex hull that face e0 (for
     a flat set, the normals of its span): once c* turns ballistic near
     such a normal the minimum can sit at that corner of the ratio, which
-    the search is not guaranteed to find.
+    the search is not guaranteed to find. Each candidate is solved in
+    full once: in 3-D, e0 is also the scan's pole, and when the scan
+    picks it the candidate is not solved again.
     """
     _positive(r, "growth rate r")
     e0 = _unit(model, e0)
@@ -303,8 +332,10 @@ def freidlin_gartner_speed(model, r, e0):
         return float(_cstars(model, r, e0)[0])
     normals = _hull_facets(model)[:, :-1]
     normals = np.vstack([e0, normals[normals @ e0 > 0.0]])
-    ratios = lambda D, cos: _cstars(model, r, D) / cos
-    return _direction_min(ratios, e0, ANGLES_FG, half=True, extra=normals)
+    ratios = lambda rounds: lambda D, cos: _cstars(model, r, D, rounds) / cos
+    return _direction_min(
+        ratios(None), e0, ANGLES_FG, half=True, extra=normals, rank=ratios(_RANK_ROUNDS)
+    )
 
 
 def _hull_extent(model, e0):
@@ -329,7 +360,8 @@ def nullset_radius(model, r, e0, t, init="point", tol=1e-9, speed=None):
     velocity hull the front is ballistic and the radius is the hull's
     extent along e0 times t: vbar(e0) t for planar data, and for point
     data on a full-dimensional hull of atoms the distance to its
-    boundary, found from the hull's facets, where L jumps to +inf.
+    boundary, found from the hull's facets, where L jumps to +inf. tol,
+    the root's absolute tolerance in x/t, must be positive.
 
     speed, when given, is the expected radius per unit time (c*(e0) for
     planar data, w*(e0) for point data). It only narrows the bracket to
@@ -350,6 +382,7 @@ def nullset_radius(model, r, e0, t, init="point", tol=1e-9, speed=None):
     if init not in ("planar", "point"):
         raise ValidationError("init must be 'planar' or 'point'")
     _positive(t, "time t")
+    _positive(tol, "tol")
     e0 = _unit(model, e0)
     vb = model.support_max(e0)
     top = _hull_extent(model, e0) if init == "point" else vb

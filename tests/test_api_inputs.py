@@ -3,8 +3,9 @@
 Every callable in kinfront.__all__ that takes a direction or a vector
 raises ValidationError on a wrong dimension, NaN, inf or (for a
 direction) the zero vector; every r, t and lambda argument, and the
-tolerance and bound of a bisection, does the same for 0, -1, NaN and
-inf; and every --e, --p and --t flag of the command line exits 2. Each bad input is caught before any solve. The
+tolerance and bound of a bisection or a root solve, does the same for
+0, -1, NaN and inf; and every --e, --p and --t flag of the command line
+exits 2. Each bad input is caught before any solve. The
 last test keeps library code that only the tests call out of the public
 API.
 """
@@ -75,8 +76,9 @@ def _e(m):
     return np.eye(m.dim)[0]
 
 
-# callables of (model, x) for every r, t and lambda argument, and the
-# bisection tolerance and bound of singular_boundary_radius
+# callables of (model, x) for every r, t and lambda argument, the
+# bisection tolerance and bound of singular_boundary_radius, and the root
+# tolerance of nullset_radius
 SCALAR_CALLS = {
     "singular_boundary_radius tol": lambda m, x: kf.singular_boundary_radius(m, _e(m), tol=x),
     "singular_boundary_radius r_max": lambda m, x: kf.singular_boundary_radius(
@@ -102,6 +104,7 @@ SCALAR_CALLS = {
     "nullset_radius r": lambda m, x: kf.nullset_radius(m, x, _e(m), 1.0),
     "nullset_radius planar r": lambda m, x: kf.nullset_radius(m, x, _e(m), 1.0, init="planar"),
     "nullset_radius t": lambda m, x: kf.nullset_radius(m, 1.0, _e(m), x),
+    "nullset_radius tol": lambda m, x: kf.nullset_radius(m, 1.0, _e(m), 1.0, tol=x),
     "initial_front_state r": lambda m, x: kf.initial_front_state(m, x),
     "run_front_experiment r": lambda m, x: kf.run_front_experiment(m, x, SMALL_RUN),
 }

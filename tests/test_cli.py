@@ -284,12 +284,29 @@ def test_spreading_takes_w_star_from_c_star_on_radial_models(capsys, monkeypatch
     def no_solve(*args, **kwargs):
         raise AssertionError("freidlin_gartner_speed called on a radial model")
 
+    roots = []
+    solve = kf.propagation.nullset_radius
+
+    def counted(*args, **kwargs):
+        roots.append(kwargs.get("init"))
+        return solve(*args, **kwargs)
+
     monkeypatch.setattr(kf.propagation, "freidlin_gartner_speed", no_solve)
-    for argv in (["--model", "uniform-ball:2", "--e", "0.6,0.8"], ["--model", "quadratic-1d"]):
-        code, out, _ = run_cli(capsys, "spreading", *argv, "--r", "0.8")
+    monkeypatch.setattr(kf.propagation, "nullset_radius", counted)
+    for argv in (["--model", "uniform-ball:2", "--e", "0.6,0.8"],
+                 ["--model", "uniform-ball:2", "--directions", "3"],
+                 ["--model", "uniform-ball:3", "--e", "0.48,0.6,0.64"],
+                 ["--model", "quadratic-1d"]):
+        roots.clear()
+        code, out, _ = run_cli(capsys, "spreading", *argv, "--r", "0.8", "--t", "1,2")
         assert code == 0
-        (entry,) = json.loads(out)["directions"]
-        assert entry["w_star"] == entry["c_star"]
+        entries = json.loads(out)["directions"]
+        # L(q e0) is the planar conjugate along e0: one root per direction
+        # gives both radii
+        assert roots == ["planar"] * len(entries)
+        for entry in entries:
+            assert entry["w_star"] == entry["c_star"]
+            assert entry["radii"]["point"] == entry["radii"]["planar"]
 
 
 def test_spreading_rejects_nonpositive_t_before_solving(capsys, monkeypatch):

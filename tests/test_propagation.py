@@ -431,6 +431,53 @@ def test_direction_min_matches_a_dense_scan(dim, half, n_dense, atol):
     assert dense - atol <= got <= dense + 1e-12
 
 
+def test_ranked_direction_search_equals_a_search_ranked_in_full(monkeypatch):
+    # the scans rank their rows with 2-round solves; ranked with full
+    # solves instead, they pick the same rows, so L and w* do not move
+    tri = kf.VelocityModel(kf.DiscreteSet([(0.9, 0.2), (-0.3, 0.7), (-0.45, -0.675)],
+                                          [0.3, 0.3, 0.4]))
+    d, o = diamond(), octahedron()
+    calls = (
+        lambda: kf.lagrangian(d, 0.8, [0.3, 0.2]),
+        lambda: kf.freidlin_gartner_speed(d, 0.8, [math.cos(0.46), math.sin(0.46)]),
+        lambda: kf.lagrangian(tri, 1.1, [0.2, -0.3]),
+        lambda: kf.freidlin_gartner_speed(tri, 0.3, [math.cos(1.3), math.sin(1.3)]),
+        lambda: kf.freidlin_gartner_speed(tri, 3.0, [-0.6, 0.8]),
+        lambda: kf.lagrangian(o, 0.8, [0.31, 0.17, 0.12]),
+        lambda: kf.freidlin_gartner_speed(o, 0.8, [1.0, 2.0, 2.0]),
+        lambda: kf.freidlin_gartner_speed(o, 2.0, [1.0, 0.0, 0.0]),
+    )
+    monkeypatch.setattr(P, "ANGLES_LAGRANGIAN", 32)
+    monkeypatch.setattr(P, "ANGLES_FG", 32)
+    ranked = [call() for call in calls]
+    monkeypatch.setattr(P, "_RANK_ROUNDS", None)
+    assert [call() for call in calls] == ranked
+
+
+def test_3d_freidlin_gartner_solves_e0_in_full_once(monkeypatch):
+    # e0 is the pole of the scan and an extra candidate. Off the axes the
+    # scan ranks it cheaply and only the extra row solves it in full; on
+    # an axis the scan picks it, solves it in full, and the extra row
+    # skips it (the cap grids about it hold it at their centre)
+    cstars = P._cstars
+    for e0 in ((1.0, 2.0, 2.0), (1.0, 0.0, 0.0)):
+        unit = kf.direction(e0)
+        full = []
+
+        def counted(model, r, E, rounds=None):
+            if rounds is None:
+                full.append(int(np.all(np.atleast_2d(E) == unit, axis=1).sum()))
+            return cstars(model, r, E, rounds)
+
+        monkeypatch.setattr(P, "_cstars", counted)
+        w = kf.freidlin_gartner_speed(octahedron(), 0.8, e0)
+        if e0[1]:
+            assert sum(full) == 1 and full[-1] == 1
+            assert w == 0.5944923414842707
+        else:
+            assert full[0] == 1 and full[-1] == 0
+
+
 def test_direction_min_returns_minus_inf_from_the_scan():
     calls = []
 

@@ -130,27 +130,27 @@ def _cap_dirs(center, rad):
     return D / np.linalg.norm(D, axis=1, keepdims=True)
 
 
-def _direction_min(f, pole, n, half=False, extra=None, rank=None):
+def _direction_min(f, pole, n, half=False, extra=None):
     """Smallest value of f over the unit directions, or with half over
     the open hemisphere about the pole: the one direction search.
 
-    f(D, dots) maps unit rows D and their dot products D @ pole to
-    values; each step below is one call. pole is nonzero, and unit with
-    half, where dots is cos(offset) on the half circle. 2-D: n angles
-    (2 pi k / n, or with half the cell midpoints of the offsets from the
-    pole in (-pi/2, pi/2)), then ten _zoom_min rounds about the best
-    one; with half the bracket stops 1e-9 short of the equator, and a
-    minimizer near it is flagged, as a ratio over e.e0 blows up there
-    and attainment relies on interior angles. 3-D: the pole's direction
-    and a Fibonacci spiral of 2n directions (with half, those with
-    dots > 1e-6), then 5 x 5 cap grids about the best direction, from
-    the spiral spacing down to 1e-7 rad by factors of 4. rank, when
-    given, gives the scan's values instead: a cheaper function whose
-    values are never below f's. They only pick the best row, which f
-    then solves alone, with its dots from the scan, to seed the smallest
-    value. A scan whose best value is -inf returns it at once. The rows
-    of extra are candidates too, taken last, except one that repeats the
-    scan's best row.
+    f(D, dots, rounds=None) maps unit rows D and their dot products
+    D @ pole to values; each step below is one call. pole is nonzero,
+    and unit with half, where dots is cos(offset) on the half circle.
+    2-D: n angles (2 pi k / n, or with half the cell midpoints of the
+    offsets from the pole in (-pi/2, pi/2)), then ten _zoom_min rounds
+    about the best one; with half the bracket stops 1e-9 short of the
+    equator, and a minimizer near it is flagged, as a ratio over e.e0
+    blows up there and attainment relies on interior angles. 3-D: the
+    pole's direction and a Fibonacci spiral of 2n directions (with half,
+    those with dots > 1e-6), then 5 x 5 cap grids about the best
+    direction, from the spiral spacing down to 1e-7 rad by factors of 4.
+    The scan is the one call with rounds=_RANK_ROUNDS, whose cheaper
+    values must never be below f's: they only pick the best row, which
+    f then solves alone, with its dots from the scan, to seed the
+    smallest value. A scan whose best value is -inf returns it at once.
+    The rows of extra are candidates too, taken last, except one that
+    repeats the scan's best row.
     """
     if pole.size == 2:
         if half:
@@ -173,13 +173,12 @@ def _direction_min(f, pole, n, half=False, extra=None, rank=None):
             return D, D @ pole
 
     D, dots = g(scan)
-    vals = (rank or f)(D, dots)
+    vals = f(D, dots, _RANK_ROUNDS)
     k = int(np.argmin(vals))
     best, center = float(vals[k]), D[k]
     if best == -np.inf:
         return best
-    if rank is not None:
-        best = float(f(D[k : k + 1], dots[k : k + 1])[0])
+    best = float(f(D[k : k + 1], dots[k : k + 1])[0])
     if pole.size == 2:
         lo, hi = scan[k] - span, scan[k] + span
         if half:
@@ -243,8 +242,8 @@ def lagrangian(model, r, p):
     if np.any(facets[:, :-1] @ p + facets[:, -1] > 1e-12 * (1.0 + np.abs(facets[:, -1]))):
         return np.inf
     # the pole p makes each batch's dots the rays' p.e
-    neg = lambda rounds: lambda D, a: -_ray_sups(model, r, D, a, rounds)
-    return -_direction_min(neg(None), p, ANGLES_LAGRANGIAN, rank=neg(_RANK_ROUNDS))
+    neg = lambda D, a, rounds=None: -_ray_sups(model, r, D, a, rounds)
+    return -_direction_min(neg, p, ANGLES_LAGRANGIAN)
 
 
 def planar_conjugate(model, r, e0, q):
@@ -332,10 +331,8 @@ def freidlin_gartner_speed(model, r, e0):
         return float(_cstars(model, r, e0)[0])
     normals = _hull_facets(model)[:, :-1]
     normals = np.vstack([e0, normals[normals @ e0 > 0.0]])
-    ratios = lambda rounds: lambda D, cos: _cstars(model, r, D, rounds) / cos
-    return _direction_min(
-        ratios(None), e0, ANGLES_FG, half=True, extra=normals, rank=ratios(_RANK_ROUNDS)
-    )
+    ratios = lambda D, cos, rounds=None: _cstars(model, r, D, rounds) / cos
+    return _direction_min(ratios, e0, ANGLES_FG, half=True, extra=normals)
 
 
 def _hull_extent(model, e0):

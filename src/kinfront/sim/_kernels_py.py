@@ -21,13 +21,6 @@ update g <- g (1 - hQ) + hP, with hQ and hP built from rho alone (the
 predictor density rho1 follows from rho in closed form). hQ and hP are
 evaluated by the same expressions on equal inputs wherever rho == 1, so with
 unit total mass g == 1 and g == 0 stay exact fixed points.
-
-The clamp check needs no pass over g when the caller promises 0 <= g <= 1 on
-entry (`bounded`). In floating point an upwind update g - nu (g - g') with
-|nu| <= 1/2 lies between g and g' (or the ghost value), and the reaction
-g keep + hP is monotone in g, so when keep >= 0, hP >= 0 and keep + hP <= 1
-in every column (checked on those length-nx vectors) the whole step maps
-[0, 1] into itself and the check would find nothing to clamp.
 """
 
 import numpy as np
@@ -50,13 +43,7 @@ def _upwind(block, scratch, nu, sign, left_val, right_val):
     """One upwind half step, in place, on a block of rows sharing a speed sign."""
     nb, nx = block.shape
     flat = block.reshape(-1)
-    # start d so that the shifted difference is stored 64-byte aligned, where
-    # numpy's SIMD loop writes it about twice as fast
-    lead = 1 if sign > 0 else 0
-    o = (-(scratch.ctypes.data // 8) - lead) % 8
-    if o + nb * nx > scratch.size:
-        o = 0
-    d = scratch[o: o + nb * nx]
+    d = scratch[: nb * nx]
     d2 = d.reshape(nb, nx)
     if sign > 0:
         np.subtract(flat[1:], flat[:-1], out=d[1:])
@@ -68,16 +55,12 @@ def _upwind(block, scratch, nu, sign, left_val, right_val):
     block -= d2
 
 
-def strang_step(g, g1, rho, rho1, nu_half, masses, r, dt, left_val, right_val,
-                bounded=False):
+def strang_step(g, g1, rho, rho1, nu_half, masses, r, dt, left_val, right_val):
     """Advance g (shape (nv, nx)) by one full step of size dt, in place.
 
     g1, rho, rho1 are scratch arrays (same shapes as g, g[0], g[0]).
     nu_half (per-row Courant numbers of the half step) must be ascending;
-    a ValueError is raised otherwise. bounded=True promises 0 <= g <= 1 on
-    entry, which lets the step skip its clamp check where the module
-    docstring shows that nothing can leave [0, 1]; g and the result are
-    the same either way.
+    a ValueError is raised otherwise.
     Returns (max_clamp_excess, n_clamped).
     """
     if np.any(nu_half[1:] < nu_half[:-1]):
@@ -107,12 +90,7 @@ def strang_step(g, g1, rho, rho1, nu_half, masses, r, dt, left_val, right_val,
     keep = 1.0 - 0.5 * (hq1 + hq2 - hq1 * hq2)
     hp = 0.5 * (hp1 + hp2 - hp1 * hq2)
 
-    # reaction and second transport half step, tracking the extremes per
-    # chunk unless the step provably keeps g in [0, 1]
-    track = not (bounded and 0.0 <= left_val <= 1.0 and 0.0 <= right_val <= 1.0
-                 and float(np.abs(nu_half).max()) <= 0.5
-                 and float(keep.min()) >= 0.0 and float(hp.min()) >= 0.0
-                 and float((keep + hp).max()) <= 1.0)
+    # reaction and second transport half step, tracking the extremes per chunk
     hi, lo = 0.0, 1.0
     for a, b, sign in chunks:
         block = g[a:b]
@@ -120,9 +98,8 @@ def strang_step(g, g1, rho, rho1, nu_half, masses, r, dt, left_val, right_val,
         block += hp
         if sign:
             _upwind(block, scratch, nu_half[a:b], sign, left_val, right_val)
-        if track:
-            hi = max(hi, float(block.max()))
-            lo = min(lo, float(block.min()))
+        hi = max(hi, float(block.max()))
+        lo = min(lo, float(block.min()))
 
     if hi <= 1.0 and lo >= 0.0:
         return 0.0, 0

@@ -206,9 +206,8 @@ def run_front_experiment(model, r, config=None, e=None):
     center = nx // 2
 
     for k in range(1, n_steps + 1):
-        # bounded: g starts in [0, gamma], and each step and recentring keep it in [0, 1]
         excess, ncl = kernels.strang_step(
-            g, g1, rho, rho1, nu_half, masses, state.r, dt, 1.0, 0.0, True
+            g, g1, rho, rho1, nu_half, masses, state.r, dt, 1.0, 0.0
         )
         if excess > clamp_max:
             clamp_max = excess

@@ -127,30 +127,3 @@ def test_vacuum_state_is_steady():
     # with empty ghosts nothing may be created from the zero state
     np.testing.assert_allclose(g, 0.0, atol=0.0)
     assert excess == 0.0
-
-
-@pytest.mark.parametrize("right, dt", [(0.0, 0.004), (1.2, 0.004), (0.0, 0.012)])
-def test_bounded_step_equals_checked_step(right, dt):
-    # bounded=True may skip the clamp check only where nothing can leave
-    # [0, 1]; a ghost above 1 or half-step Courant numbers above 1/2 keep it
-    rng = np.random.default_rng(23)
-    nv, nx = 24, 6001  # several row chunks, so the scratch offsets vary
-    speeds = np.sort(rng.uniform(-1.0, 1.0, nv))
-    masses = rng.random(nv) + 0.1
-    masses /= masses.sum()
-    g0 = rng.random((nv, nx))
-    g0[:, : nx // 2] = 1.0
-    # at the right edge the rows moving left are full and the others empty,
-    # so rho stays near 1/2 there while a ghost above 1 pushes g past 1
-    g0[:, -20:] = (speeds < 0.0)[:, None]
-    nu_half = speeds * (0.5 * dt / 0.01)
-    out = []
-    for bounded in (False, True):
-        g = g0.copy()
-        g1, rho, rho1 = np.empty_like(g), np.empty(nx), np.empty(nx)
-        res = [kernels.strang_step(g, g1, rho, rho1, nu_half, masses, 1.0, dt,
-                                   1.0, right, bounded) for _ in range(30)]
-        out.append((g, res))
-    np.testing.assert_array_equal(out[0][0], out[1][0])
-    assert out[0][1] == out[1][1]
-    assert (sum(n for _, n in out[0][1]) > 0) == (right > 1.0)

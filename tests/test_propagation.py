@@ -410,7 +410,7 @@ def _direction_case(dim, half):
     pole = np.array([1.0, 0.3, 0.5][:dim])
     pole /= np.linalg.norm(pole)
 
-    def f(D, cos):
+    def f(D, cos, rounds=None):
         # the cosines handed over are those of the rows with the pole
         np.testing.assert_allclose(cos, D @ pole, atol=1e-15)
         vals = np.exp(-2.0 * (D @ a)) + 0.3 * D[:, 1] ** 2
@@ -481,7 +481,7 @@ def test_3d_freidlin_gartner_solves_e0_in_full_once(monkeypatch):
 def test_direction_min_returns_minus_inf_from_the_scan():
     calls = []
 
-    def f(D, cos):
+    def f(D, cos, rounds=None):
         calls.append(len(D))
         vals = -D[:, 0]
         vals[D[:, 1] > 0.5] = -np.inf

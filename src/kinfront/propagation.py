@@ -38,6 +38,7 @@ from scipy.optimize import brentq
 from scipy.spatial import ConvexHull, QhullError
 
 from .dispersion import (
+    _atom_dots,
     _h_rays,
     _min_speeds,
     _ray_edges,
@@ -130,12 +131,20 @@ def _cap_dirs(center, rad):
     return D / np.linalg.norm(D, axis=1, keepdims=True)
 
 
+def _dots(D, pole):
+    """D @ pole without a BLAS product, whose rounding can depend on the
+    shape of the batch (see dispersion._atom_dots)."""
+    return _atom_dots(pole[None, :], D)[:, 0]
+
+
 def _direction_min(f, pole, n, half=False, extra=None):
     """Smallest value of f over the unit directions, or with half over
     the open hemisphere about the pole: the one direction search.
 
     f(D, dots, rounds=None) maps unit rows D and their dot products
-    D @ pole to values; each step below is one call. pole is nonzero,
+    with the pole to values; each step below is one call. The dots are
+    summed coordinate by coordinate (_dots), so a row's dot is the same
+    in any batch. pole is nonzero,
     and unit with half, where dots is cos(offset) on the half circle.
     2-D: n angles (2 pi k / n, or with half the cell midpoints of the
     offsets from the pole in (-pi/2, pi/2)), then ten _zoom_min rounds
@@ -162,15 +171,16 @@ def _direction_min(f, pole, n, half=False, extra=None):
 
         def g(ts):
             D = _circle_dirs(base + ts)
-            return D, (np.cos(ts) if half else D @ pole)
+            return D, (np.cos(ts) if half else _dots(D, pole))
 
     else:
         scan = np.vstack([pole if half else pole / np.linalg.norm(pole), _fibonacci_sphere(2 * n)])
 
         def g(D):
+            dots = _dots(D, pole)
             if half:
-                D = D[D @ pole > 1e-6]
-            return D, D @ pole
+                D, dots = D[dots > 1e-6], dots[dots > 1e-6]
+            return D, dots
 
     D, dots = g(scan)
     vals = f(D, dots, _RANK_ROUNDS)
@@ -206,7 +216,7 @@ def _direction_min(f, pole, n, half=False, extra=None):
     if extra is not None:
         extra = extra[np.any(extra != center, axis=1)]
         if len(extra):
-            best = min(best, float(np.min(f(extra, extra @ pole))))
+            best = min(best, float(np.min(f(extra, _dots(extra, pole)))))
     return best
 
 
@@ -217,9 +227,8 @@ def lagrangian(model, r, p):
     one _direction_min about p's direction, with ANGLES_LAGRANGIAN
     angles: the scan ranks its rays with _RANK_ROUNDS-round sups, and
     the chosen ray, the angle zoom and the cap grids solve them in full.
-    p.e is the search's dots with the pole p, one product per batch of
-    rays (its rounding can depend on the batch's shape), so the chosen
-    ray keeps the p.e of its scan row. Past a facet of the atoms' hull,
+    p.e is the search's dots with the pole p, so a ray's p.e does not
+    depend on the batch that holds it. Past a facet of the atoms' hull,
     or off the span of a flat set, L is +inf without a search.
     Rotation-invariant models collapse to the aligned direction
     e = p/|p| exactly (the per-direction value is nondecreasing in p.e

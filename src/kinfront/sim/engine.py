@@ -151,7 +151,11 @@ def initial_front_state(model, r, e=None, config=None):
 
 @dataclass
 class FrontTrace:
-    """Front-position history and the fitted asymptotic speed."""
+    """Front-position history and the fitted asymptotic speed.
+
+    steps and dt are the run's step count and step size; clamp_scans counts
+    the steps that ran the kernel's clamp scan (see sim._kernels_py).
+    """
 
     times: np.ndarray
     front_positions: np.ndarray
@@ -161,6 +165,9 @@ class FrontTrace:
     threshold_speeds: dict = field(default_factory=dict)
     clamp_max: float = 0.0
     clamp_count: int = 0
+    steps: int = 0
+    dt: float = 0.0
+    clamp_scans: int = 0
     final_state: Optional[KineticState] = None
 
 
@@ -195,9 +202,9 @@ def run_front_experiment(model, r, config=None, e=None):
     dt = config.t_end / n_steps
     record_every = max(1, int(round(_RECORD_INTERVAL / dt)))
 
-    g1, rho, rho1 = np.empty_like(g), np.empty(nx), np.empty(nx)
-    nu_half = state.v_nodes * (0.5 * dt / config.dx)
     masses = state.v_weights
+    plan = kernels.StepPlan(state.v_nodes * (0.5 * dt / config.dx), masses,
+                            state.r, dt, 1.0, 0.0, nx)
     levels = sorted(set(_THRESHOLDS) | {config.threshold})
     times = []
     positions = {lev: [] for lev in levels}
@@ -206,9 +213,7 @@ def run_front_experiment(model, r, config=None, e=None):
     center = nx // 2
 
     for k in range(1, n_steps + 1):
-        excess, ncl = kernels.strang_step(
-            g, g1, rho, rho1, nu_half, masses, state.r, dt, 1.0, 0.0
-        )
+        excess, ncl = kernels.strang_step(g, plan)
         if excess > clamp_max:
             clamp_max = excess
         clamp_count += ncl
@@ -233,6 +238,7 @@ def run_front_experiment(model, r, config=None, e=None):
                 idx_main = idx
         times.append(state.time)
         shift = idx_main - center
+        # the recentring keeps g in [0, 1], as the step plan requires
         if shift >= _RECENTER_CELLS:
             g[:, : nx - shift] = g[:, shift:]
             g[:, nx - shift:] = 0.0
@@ -256,5 +262,8 @@ def run_front_experiment(model, r, config=None, e=None):
         threshold_speeds={lev: float(c[0]) for lev, c in coefs.items()},
         clamp_max=clamp_max,
         clamp_count=clamp_count,
+        steps=plan.steps,
+        dt=plan.dt,
+        clamp_scans=plan.clamp_scans,
         final_state=state,
     )

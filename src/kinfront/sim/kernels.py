@@ -1,11 +1,14 @@
 """The stepping kernel used by the simulation engine.
 
-There is one lane: `strang_step` is the numpy implementation in
-`_kernels_py`, re-exported here so that callers bind one name. It needs
-the velocity rows in ascending order of speed, as `engine.sim_nodes`
-returns them. `BACKEND` names the lane for run reports.
+There is one lane: `strang_step` and its per-run `StepPlan` are the numpy
+implementation in `_kernels_py`, re-exported here so that callers bind one
+name. A run builds one plan and calls `strang_step(g, plan)` on every step.
+The plan needs the velocity rows in ascending order of speed, as
+`engine.sim_nodes` returns them. From a plan's second step on, g must enter
+each step in [0, 1]: the plan then skips the clamp scan where it proves
+that the step keeps g there. `BACKEND` names the lane for run reports.
 """
 
-from ._kernels_py import strang_step  # noqa: F401
+from ._kernels_py import StepPlan, strang_step  # noqa: F401
 
 BACKEND = "python"

@@ -96,7 +96,7 @@ def test_tracer_counts_direction_search_solves():
     calls = (
         (lambda: propagation.freidlin_gartner_speed(diamond, 0.8, [math.cos(0.46), math.sin(0.46)]),
          113_728, 0.7387021058641872),
-        (lambda: propagation.lagrangian(diamond, 0.8, [0.3, 0.2]), 71_906, -0.6754429719040475),
+        (lambda: propagation.lagrangian(diamond, 0.8, [0.3, 0.2]), 71_906, -0.6754429719040473),
         (lambda: propagation.freidlin_gartner_speed(octahedron, 0.8, [1.0, 2.0, 2.0]),
          184_196, 0.5944923414842707),
         (lambda: propagation.lagrangian(octahedron, 0.8, [0.31, 0.17, 0.12]),

@@ -1,8 +1,11 @@
 """The stepping kernel against a per-row loop over the same scheme (agreement
-to roundoff), plus its ordering check, clamp reports and fixed points."""
+to roundoff), plus its ordering check, clamp reports, skipped clamp scans
+and fixed points."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kinfront.sim import _kernels_py, kernels
 
@@ -17,14 +20,11 @@ def _random_state(rng, nv=6, nx=40):
 
 def _run(g0, masses, speeds, r, dt, steps, left=1.0, right=0.0):
     g = g0.copy()
-    g1 = np.empty_like(g)
-    rho = np.empty(g.shape[1])
-    rho1 = np.empty(g.shape[1])
-    nu_half = speeds * (0.5 * dt / 0.01)
+    plan = kernels.StepPlan(speeds * (0.5 * dt / 0.01), masses, r, dt, left,
+                            right, g.shape[1])
     worst, count = 0.0, 0
     for _ in range(steps):
-        excess, n = kernels.strang_step(g, g1, rho, rho1, nu_half, masses, r,
-                                        dt, left, right)
+        excess, n = kernels.strang_step(g, plan)
         worst = max(worst, excess)
         count += n
     return g, worst, count
@@ -68,23 +68,36 @@ def _row_loop_step(g, nu_half, masses, r, dt, left_val, right_val):
     return excess, n_clamped
 
 
-@pytest.mark.parametrize("left, right", [(1.0, 0.0), (0.0, 1.0)])
-def test_python_lane_matches_row_loop(left, right):
+def _check_against_row_loop(nx, steps, left, right):
     rng = np.random.default_rng(19)
-    g0, masses, _ = _random_state(rng, nv=7)
+    g0, masses, _ = _random_state(rng, nv=7, nx=nx)
     speeds = np.array([-1.0, -0.6, -0.2, 0.0, 0.0, 0.5, 1.0])
     g0[1, 3] = 1.2  # one clamp in the first step
-    gp, worst, count = _run(g0, masses, speeds, 1.0, 0.004, 25, left, right)
+    gp, worst, count = _run(g0, masses, speeds, 1.0, 0.004, steps, left, right)
     g = g0.copy()
     nu_half = speeds * (0.5 * 0.004 / 0.01)
     ref_worst, ref_count = 0.0, 0
-    for _ in range(25):
+    for _ in range(steps):
         excess, n = _row_loop_step(g, nu_half, masses, 1.0, 0.004, left, right)
         ref_worst = max(ref_worst, excess)
         ref_count += n
     np.testing.assert_allclose(gp, g, atol=1e-13)
     assert count == ref_count > 0
     np.testing.assert_allclose(worst, ref_worst, rtol=1e-12)
+
+
+@pytest.mark.parametrize("left, right", [(1.0, 0.0), (0.0, 1.0)])
+def test_python_lane_matches_row_loop(left, right):
+    _check_against_row_loop(40, 25, left, right)
+
+
+@pytest.mark.parametrize("left, right", [(1.0, 0.0), (0.0, 1.0)])
+def test_python_lane_matches_row_loop_across_chunks(left, right):
+    # 30,000 columns make chunks of two rows, so the negative and positive
+    # blocks each span two chunks and the flat shifted difference crosses
+    # row and chunk boundaries
+    assert _kernels_py._CHUNK_CELLS // 30_000 == 2
+    _check_against_row_loop(30_000, 2, left, right)
 
 
 def test_python_lane_rejects_unsorted_speeds():
@@ -127,3 +140,78 @@ def test_vacuum_state_is_steady():
     # with empty ghosts nothing may be created from the zero state
     np.testing.assert_allclose(g, 0.0, atol=0.0)
     assert excess == 0.0
+
+
+# entries in [0, 1], with the edges 0, 1 and 1 - 2**-53 drawn often
+_unit_entries = st.one_of(st.sampled_from([0.0, 1.0, 1.0 - 2.0**-53]),
+                          st.floats(0.0, 1.0))
+
+
+@st.composite
+def _unit_band_steps(draw):
+    nv = draw(st.integers(2, 6))
+    nx = draw(st.integers(2, 30))
+    g = draw(arrays(float, (nv, nx), elements=_unit_entries))
+    nu_half = np.sort(draw(arrays(float, nv, elements=st.one_of(
+        st.sampled_from([-0.5, 0.0, 0.5]), st.floats(-0.5, 0.5)))))
+    # dyadic cuts of [0, 1]: the masses sum to 1 exactly in any order
+    cuts = draw(st.lists(st.integers(1, 1023), min_size=nv - 1, max_size=nv - 1,
+                         unique=True))
+    masses = np.diff(np.concatenate([[0], np.sort(cuts), [1024]])) / 1024.0
+    r = draw(st.floats(0.01, 5.0))
+    dt = draw(st.floats(1e-4, 0.05))
+    left, right = draw(st.sampled_from([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.0, 0.0)]))
+    return g, nu_half, masses, r, dt, left, right
+
+
+@settings(max_examples=200, deadline=None)
+@given(_unit_band_steps())
+def test_skipped_clamp_scan_matches_a_scanned_step(case):
+    # a plan's second step may skip the clamp scan; it must leave g and
+    # report exactly what a fresh plan's first step, which scans, does
+    g, nu_half, masses, r, dt, left, right = case
+    plan = kernels.StepPlan(nu_half, masses, r, dt, left, right, g.shape[1])
+    kernels.strang_step(g.copy(), plan)
+    fresh = kernels.StepPlan(nu_half, masses, r, dt, left, right, g.shape[1])
+    g_plan, g_fresh = g.copy(), g.copy()
+    got = kernels.strang_step(g_plan, plan)
+    want = kernels.strang_step(g_fresh, fresh)
+    assert fresh.clamp_scans == 1
+    assert got == want
+    np.testing.assert_array_equal(g_plan, g_fresh)
+    if plan.clamp_scans == 1:  # the second step was proven to stay in [0, 1]
+        assert got == (0.0, 0)
+
+
+def test_first_step_of_a_plan_clamps_entries_outside_unit_band():
+    # the speeds, ghosts and reaction coefficients all pass the [0, 1]
+    # proof, but a plan cannot know how g entered its first step
+    nu_half = np.array([-0.25, 0.0, 0.25])
+    masses = np.array([0.25, 0.5, 0.25])
+    g = np.full((3, 12), 0.5)
+    g[1, 4] = 1.2  # a zero-speed row, so the entry stays above 1
+    plan = kernels.StepPlan(nu_half, masses, 1.0, 0.01, 1.0, 0.0, 12)
+    excess, count = kernels.strang_step(g, plan)
+    assert count == 1 and 0.15 < excess < 0.2
+    assert g.max() == 1.0
+    assert (plan.steps, plan.clamp_scans) == (1, 1)
+
+
+@pytest.mark.parametrize("masses, nu, left, back", [
+    ([0.5, 0.51], 0.25, 1.0, 1.0),  # masses above 1: fl(keep + hP) > 1
+    # a ghost value above 1; the empty row keeps rho, and so keep + hP,
+    # below 1, and the second half step pushes g past 1 again
+    ([0.5, 0.5], 0.25, 1.5, 0.0),
+    ([0.5, 0.5], 1.5, 1.0, 1.0),  # a Courant number above 1/2 (and 1)
+])
+def test_later_steps_scan_when_a_step_can_leave_unit_band(masses, nu, left, back):
+    # each step fails the [0, 1] proof, so each one scans and clamps
+    plan = kernels.StepPlan(np.array([-nu, nu]), np.array(masses), 1.0, 0.01,
+                            left, 0.0, 8)
+    g = np.zeros((2, 8))
+    g[0, :4], g[1, :4] = back, 1.0
+    for _ in range(3):
+        excess, count = kernels.strang_step(g, plan)
+        assert count > 0 and excess > 0.0
+    assert 0.0 <= g.min() and g.max() <= 1.0
+    assert plan.clamp_scans == 3

@@ -507,3 +507,29 @@ def test_lagrangian_rejects_bad_rate():
         kf.lagrangian(model("uniform-1d"), 0.0, np.zeros(1))
     with pytest.raises(ValidationError):
         kf.freidlin_gartner_speed(model("uniform-1d"), -2.0, 1.0)
+
+
+def test_direction_search_dots_do_not_depend_on_the_batch():
+    # every row that reaches f carries the dot that the same row gets alone,
+    # summed coordinate by coordinate in the pole's order
+    rng = np.random.default_rng(11)
+    for pole, half in ((rng.normal(size=2), False), (rng.normal(size=3), False),
+                       (rng.normal(size=3), True)):
+        pole = pole / np.linalg.norm(pole) if half else pole
+        extra = rng.normal(size=(37, pole.size))
+        seen = []
+
+        def f(D, dots, rounds=None):
+            seen.append((D.copy(), dots.copy()))
+            return np.cos(3.0 * D[:, 0]) + D[:, 1] ** 2
+
+        P._direction_min(f, pole, 64, half=half, extra=None if half else extra)
+        rows = 0
+        for D, dots in seen:
+            for row, dot in zip(D, dots):
+                alone = row[0] * pole[0]
+                for j in range(1, pole.size):
+                    alone += row[j] * pole[j]
+                assert dot == alone
+                rows += 1
+        assert rows > 100

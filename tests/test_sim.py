@@ -63,7 +63,7 @@ def test_step_enforces_cfl(monkeypatch):
     steps, original = [], kernels.strang_step
 
     def counted(*args):
-        steps.append(args[7])  # dt
+        steps.append(args[1].dt)  # the step plan's dt
         return original(*args)
 
     monkeypatch.setattr(kernels, "strang_step", counted)
@@ -77,10 +77,10 @@ def test_saturated_region_remains_saturated():
     config = kf.SimConfig(dx=0.02, length=4.0, nv=12)
     state = kf.initial_front_state(model("uniform-1d"), 1.0, config=config)
     g, dt = state.g, 0.01
-    g1, rho, rho1 = np.empty_like(g), np.empty(state.nx), np.empty(state.nx)
-    nu_half = state.v_nodes * (0.5 * dt / state.dx)
+    plan = kernels.StepPlan(state.v_nodes * (0.5 * dt / state.dx), state.v_weights,
+                            state.r, dt, 1.0, 0.0, state.nx)
     for _ in range(40):
-        kernels.strang_step(g, g1, rho, rho1, nu_half, state.v_weights, state.r, dt, 1.0, 0.0)
+        kernels.strang_step(g, plan)
     rho = state.rho
     # deep behind the front the state still sits at the stable equilibrium
     behind = state.x_grid < -1.0
@@ -94,6 +94,15 @@ def test_front_advances_monotonically():
     assert np.all(np.diff(trace.front_positions) > -1e-9)
     assert trace.times[-1] == pytest.approx(8.0, abs=0.05)
     assert trace.clamp_max < 1e-12
+
+
+def test_front_run_reports_steps_dt_and_one_clamp_scan():
+    # the first step scans; every later one is proven to stay in [0, 1]
+    config = kf.SimConfig(dx=0.02, t_end=8.0, length=16.0, nv=16)
+    trace = kf.run_front_experiment(model("uniform-1d"), 1.0, config)
+    assert trace.steps > 1 and trace.steps * trace.dt == pytest.approx(8.0)
+    assert trace.clamp_scans == 1
+    assert trace.clamp_count == 0
 
 
 def test_fitted_speed_close_to_dispersion_prediction():

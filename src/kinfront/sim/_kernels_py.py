@@ -55,7 +55,6 @@ class StepPlan:
     """
 
     def __init__(self, nu_half, masses, r, dt, left_val, right_val, nx):
-        nu_half = np.asarray(nu_half, dtype=float)
         if np.any(nu_half[1:] < nu_half[:-1]):
             raise ValueError("nu_half must be in ascending order of speed")
         self.masses = masses
@@ -86,7 +85,7 @@ class StepPlan:
         # the parts of the [0, 1] proof that do not change between steps
         self.transport_bounded = (
             0.0 <= left_val <= 1.0 and 0.0 <= right_val <= 1.0
-            and float(np.abs(nu_half).max(initial=0.0)) <= 0.5
+            and float(np.abs(nu_half).max()) <= 0.5
         )
         self.entry_bounded = False  # g known to lie in [0, 1] on entry
         self.steps = 0

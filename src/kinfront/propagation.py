@@ -144,8 +144,8 @@ def _direction_min(f, pole, n, half=False, extra=None):
     f(D, dots, rounds=None) maps unit rows D and their dot products
     with the pole to values; each step below is one call. The dots are
     summed coordinate by coordinate (_dots), so a row's dot is the same
-    in any batch. pole is nonzero,
-    and unit with half, where dots is cos(offset) on the half circle.
+    in any batch. pole is nonzero, and unit with half, where dots is
+    cos(offset) on the half circle.
     2-D: n angles (2 pi k / n, or with half the cell midpoints of the
     offsets from the pole in (-pi/2, pi/2)), then ten _zoom_min rounds
     about the best one; with half the bracket stops 1e-9 short of the

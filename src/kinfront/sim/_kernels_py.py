@@ -129,8 +129,9 @@ def strang_step(g, plan):
 
     # Heun: k = P - Q g with P = (1+r) rho, Q = 1 + r rho; the predictor
     # g1 = g + dt k1 has density rho1 = rho + dt (P1 sum(masses) - Q1 rho).
-    # Each line computes dt (1 + r rho), dt ((1 + r) rho) and so on in the
-    # order of those formulas, into the plan's buffers.
+    # The plan's buffers take each formula's operations in its written
+    # order (dt (1 + r rho) is r rho, then + 1, then * dt), so they round
+    # as the formulas do.
     np.multiply(rho, r, out=hq1)
     hq1 += 1.0
     hq1 *= dt

@@ -74,6 +74,15 @@ def parse_grid(text):
     return np.linspace(lo, hi, n)
 
 
+def _file_number(key, text, kind=float):
+    """A model-file value as a number of the given kind; ValidationError
+    naming the key when it does not parse."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValidationError("cannot parse %s = %r in model file" % (key, text))
+
+
 def parse_model_file(path):
     """Build a model from a flat key = value file.
 
@@ -110,7 +119,7 @@ def parse_model_file(path):
             head, sep, wtxt = value.partition(":")
             if not sep:
                 raise ValidationError("point entries need 'coords : weight'")
-            points.append((parse_vector(head.strip()), float(wtxt)))
+            points.append((parse_vector(head.strip()), _file_number("point weight", wtxt.strip())))
         elif key in fields:
             raise ValidationError("duplicate key %r in model file" % key)
         else:
@@ -128,6 +137,8 @@ def parse_model_file(path):
             )
         if not points:
             raise ValidationError("discrete support needs point entries")
+        if len({p.size for p, _ in points}) > 1:
+            raise ValidationError("point entries must all have the same dimension")
         pts = np.array([p for p, _ in points])
         wts = np.array([w for _, w in points])
         return VelocityModel(DiscreteSet(pts, wts), None, name=name)
@@ -135,15 +146,15 @@ def parse_model_file(path):
     density_name = fields.pop("density", None)
     if density_name is None:
         raise ValidationError("continuum support needs a 'density' entry")
-    k = float(fields.pop("k", 0.0))
+    k = _file_number("k", fields.pop("k", 0.0))
     density = DensityFamily(density_name, k=k)
     if support_kind == "interval":
-        a = float(fields.pop("a", -1.0))
-        b = float(fields.pop("b", 1.0))
+        a = _file_number("a", fields.pop("a", -1.0))
+        b = _file_number("b", fields.pop("b", 1.0))
         support = Interval(a, b)
     elif support_kind == "ball":
-        radius = float(fields.pop("radius", 1.0))
-        dim = int(fields.pop("dim", 2))
+        radius = _file_number("radius", fields.pop("radius", 1.0))
+        dim = _file_number("dim", fields.pop("dim", 2), int)
         support = Ball(radius, dim)
     else:
         raise ValidationError("unknown support kind %r" % support_kind)

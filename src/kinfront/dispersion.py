@@ -213,15 +213,14 @@ def _discrete_h(weights, dots):
     t = H - (mu - 1) from t = w_tie, the weight sitting at the maximal
     projection, where the sum is at least 1.
 
-    dots may be a (k,) vector of atom projections v_i . p, or an (m, k)
-    matrix of m such rows solved simultaneously (the direction scans and
-    the speed-curve zooms batch their frequency grids here); solving the
-    matrix gives bit for bit what solving each row alone gives.
+    dots is an (m, k) matrix: row i holds the projections v . p of the k
+    atoms on the i-th frequency p, and the m rows are solved together (the
+    direction scans and the speed-curve zooms batch their frequency grids
+    here). Returns the m roots; solving the matrix gives bit for bit what
+    solving each row alone gives.
     """
-    dots = np.asarray(dots, dtype=float)
-    scalar = dots.ndim == 1
     # row-major, so that every row is reduced in the same order
-    d = np.ascontiguousarray(dots[None, :] if scalar else dots)
+    d = np.ascontiguousarray(dots, dtype=float)
     w = np.asarray(weights, dtype=float)[None, :]
     mu = d.max(axis=1)
     b = mu[:, None] - d
@@ -230,8 +229,7 @@ def _discrete_h(weights, dots):
         rat = w / (t[:, None] + b[rows])
         return rat.sum(axis=1), (rat * rat / w).sum(axis=1)
 
-    H = mu - 1.0 + _newton_rows((w * (b <= 0.0)).sum(axis=1), evaluate)
-    return float(H[0]) if scalar else H
+    return mu - 1.0 + _newton_rows((w * (b <= 0.0)).sum(axis=1), evaluate)
 
 
 def _atom_dots(points, E):
@@ -292,8 +290,7 @@ def _ray_edges(model, E):
     """
     if model.is_discrete:
         return _atom_dots(model.support.points, E).max(axis=1), np.full(len(E), np.inf)
-    grid = model.directional_grid(E[0])
-    return np.full(len(E), grid.vbar), np.full(len(E), grid.l)
+    return np.full(len(E), model.grid.vbar), np.full(len(E), model.grid.l)
 
 
 def _zoom_shape(model, rounds=None):
@@ -353,7 +350,7 @@ def _h_value(model, P):
     H = np.zeros(m)
     live = np.flatnonzero(nrm > 0.0)
     if live.size:
-        grid = model.directional_grid(P[live[0]])
+        grid = model.grid
         lval[live] = grid.l
         regular[live] = ~_singular(lval[live], nrm[live])
         H[live] = nrm[live] * grid.vbar - 1.0  # mu - 1
@@ -431,7 +428,7 @@ def speed_derivative_left(model, r, e, lam, c=None):
     return (1.0 - 1.0 / ((1.0 + r) * jcal)) / lam**2
 
 
-def _zoom_min(f, lo, hi, rounds=6, n=65):
+def _zoom_min(f, lo, hi, rounds, n):
     """Minimize k unimodal functions at once, on the brackets [lo, hi].
 
     f(xs, rows) maps an array xs of abscissae, its row i lying in the
@@ -497,9 +494,10 @@ def _min_speeds(model, r, E, rounds=None):
     over the rows, dleft being c'(lambda_tilde-) (nan where lambda_tilde
     is +inf) and case the shape label of SpeedCurve. Each step is one
     batched solve over the rows it concerns:
-    - a row with finite lambda_tilde takes dleft from
-      speed_derivative_left; within DERIV_TOL of 0 (Case3) or below it
-      (Case4) the minimum sits at the kink, lambda_star = lambda_tilde;
+    - a row with finite lambda_tilde solves c(lambda_tilde) once and
+      takes dleft from speed_derivative_left at that c; within DERIV_TOL
+      of 0 (Case3) or below it (Case4) the minimum sits at the kink,
+      c_star = c(lambda_tilde), lambda_star = lambda_tilde;
     - the other rows scan N_SCAN log-spaced rates up to lambda_tilde,
       or up to LAMBDA_CAP where it is +inf (Case1);
     - a Case1 row whose scan still falls at the cap takes the sign of
@@ -521,13 +519,13 @@ def _min_speeds(model, r, E, rounds=None):
         return ((1.0 + r) * H + r) / lams
 
     kinked = np.flatnonzero(np.isfinite(lam_tilde))
-    dleft[kinked] = [speed_derivative_left(model, r, E[i], lam_tilde[i]) for i in kinked]
+    if kinked.size:
+        c_star[kinked] = cvals(lam_tilde[kinked, None], kinked)[:, 0]
+        dleft[kinked] = [speed_derivative_left(model, r, E[i], lam_tilde[i], c=c_star[i]) for i in kinked]
     case[kinked[np.abs(dleft[kinked]) <= DERIV_TOL]] = "Case3"
     case[kinked[dleft[kinked] <= -DERIV_TOL]] = "Case4"
     kink = np.flatnonzero((case == "Case3") | (case == "Case4"))
-    if kink.size:
-        lam_star[kink] = lam_tilde[kink]
-        c_star[kink] = cvals(lam_tilde[kink, None], kink)[:, 0]
+    lam_star[kink] = lam_tilde[kink]
 
     rows = np.setdiff1d(np.arange(k), kink)
     if rows.size == 0:
@@ -554,14 +552,13 @@ def _min_speeds(model, r, E, rounds=None):
     return c_star, lam_star, lam_tilde, dleft, case
 
 
-def _sample_grid(lo, hi, n, focus=None, extra=4):
+def _sample_grid(lo, hi, n, focus):
+    """n log-spaced rates on [lo, hi], with 17 more on the four cells about focus."""
     grid = np.geomspace(lo, hi, n)
-    if focus is not None:
-        k = int(np.clip(np.searchsorted(grid, focus), 1, n - 1))
-        a = grid[max(k - 2, 0)]
-        b = grid[min(k + 2, n - 1)]
-        grid = np.union1d(grid, np.geomspace(a, b, 4 * extra + 1))
-    return grid
+    k = int(np.clip(np.searchsorted(grid, focus), 1, n - 1))
+    a = grid[max(k - 2, 0)]
+    b = grid[min(k + 2, n - 1)]
+    return np.union1d(grid, np.geomspace(a, b, 17))
 
 
 def minimal_speed(model, r, e, sample=True):
@@ -583,7 +580,7 @@ def minimal_speed(model, r, e, sample=True):
     capped = np.isinf(lam_tilde)
     if sample:
         hi = LAMBDA_CAP if capped else lam_tilde
-        lambda_grid = _sample_grid(1e-3, hi, N_SCAN, focus=lam_star if np.isfinite(lam_star) else hi)
+        lambda_grid = _sample_grid(1e-3, hi, N_SCAN, lam_star if np.isfinite(lam_star) else hi)
         H = hamiltonian_values(model, np.multiply.outer(lambda_grid / (1.0 + r), e))
         c_values = ((1.0 + r) * H + r) / lambda_grid
     else:

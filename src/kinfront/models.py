@@ -70,8 +70,8 @@ class Interval:
     b: float
 
     def __post_init__(self):
-        if not self.a < self.b:
-            raise ValidationError("interval requires a < b")
+        if not -np.inf < self.a < self.b < np.inf:
+            raise ValidationError("interval requires finite a < b")
 
     @property
     def dim(self):
@@ -90,9 +90,8 @@ class Ball:
     dim: int = 2
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValidationError("ball radius must be positive")
-        if self.dim < 1 or self.dim > 3:
+        _positive(self.radius, "ball radius")
+        if self.dim not in (1, 2, 3):
             raise ValidationError("ball dimension must be 1, 2 or 3")
 
     @property
@@ -110,6 +109,8 @@ class DiscreteSet:
         w = np.asarray(weights, dtype=float)
         if w.shape != (pts.shape[0],):
             raise ValidationError("one weight per velocity point required")
+        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(w))):
+            raise ValidationError("velocity points and weights must be finite")
         keep = w != 0.0
         pts, w = pts[keep], w[keep]
         if pts.shape[0] == 0:
@@ -151,7 +152,7 @@ class DensityFamily:
     def __init__(self, name, k=0.0):
         if name not in self.NAMES:
             raise ValidationError("unknown density family %r" % (name,))
-        if name == "power" and k < 0:
+        if name == "power" and not k >= 0:
             raise ValidationError("power exponent must be nonnegative")
         self.name = name
         self.k = float(k)
@@ -180,6 +181,10 @@ class VelocityModel:
     density : DensityFamily, required for continuum supports, ignored
         (must be None) for DiscreteSet.
     name : optional label used by the CLI.
+
+    grid is the GradedGrid over s = vbar(e) - v.e of a continuum model,
+    built at construction and the same for every direction e; None on a
+    DiscreteSet.
     """
 
     def __init__(self, support, density=None, name=None):
@@ -191,6 +196,7 @@ class VelocityModel:
                 raise ValidationError("DiscreteSet carries weights; no density allowed")
             self.density_family = None
             self._norm_const = None
+            self.grid = None
         else:
             if density is None:
                 raise ValidationError("continuum support requires a density family")
@@ -208,7 +214,7 @@ class VelocityModel:
             self._norm_const = 1.0 / raw_mass
             # a radial M on a ball or a symmetric interval has the same slice
             # marginal along every e, so one grid serves every direction
-            self._grid = self._build_grid()
+            self.grid = self._build_grid()
             self._validate_moments()
 
     # -- basic geometry ------------------------------------------------
@@ -265,22 +271,14 @@ class VelocityModel:
         Uses the graded edge grid with nonnegative kernels: the mean
         along e is vbar - integral of s, avoiding signed kernels.
         """
-        mass = self._grid.kernel_integral(np.ones_like)
+        mass = self.grid.kernel_integral(np.ones_like)
         if abs(mass - 1.0) > MASS_TOL:
             raise ValidationError("density mass is %.12g, not 1" % mass)
-        mean_e = self._grid.vbar * mass - self._grid.kernel_integral(lambda s: s)
+        mean_e = self.grid.vbar * mass - self.grid.kernel_integral(lambda s: s)
         if abs(mean_e) > MEAN_TOL:
             raise ValidationError("mean velocity along the first axis is %.3g, not 0" % mean_e)
 
     # -- directional machinery ------------------------------------------
-
-    def directional_grid(self, e):
-        """GradedGrid over s = vbar(e) - v.e for continuum supports (None for discrete).
-
-        The one grid built at construction, the same for every e.
-        """
-        _unit(self, e)
-        return None if self.is_discrete else self._grid
 
     def _build_grid(self):
         R = self.v_max
@@ -345,31 +343,31 @@ class VelocityModel:
 def edge_kernel_integral(model, e, d, beta, power):
     """Integral over V of M(v) / (d + beta*(vbar(e) - v.e))^power.
 
-    d >= 0, beta > 0. Returns +inf when divergent. This single entry
-    point serves l (d=0, power=1), j (d=0, power=2), the derivative
-    integral of the dispersion relation and the wave-profile mass.
+    d >= 0, beta > 0, and power is 1 or 2. Returns +inf when divergent.
+    This single entry point serves l (d=0, power=1), j (d=0, power=2),
+    the derivative integral of the dispersion relation and the
+    wave-profile mass.
     """
-    if model.is_discrete:
-        e = _unit(model, e)
-        svals = model.support_max(e) - model.support.points @ e
-        den = (d + beta * svals) ** power
-        if np.any(den == 0.0):
-            return np.inf
-        return float(np.sum(model.support.weights / den))
-    grid = model.directional_grid(e)
-    return grid.power_kernel(d, beta, power)
+    e = _unit(model, e)
+    if not model.is_discrete:
+        return model.grid.power_kernel(d, beta, power)
+    svals = model.support_max(e) - model.support.points @ e
+    den = (d + beta * svals) ** power
+    if np.any(den == 0.0):
+        return np.inf
+    return float(np.sum(model.support.weights / den))
 
 
 def l_integral(model, e):
     """l(e): integral of M / (vbar(e) - v.e); +inf when divergent, as on every atom set."""
-    grid = model.directional_grid(e)
-    return np.inf if grid is None else grid.l
+    _unit(model, e)
+    return np.inf if model.grid is None else model.grid.l
 
 
 def j_integral(model, e):
     """Integral of M / (vbar(e) - v.e)^2; +inf when divergent, as on every atom set."""
-    grid = model.directional_grid(e)
-    return np.inf if grid is None else grid.j
+    _unit(model, e)
+    return np.inf if model.grid is None else model.grid.j
 
 
 # -- presets ----------------------------------------------------------

@@ -122,12 +122,14 @@ def _fibonacci_sphere(n):
 
 
 def _cap_dirs(center, rad):
-    """Unit directions on a 5 x 5 tangent-plane grid of half-width rad about center."""
+    """Unit directions on a 5 x 5 tangent-plane grid of half-width rad about
+    center, without the centre itself: the search has solved it already."""
     u = np.cross(center, np.eye(3)[int(np.argmin(np.abs(center)))])
     u /= np.linalg.norm(u)
     w = np.cross(center, u)
     g = np.linspace(-rad, rad, 5)
     D = (center + g[:, None, None] * u + g[None, :, None] * w).reshape(-1, 3)
+    D = np.delete(D, 12, axis=0)  # the centre, g = 0 on both axes
     return D / np.linalg.norm(D, axis=1, keepdims=True)
 
 
@@ -153,7 +155,8 @@ def _direction_min(f, pole, n, half=False, extra=None):
     blows up there and attainment relies on interior angles. 3-D: the
     pole's direction and a Fibonacci spiral of 2n directions (with half,
     those with dots > 1e-6), then 5 x 5 cap grids about the best
-    direction, from the spiral spacing down to 1e-7 rad by factors of 4.
+    direction, from the spiral spacing down to 1e-7 rad by factors of 4;
+    each grid leaves out its centre, the best direction so far.
     The scan is the one call with rounds=_RANK_ROUNDS, whose cheaper
     values must never be below f's: they only pick the best row, which
     f then solves alone, with its dots from the scan, to seed the

@@ -25,7 +25,7 @@ from scipy.special import roots_legendre
 
 from .errors import QuadratureNotConverged
 
-# graded-ladder defaults
+# the graded ladders of every GradedGrid
 LADDER_LEVELS = 48
 LADDER_ORDER = 16
 DIVERGENCE_CAP = 1e8
@@ -123,7 +123,7 @@ class GradedGrid:
     vbar : support function value in the grid's direction.
     """
 
-    def __init__(self, s_break, marginal, vbar, levels=LADDER_LEVELS, order=LADDER_ORDER):
+    def __init__(self, s_break, marginal, vbar):
         s_break = np.asarray(s_break, dtype=float)
         if s_break[0] != 0.0 or np.any(np.diff(s_break) <= 0):
             raise ValueError("segment edges must increase from 0")
@@ -131,8 +131,8 @@ class GradedGrid:
         self.ladders = []
         for lo, hi in zip(s_break[:-1], s_break[1:]):
             half = 0.5 * (hi - lo)
-            self.ladders.append(_Ladder(lo, half, "down", levels, order))
-            self.ladders.append(_Ladder(hi, half, "up", levels, order))
+            self.ladders.append(_Ladder(lo, half, "down", LADDER_LEVELS, LADDER_ORDER))
+            self.ladders.append(_Ladder(hi, half, "up", LADDER_LEVELS, LADDER_ORDER))
         # innermost panel scale of the singular-end ladder; offsets below
         # ~2^7 of this are indistinguishable from 0 on the grid
         self.edge_tail = self.ladders[0].tail_width
@@ -142,7 +142,7 @@ class GradedGrid:
             raise ValueError("marginal must map s-array to same-shape array")
         self.w = np.concatenate([lad.w for lad in self.ladders]) * m
         # every ladder has the same levels x order nodes, level-major
-        self._shape = (len(self.ladders), levels, order)
+        self._shape = (len(self.ladders), LADDER_LEVELS, LADDER_ORDER)
         self._singular = np.array([lad.s0 == 0.0 for lad in self.ladders])
 
     def integrals(self, y):
@@ -192,7 +192,7 @@ class GradedGrid:
         return float(total[0])
 
     def power_kernel(self, d, beta, power):
-        """Integral of 1/(d + beta*s)^power against the marginal.
+        """Integral of 1/(d + beta*s)^power against the marginal, power 1 or 2.
 
         Covers the single directional integrals of the dispersion
         machinery: l (d=0, beta=1, power=1), j (d=0, beta=1, power=2),
@@ -204,7 +204,7 @@ class GradedGrid:
             return self.kernel_integral(lambda s: 1.0 / (d + beta * s))
         if power == 2:
             return self.kernel_integral(lambda s: 1.0 / (d + beta * s) ** 2)
-        return self.kernel_integral(lambda s: (d + beta * s) ** (-power))
+        raise ValueError("power must be 1 or 2")
 
     @cached_property
     def l(self):

@@ -20,7 +20,9 @@ _CHUNK_CELLS cells, which stay resident in L2 cache while the chunk is
 worked on. A chunk of C-contiguous rows is one flat array: its upwind
 differences are one shifted subtraction into the plan's scratch, after
 which the ghost column (first column for positive speeds, last for negative)
-is set from the boundary value.
+is set from the boundary value. The ghosts are fixed: LEFT_GHOST = 1 is the
+saturated state behind the front, RIGHT_GHOST = 0 the empty state ahead of
+it.
 
 The Heun step is linear in g at fixed rho, so it collapses to one per-column
 update g <- g (1 - hQ) + hP, with hQ and hP built from rho alone (the
@@ -31,9 +33,9 @@ unit total mass g == 1 and g == 0 stay exact fixed points.
 The clamp scan (a max and a min over each chunk) is skipped when it provably
 finds nothing. In floating point an upwind update g - nu (g - g') with
 |nu| <= 1/2 lies between g and g' (or the ghost value), and the reaction
-g keep + hP is monotone in g, so when both ghosts lie in [0, 1], keep >= 0,
-hP >= 0 and fl(keep + hP) <= 1 in every column (checked on those length-nx
-vectors), a step maps [0, 1] into itself. Every step leaves g in [0, 1],
+g keep + hP is monotone in g. Both ghosts lie in [0, 1], so when every
+|nu| <= 1/2 and keep >= 0, hP >= 0 and fl(keep + hP) <= 1 in every column
+(checked on those length-nx vectors), a step maps [0, 1] into itself. Every step leaves g in [0, 1],
 clamped or proven, so from its second step on a plan knows that g entered
 the step in [0, 1]; its first step always scans. Between steps, any write
 to g must keep it in [0, 1].
@@ -42,6 +44,9 @@ to g must keep it in [0, 1].
 import numpy as np
 
 _CHUNK_CELLS = 1 << 16  # 512 KiB of float64 per chunk, plus as much scratch
+# ghost values: saturated behind the front (left), empty ahead of it (right)
+LEFT_GHOST = 1.0
+RIGHT_GHOST = 0.0
 
 
 class StepPlan:
@@ -49,20 +54,18 @@ class StepPlan:
 
     nu_half (per-row Courant numbers of the half step) must be ascending;
     a ValueError is raised otherwise. masses are the per-row weights of
-    rho = masses @ g, r the growth rate, dt the step, left_val and
-    right_val the ghost values, nx the number of columns of g.
+    rho = masses @ g, r the growth rate, dt the step, nx the number of
+    columns of g.
     steps counts the steps taken, clamp_scans those that ran the clamp scan.
     """
 
-    def __init__(self, nu_half, masses, r, dt, left_val, right_val, nx):
+    def __init__(self, nu_half, masses, r, dt, nx):
         if np.any(nu_half[1:] < nu_half[:-1]):
             raise ValueError("nu_half must be in ascending order of speed")
         self.masses = masses
         self.mass_total = masses.sum()
         self.r = r
         self.dt = dt
-        self.left_val = left_val
-        self.right_val = right_val
         n_neg = int(np.searchsorted(nu_half, 0.0, "left"))
         n_pos = int(np.searchsorted(nu_half, 0.0, "right"))
         rows = max(1, _CHUNK_CELLS // nx)
@@ -82,26 +85,23 @@ class StepPlan:
                 d = scratch[o : o + (b - a) * nx]
                 self.chunks.append((a, b, sign, nu_half[a:b, None], d, d.reshape(b - a, nx)))
         self.rho, self.rho1, self.hq1, self.hp1, self.hq2, self.hp2 = np.empty((6, nx))
-        # the parts of the [0, 1] proof that do not change between steps
-        self.transport_bounded = (
-            0.0 <= left_val <= 1.0 and 0.0 <= right_val <= 1.0
-            and float(np.abs(nu_half).max()) <= 0.5
-        )
+        # the part of the [0, 1] proof that does not change between steps
+        self.transport_bounded = float(np.abs(nu_half).max()) <= 0.5
         self.entry_bounded = False  # g known to lie in [0, 1] on entry
         self.steps = 0
         self.clamp_scans = 0
 
 
-def _upwind(block, d, d2, nu, sign, left_val, right_val):
+def _upwind(block, d, d2, nu, sign):
     """One upwind half step, in place, on a block of rows sharing a speed
     sign, with its differences in the flat scratch view d (d2 in 2-D)."""
     flat = block.reshape(-1)
     if sign > 0:
         np.subtract(flat[1:], flat[:-1], out=d[1:])
-        np.subtract(block[:, 0], left_val, out=d2[:, 0])
+        np.subtract(block[:, 0], LEFT_GHOST, out=d2[:, 0])
     else:
         np.subtract(flat[1:], flat[:-1], out=d[:-1])
-        np.subtract(right_val, block[:, -1], out=d2[:, -1])
+        np.subtract(RIGHT_GHOST, block[:, -1], out=d2[:, -1])
     d2 *= nu
     block -= d2
 
@@ -114,7 +114,6 @@ def strang_step(g, plan):
     Returns (max_clamp_excess, n_clamped).
     """
     masses = plan.masses
-    left_val, right_val = plan.left_val, plan.right_val
     rho, rho1, hq1, hp1, hq2, hp2 = plan.rho, plan.rho1, plan.hq1, plan.hp1, plan.hq2, plan.hp2
     r, dt = plan.r, plan.dt
 
@@ -123,7 +122,7 @@ def strang_step(g, plan):
     for a, b, sign, nu, d, d2 in plan.chunks:
         block = g[a:b]
         if sign:
-            _upwind(block, d, d2, nu, sign, left_val, right_val)
+            _upwind(block, d, d2, nu, sign)
         np.matmul(masses[a:b], block, out=rho1)
         rho += rho1
 
@@ -175,7 +174,7 @@ def strang_step(g, plan):
         block *= keep
         block += hp
         if sign:
-            _upwind(block, d, d2, nu, sign, left_val, right_val)
+            _upwind(block, d, d2, nu, sign)
         if scan:
             hi = max(hi, float(block.max()))
             lo = min(lo, float(block.min()))

@@ -204,7 +204,7 @@ def run_front_experiment(model, r, config=None, e=None):
 
     masses = state.v_weights
     plan = kernels.StepPlan(state.v_nodes * (0.5 * dt / config.dx), masses,
-                            state.r, dt, 1.0, 0.0, nx)
+                            state.r, dt, nx)
     levels = sorted(set(_THRESHOLDS) | {config.threshold})
     times = []
     positions = {lev: [] for lev in levels}

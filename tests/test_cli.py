@@ -94,6 +94,13 @@ def test_parse_model_file_errors(tmp_path):
         "stray.model": "support = ball\ndensity = uniform\npoint = 1,0 : 1\n",
         "noeq.model": "support interval\n",
         "badpoint.model": "support = discrete\npoint = 1 0.5\n",
+        # values that do not parse as numbers of their key's kind
+        "badk.model": "support = interval\ndensity = power\nk = abc\n",
+        "fracdim.model": "support = ball\ndensity = uniform\ndim = 2.5\n",
+        "badweight.model": "support = discrete\npoint = 1 : abc\npoint = -1 : 0.5\n",
+        "bada.model": "support = interval\ndensity = uniform\na = x\n",
+        "badradius.model": "support = ball\ndensity = uniform\nradius = x\n",
+        "ragged.model": "support = discrete\npoint = 1,0 : 0.5\npoint = -1 : 0.5\n",
     }
     for fname, text in cases.items():
         path = tmp_path / fname
@@ -508,6 +515,15 @@ def test_model_file_drives_subcommands(capsys, tmp_path):
                            "--e", "0,1")
     assert code == 0
     np.testing.assert_allclose(json.loads(out)["l"], 2.0, atol=1e-6)
+
+
+def test_malformed_model_file_value_exits_2(capsys, tmp_path):
+    path = tmp_path / "bad.model"
+    path.write_text("support = interval\ndensity = power\nk = abc\n")
+    code, out, err = run_cli(capsys, "sing", "--model-file", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "k = 'abc'" in err
+    assert "Traceback" not in err
 
 
 def test_installed_entry_point_reports_version():

@@ -283,7 +283,7 @@ def test_discrete_h_rows_do_not_depend_on_the_batch(case):
     D = dots.T
     batch = kf.dispersion._discrete_h(w, D)
     for i, row in enumerate(D):
-        assert batch[i] == kf.dispersion._discrete_h(w, row)
+        assert batch[i] == kf.dispersion._discrete_h(w, row[None, :])[0]
 
 
 def _brent_h(m, p):
@@ -305,7 +305,7 @@ def _brent_h(m, p):
         return min(edge_kernel_integral(m, e, 1.0 + xi - mu, nrm, 1), 1e6) - 1.0
 
     eps = 1e-3 * (1.0 + nrm)
-    eps_min = nrm * m.directional_grid(e).edge_tail * 2.0**13
+    eps_min = nrm * m.grid.edge_tail * 2.0**13
     while f(mu - 1.0 + eps) <= 0.0:
         if eps <= eps_min:
             return mu - 1.0 + eps
@@ -332,7 +332,7 @@ def test_batched_h_matches_the_brent_solve(name):
     np.testing.assert_allclose(got, want, rtol=4.0 * np.finfo(float).eps, atol=1e-12)
     if name == "uniform-1d":
         # |p| = 50 sits on the eps_min floor: its root is below quadrature resolution
-        eps_min = 50.0 * m.directional_grid(P[-1]).edge_tail * 2.0**13
+        eps_min = 50.0 * m.grid.edge_tail * 2.0**13
         assert abs(P[-1, 0]) == 50.0 and got[-1] == 49.0 + eps_min
 
 

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 import kinfront as kf
 from kinfront.errors import ValidationError
-from kinfront.models import DensityFamily, edge_kernel_integral
+from kinfront.models import DensityFamily, edge_kernel_integral, j_integral, l_integral
 
 model = lru_cache(maxsize=None)(kf.preset)
 
@@ -42,6 +42,24 @@ def test_support_validation():
         kf.DiscreteSet([(1.0,), (0.5,)], [0.5, 0.5])  # mean 0.75
     with pytest.raises(ValidationError):
         kf.DiscreteSet([(1.0,), (-1.0,)], [1.5, -0.5])
+    # non-finite values fail where they are given, not later as a NaN mass
+    # or c* = inf; a zero weight does not hide a non-finite point
+    nan, inf = float("nan"), float("inf")
+    for bad in (
+        lambda: kf.DiscreteSet([(1.0,), (-1.0,)], [nan, 0.5]),
+        lambda: kf.DiscreteSet([(1.0,), (-1.0,)], [inf, 0.5]),
+        lambda: kf.DiscreteSet([(inf,), (-1.0,)], [0.5, 0.5]),
+        lambda: kf.DiscreteSet([(1.0,), (-1.0,), (-inf,)], [0.5, 0.5, 0.0]),
+        lambda: kf.DiscreteSet([(1.0,), (-1.0,), (nan,)], [0.5, 0.5, 0.0]),
+        lambda: kf.Ball(inf),
+        lambda: kf.Ball(nan),
+        lambda: kf.Ball(1.0, dim=2.5),
+        lambda: kf.Interval(-inf, 1.0),
+        lambda: kf.Interval(-1.0, inf),
+        lambda: kf.Interval(nan, 1.0),
+    ):
+        with pytest.raises(ValidationError):
+            bad()
 
 
 def test_discrete_set_drops_zero_weight_points():
@@ -165,23 +183,23 @@ def test_density_family_validation():
         DensityFamily("gaussian")
     with pytest.raises(ValidationError):
         DensityFamily("power", -1.0)
+    with pytest.raises(ValidationError):
+        DensityFamily("power", float("nan"))
 
 
-def test_directional_grid_is_cached_per_direction():
-    m = model("quadratic-1d")
-    e = np.array([1.0])
-    assert m.directional_grid(e) is m.directional_grid(e)
-    assert model("two-speed").directional_grid(np.array([1.0])) is None
-    # one grid serves every direction of a continuum model, -e included
-    for name in ("uniform-1d", "quadratic-1d"):
-        m = model(name)
-        assert m.directional_grid(-e) is m.directional_grid(e)
+def test_continuum_model_has_one_grid_for_every_direction():
+    # the grid built at construction serves every direction: l and j are
+    # its values along any e, -e included; an atom set has no grid
+    assert model("two-speed").grid is None
     rng = np.random.default_rng(3)
-    for name in ("uniform-ball:2", "uniform-ball:3"):
+    for name in ("uniform-1d", "quadratic-1d", "uniform-ball:2", "uniform-ball:3"):
         m = model(name)
-        grid = m.directional_grid(np.eye(m.dim)[0])
+        grid = m.grid
+        assert grid.vbar == m.v_max
         for d in rng.normal(size=(5, m.dim)):
-            assert m.directional_grid(d) is grid and m.directional_grid(-d) is grid
+            for e in (d, -d):
+                assert l_integral(m, e) == grid.l and j_integral(m, e) == grid.j
+                assert m.grid is grid
 
 
 def test_arg_mu_extremal_velocities():

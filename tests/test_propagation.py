@@ -279,7 +279,7 @@ def test_zoom_min_evaluates_each_abscissa_once(monkeypatch, case):
     zoom = kf.dispersion._zoom_min
     sizes = []
 
-    def checked(f, lo, hi, rounds=6, n=65):
+    def checked(f, lo, hi, rounds, n):
         rows, xs_seen = [], []
 
         def recorded(xs, sel):

@@ -78,7 +78,7 @@ def test_saturated_region_remains_saturated():
     state = kf.initial_front_state(model("uniform-1d"), 1.0, config=config)
     g, dt = state.g, 0.01
     plan = kernels.StepPlan(state.v_nodes * (0.5 * dt / state.dx), state.v_weights,
-                            state.r, dt, 1.0, 0.0, state.nx)
+                            state.r, dt, state.nx)
     for _ in range(40):
         kernels.strang_step(g, plan)
     rho = state.rho

@@ -29,7 +29,7 @@ from .quadrature import FAILURES
 # sits on a measure-zero boundary in r, the tolerance makes it observable
 DERIV_TOL = 1e-6
 LAMBDA_CAP = 1e3
-# log-spaced decay rates of the minimal-speed scan and of the sampled curve
+# log-spaced decay rates of the curve that minimal_speed samples
 N_SCAN = 64
 _I_CAP = 1e6
 
@@ -215,8 +215,7 @@ def _discrete_h(weights, dots):
 
     dots is an (m, k) matrix: row i holds the projections v . p of the k
     atoms on the i-th frequency p, and the m rows are solved together (the
-    direction scans and the speed-curve zooms batch their frequency grids
-    here). Returns the m roots; solving the matrix gives bit for bit what
+    direction scans batch the decay rates of all their rays here). Returns the m roots; solving the matrix gives bit for bit what
     solving each row alone gives.
     """
     # row-major, so that every row is reduced in the same order
@@ -245,40 +244,50 @@ def _atom_dots(points, E):
     return dots
 
 
-def _spaced(lo, hi, n):
-    """Row-wise np.linspace(lo[i], hi[i], n), rounded exactly as it rounds."""
-    pts = np.arange(n) * ((hi - lo) / (n - 1))[:, None] + lo[:, None]
-    pts[:, -1] = hi
-    return pts
-
-
 # matrix entries per _discrete_h call in _h_rays: a few MB of temporaries
 _H_CHUNK = 2**18
 
 
 def _h_rays(model, scales, E):
-    """H at the frequencies scales[i, j] * E[i] on k rays, shaped like scales.
+    """H and dH/dbeta at the frequencies scales[i, j] * E[i] on k rays.
 
     E holds the k unit directions and scales (k, n) the frequency
-    magnitudes along each. On an atom set the (k n, atoms) matrix of
-    scales times the atoms' projections on E goes to _discrete_h in row
-    chunks of about _H_CHUNK entries, so sets with many atoms keep their
-    temporaries small; a continuum model solves all k n frequencies in
-    one _h_value call. A ray's H does not depend on the other rays, nor
-    on the chunking.
+    magnitudes beta along each; both arrays are shaped like scales. On
+    the regular branch dH/dbeta = vbar - <s>, the mean of
+    s = vbar - v.e under q = M / D^2 with D = 1 + H - beta v.e, from
+    differentiating the dispersion relation; on the singular branch
+    H = beta vbar - 1 and dH/dbeta = vbar.
+
+    On an atom set the (k n, atoms) matrix of scales times the atoms'
+    projections on E goes to _discrete_h in row chunks of about _H_CHUNK
+    entries, so sets with many atoms keep their temporaries small, and
+    <s> is a sum over the atoms; a continuum model solves all k n
+    frequencies in one _h_value call and takes <s> from _edge_mean. A
+    ray's values do not depend on the other rays, nor on the chunking.
     """
     k, n = scales.shape
     if not model.is_discrete:
         Q = scales[:, :, None] * E[:, None, :]
-        return hamiltonian_values(model, Q.reshape(-1, model.dim)).reshape(k, n)
+        H, regular, _, nrm, t = _h_value(model, Q.reshape(-1, model.dim))
+        dH = np.full(H.size, model.grid.vbar)
+        reg = np.flatnonzero(regular & (nrm > 0.0))
+        if reg.size:
+            dH[reg] -= _edge_mean(model.grid, t[reg], nrm[reg])
+        return H.reshape(k, n), dH.reshape(k, n)
     dots = _atom_dots(model.support.points, E)
+    vbar = dots.max(axis=1)
+    s = vbar[:, None] - dots
+    w = model.support.weights
     atoms = dots.shape[1]
-    out = np.empty((k, n))
+    H, dH = np.empty((k, n)), np.empty((k, n))
     rays = max(1, _H_CHUNK // (n * atoms))
     for i in range(0, k, rays):
         X = scales[i : i + rays, :, None] * dots[i : i + rays, None, :]
-        out[i : i + rays] = _discrete_h(model.support.weights, X.reshape(-1, atoms)).reshape(-1, n)
-    return out
+        h = _discrete_h(w, X.reshape(-1, atoms)).reshape(-1, n)
+        q = w / (1.0 + h[:, :, None] - X) ** 2
+        H[i : i + rays] = h
+        dH[i : i + rays] = vbar[i : i + rays, None] - (q * s[i : i + rays, None, :]).sum(axis=2) / q.sum(axis=2)
+    return H, dH
 
 
 def _ray_edges(model, E):
@@ -291,16 +300,6 @@ def _ray_edges(model, E):
     if model.is_discrete:
         return _atom_dots(model.support.points, E).max(axis=1), np.full(len(E), np.inf)
     return np.full(len(E), model.grid.vbar), np.full(len(E), model.grid.l)
-
-
-def _zoom_shape(model, rounds=None):
-    """(rounds, points) of _zoom_min over decay rates: atom sets batch many cheap rays.
-
-    rounds, when given, replaces the full count: fewer rounds see a
-    subset of the full zoom's points, for solves that only rank rows.
-    """
-    full, points = (6, 65) if model.is_discrete else (10, 17)
-    return rounds or full, points
 
 
 def _edge_roots(grid, beta):
@@ -330,23 +329,42 @@ def _edge_roots(grid, beta):
     return _newton_rows(1e-3 * (1.0 + beta), evaluate, eps_min)
 
 
+def _edge_mean(grid, t, beta):
+    """The mean of s under q = mbar(s) / (t + beta s)^2 on one continuum grid, per row.
+
+    t holds the offsets that _edge_roots solves for, at the magnitudes
+    beta, so t + beta s is the denominator D of the dispersion relation
+    without the cancellation of forming it from H. Both moments of q come
+    from one GradedGrid.integrals pass, tails included, as in
+    speed_derivative_left; a divergent mass of q gives the mean 0.
+    """
+    rec = 1.0 / (t[:, None] + beta[:, None] * grid.s)
+    q = rec * rec * grid.w
+    total, fail = grid.integrals(np.vstack([q, q * grid.s]))
+    if fail.any():
+        raise QuadratureNotConverged(FAILURES[fail[fail > 0][0]])
+    return total[t.size :] / total[: t.size]
+
+
 def _h_value(model, P):
     """H at the rows of P (shape (m, dim)): the one H solver for every model.
 
-    Returns the arrays (H, regular, lval, nrm) over the rows. Atom
+    Returns the arrays (H, regular, lval, nrm, t) over the rows. Atom
     sets go to _discrete_h. On a continuum model every row p != 0 is
     solved on the model's one grid, which gives vbar(e) and l(e): a
     singular row, l(e) <= |p|, gets mu - 1, the others
-    mu - 1 + _edge_roots. A row's H does not depend on the batch.
+    mu - 1 + t with t from _edge_roots. t is 0 on the other rows and on
+    atom sets. A row's H does not depend on the batch.
     """
     P, nrm = _rows(model, P)
     m = nrm.size
     regular = np.ones(m, dtype=bool)
     lval = np.full(m, np.inf)
+    t = np.zeros(m)
     if model.is_discrete:
         dots = _atom_dots(model.support.points, P)
         H = np.where(nrm > 0.0, _discrete_h(model.support.weights, dots), 0.0)
-        return H, regular, lval, nrm
+        return H, regular, lval, nrm, t
     H = np.zeros(m)
     live = np.flatnonzero(nrm > 0.0)
     if live.size:
@@ -356,8 +374,9 @@ def _h_value(model, P):
         H[live] = nrm[live] * grid.vbar - 1.0  # mu - 1
         reg = live[regular[live]]
         if reg.size:
-            H[reg] += _edge_roots(grid, nrm[reg])
-    return H, regular, lval, nrm
+            t[reg] = _edge_roots(grid, nrm[reg])
+            H[reg] += t[reg]
+    return H, regular, lval, nrm, t
 
 
 def hamiltonian_values(model, P):
@@ -377,7 +396,7 @@ def hamiltonian(model, p):
     the batched solver _h_value with one row. Singular p: H = mu(p) - 1
     with Dirac weight 1 - l/|p| placed at the canonical maximizer of v.p.
     """
-    H, regular, lval, nrm = (float(a[0]) for a in _h_value(model, p))
+    H, regular, lval, nrm, _ = (float(a[0]) for a in _h_value(model, p))
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if not regular:
         weight = max(1.0 - lval / nrm, 0.0)
@@ -428,66 +447,51 @@ def speed_derivative_left(model, r, e, lam, c=None):
     return (1.0 - 1.0 / ((1.0 + r) * jcal)) / lam**2
 
 
-def _zoom_min(f, lo, hi, rounds, n):
-    """Minimize k unimodal functions at once, on the brackets [lo, hi].
+def _bracket_roots(f, lo, hi, flo, fhi):
+    """Roots of k functions at once, by Chandrupatla's method.
 
-    f(xs, rows) maps an array xs of abscissae, its row i lying in the
-    bracket rows[i], to the values of those rows' functions there. Each
-    round spaces n points (n odd) per row and keeps the two intervals
-    around the row's smallest value, shrinking the bracket by (n-1)/2.
-    This is the package's one minimiser. The batched scans over many
-    atom-set rays take 6 rounds of 65 points; a single angle bracket or
-    a continuum H solve takes 10 rounds of 17, the same 1e9 shrink for
-    at most 152 evaluations instead of 380 (a continuum minimal speed
-    then takes about 40 ms instead of 80 to 130 on a 2-core x86-64
-    host). _zoom_shape makes this choice over decay rates. Returns the
-    arrays (x, f(x)) of the smallest values seen.
-
-    f sees each abscissa of a row at most once. A round's bracket ends
-    are points of the round before (_spaced reproduces lo and hi
-    exactly), and its middle point often rounds onto the abscissa of an
-    earlier round's smallest value; those values are carried over. f
-    must give each (row, abscissa) the same value in any batch, as every
-    H solve here does, so the results are those of evaluating every
-    point.
+    Row i's function takes the values flo[i] and fhi[i], of opposite
+    signs, at the ends of its bracket [lo[i], hi[i]]. f(x, rows) maps
+    abscissae x, x[i] inside the bracket of row rows[i], to the pair
+    (values, data) of those rows' functions there. Each step interpolates
+    inverse-quadratically through the row's last three points when their
+    values allow it and bisects otherwise, keeping half the tolerance
+    4 eps |x| + 1e-12 inside the bracket. A row stops at a zero value or
+    once its bracket is narrower than the tolerance, so its root does not
+    depend on the other rows. Returns each row's last abscissa, which is
+    within the tolerance of the sign change, and the data f gave there.
     """
-    best_x, best_f = lo.copy(), np.full(lo.size, np.inf)
-    idx = np.arange(lo.size)
-    mid = n // 2
-    fresh = np.r_[1:mid, mid + 1 : n - 1]
-    # each round's smallest value and its abscissa, per row
-    past_x = past_f = np.empty((lo.size, 0))
-    fs = None
-    for _ in range(rounds):
-        xs = _spaced(lo, hi, n)
-        if fs is None:
-            fs = f(xs, idx)
-        else:
-            prev = fs
-            fs = np.empty_like(xs)
-            fs[:, 0], fs[:, -1] = prev[idx, left], prev[idx, right]
-            seen = xs[:, mid, None] == past_x
-            again = seen.any(axis=1)
-            if again.any():
-                fs[again, mid] = past_f[again, np.argmax(seen[again], axis=1)]
-                fs[:, fresh] = f(xs[:, fresh], idx)
-                new = np.flatnonzero(~again)
-                if new.size:
-                    fs[new, mid] = f(xs[new, mid : mid + 1], new)[:, 0]
-            else:
-                fs[:, 1:-1] = f(xs[:, 1:-1], idx)
-        j = np.argmin(fs, axis=1)
-        xj, fj = xs[idx, j], fs[idx, j]
-        past_x, past_f = np.column_stack([past_x, xj]), np.column_stack([past_f, fj])
-        better = fj < best_f
-        best_x = np.where(better, xj, best_x)
-        best_f = np.where(better, fj, best_f)
-        left, right = np.maximum(j - 1, 0), np.minimum(j + 1, n - 1)
-        lo, hi = xs[idx, left], xs[idx, right]
-    return best_x, best_f
+    x1, f1, x2, f2 = lo.copy(), flo.copy(), hi.copy(), fhi.copy()
+    x3, f3 = x2.copy(), f2.copy()
+    data = np.empty(lo.size)
+    t = np.full(lo.size, 0.5)
+    live = np.arange(lo.size)
+    for _ in range(100):
+        x = x1[live] + t[live] * (x2[live] - x1[live])
+        fx, data[live] = f(x, live)
+        # x1 is the newest point, and x2 keeps the sign opposite to it
+        flip = live[np.sign(fx) != np.sign(f1[live])]
+        x3[live], f3[live] = x1[live], f1[live]
+        x3[flip], f3[flip] = x2[flip], f2[flip]
+        x2[flip], f2[flip] = x1[flip], f1[flip]
+        x1[live], f1[live] = x, fx
+        width = np.abs(x2[live] - x1[live])
+        tol = 4.0 * np.finfo(float).eps * np.abs(x) + 1e-12
+        go = (fx != 0.0) & (width > tol)
+        live, width, tol = live[go], width[go], tol[go]
+        if live.size == 0:
+            break
+        a1, a2, a3, b1, b2, b3 = x1[live], x2[live], x3[live], f1[live], f2[live], f3[live]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi, phi = (a1 - a2) / (a3 - a2), (b1 - b2) / (b3 - b2)
+            iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+            step = b1 / (b1 - b2) * b3 / (b3 - b2) - (a3 - a1) / (a2 - a1) * b1 / (b3 - b1) * b2 / (b2 - b3)
+        edge = 0.5 * tol / width
+        t[live] = np.clip(np.where(iqi, step, 0.5), edge, 1.0 - edge)
+    return x1, data
 
 
-def _min_speeds(model, r, E, rounds=None):
+def _min_speeds(model, r, E):
     """Minimal speeds c*(e) on the unit rows of E, for any velocity set.
 
     Returns the arrays (c_star, lambda_star, lambda_tilde, dleft, case)
@@ -498,14 +502,15 @@ def _min_speeds(model, r, E, rounds=None):
       takes dleft from speed_derivative_left at that c; within DERIV_TOL
       of 0 (Case3) or below it (Case4) the minimum sits at the kink,
       c_star = c(lambda_tilde), lambda_star = lambda_tilde;
-    - the other rows scan N_SCAN log-spaced rates up to lambda_tilde,
-      or up to LAMBDA_CAP where it is +inf (Case1);
-    - a Case1 row whose scan still falls at the cap takes the sign of
-      c'(LAMBDA_CAP-) from speed_derivative_left: negative is the
-      ballistic limit c_star = vbar(e), lambda_star = +inf;
-    - _zoom_min refines the remaining rows about their scan's minimum,
-      in rounds rounds when given (_zoom_shape): fewer rounds give a c*
-      never below the full one, which serves to rank rows.
+    - below the kink H is convex, so c' changes sign once, like
+      lambda^2 c' = lambda (dH/dbeta - c) (_h_rays). The other rows take
+      it at 1e-3 and at hi, LAMBDA_CAP where lambda_tilde is +inf
+      (Case1), or lambda_tilde approached from the left, where dleft is
+      known. A Case1 row still falling at the cap is the ballistic
+      limit c_star = vbar(e), lambda_star = +inf. A row already rising
+      at 1e-3 moves that end down by factors of 1000 until c' < 0 there,
+      or to 1e-12, where the minimum is taken;
+    - _bracket_roots solves c' = 0 in log lambda on the remaining rows.
     A row's values do not depend on the other rows.
     """
     vbar, lval = _ray_edges(model, E)
@@ -514,13 +519,15 @@ def _min_speeds(model, r, E, rounds=None):
     c_star, lam_star, dleft = np.empty(k), np.full(k, np.inf), np.full(k, np.nan)
     case = np.where(np.isinf(lam_tilde), "Case1", "Case2")
 
-    def cvals(lams, rows):
-        H = _h_rays(model, lams / (1.0 + r), E[rows])
-        return ((1.0 + r) * H + r) / lams
+    def curve(lams, rows):
+        # c and lambda^2 c' at the rates lams, shaped like lams
+        H, dH = _h_rays(model, lams / (1.0 + r), E[rows])
+        c = ((1.0 + r) * H + r) / lams
+        return c, lams * (dH - c)
 
     kinked = np.flatnonzero(np.isfinite(lam_tilde))
     if kinked.size:
-        c_star[kinked] = cvals(lam_tilde[kinked, None], kinked)[:, 0]
+        c_star[kinked] = curve(lam_tilde[kinked, None], kinked)[0][:, 0]
         dleft[kinked] = [speed_derivative_left(model, r, E[i], lam_tilde[i], c=c_star[i]) for i in kinked]
     case[kinked[np.abs(dleft[kinked]) <= DERIV_TOL]] = "Case3"
     case[kinked[dleft[kinked] <= -DERIV_TOL]] = "Case4"
@@ -530,25 +537,31 @@ def _min_speeds(model, r, E, rounds=None):
     rows = np.setdiff1d(np.arange(k), kink)
     if rows.size == 0:
         return c_star, lam_star, lam_tilde, dleft, case
-    grid = np.geomspace(1e-3, np.where(np.isinf(lam_tilde), LAMBDA_CAP, lam_tilde)[rows], N_SCAN, axis=1)
-    scan = cvals(grid, rows)
-    m = np.argmin(scan, axis=1)
-    # a Case1 curve still falling at the cap: a minimum hiding near it, or
-    # a curve that decreases toward its ballistic limit forever
-    top = np.flatnonzero(np.isinf(lam_tilde[rows]) & (m == N_SCAN - 1))
-    down = np.array(
-        [j for j in top if speed_derivative_left(model, r, E[rows[j]], LAMBDA_CAP, c=scan[j, -1]) < 0.0],
-        dtype=int,
-    )
+    capped = np.isinf(lam_tilde[rows])
+    lo, hi = np.full(rows.size, 1e-3), np.where(capped, LAMBDA_CAP, lam_tilde[rows])
+    c, slope = curve(np.column_stack([lo, hi]), rows)
+    slope[~capped, 1] = dleft[rows[~capped]] * hi[~capped] ** 2
+    down = slope[:, 1] < 0.0
     c_star[rows[down]] = vbar[rows[down]]
-    keep = np.setdiff1d(np.arange(rows.size), down)
-    rows, grid, m = rows[keep], grid[keep], m[keep]
-    if rows.size:
-        idx = np.arange(rows.size)
-        lo = np.where(m > 0, grid[idx, m - 1], 0.5 * grid[:, 0])
-        hi = grid[idx, np.minimum(m + 1, N_SCAN - 1)]
-        zoom = _zoom_min(lambda lams, sel: cvals(lams, rows[sel]), lo, hi, *_zoom_shape(model, rounds))
-        lam_star[rows], c_star[rows] = zoom
+    # a curve already rising at 1e-3 (r below about 1e-6) has its minimum
+    # lower down: the bracket's end steps down by factors of 1000
+    low = np.flatnonzero(~down & (slope[:, 0] >= 0.0))
+    while low.size:
+        lo[low] *= 1e-3
+        c[low, :1], slope[low, :1] = curve(lo[low, None], rows[low])
+        low = low[(slope[low, 0] >= 0.0) & (lo[low] > 1e-12)]
+    low = ~down & (slope[:, 0] >= 0.0)
+    c_star[rows[low]], lam_star[rows[low]] = c[low, 0], lo[low]
+    mid = ~down & ~low
+    if mid.any():
+        sel = rows[mid]
+
+        def root(x, i):
+            c, slope = curve(np.exp(x)[:, None], sel[i])
+            return slope[:, 0], c[:, 0]
+
+        x, c_star[sel] = _bracket_roots(root, np.log(lo[mid]), np.log(hi[mid]), slope[mid, 0], slope[mid, 1])
+        lam_star[sel] = np.exp(x)
     return c_star, lam_star, lam_tilde, dleft, case
 
 
@@ -568,11 +581,13 @@ def minimal_speed(model, r, e, sample=True):
     minimal-speed solver of every velocity set: with a finite
     lambda_tilde the sign of the left derivative there decides between
     an interior minimum (Case2) and a minimum at the kink (Case3 if the
-    derivative vanishes within DERIV_TOL, Case4 if negative). With
-    lambda_tilde = +inf (Case1) the scan is capped at LAMBDA_CAP; a
-    curve still decreasing at the cap is reported as the ballistic
-    limit c_star = vbar(e), lambda_star = inf. With sample, the curve is
-    also sampled on N_SCAN log-spaced rates, refined about lambda_star.
+    derivative vanishes within DERIV_TOL, Case4 if negative). An
+    interior minimum is the root of c' in log lambda, bracketed by
+    [1e-3, lambda_tilde) or, with lambda_tilde = +inf (Case1), by
+    [1e-3, LAMBDA_CAP]; a Case1 curve still decreasing at the cap is
+    reported as the ballistic limit c_star = vbar(e),
+    lambda_star = inf. With sample, the curve is also sampled on N_SCAN
+    log-spaced rates, refined about lambda_star.
     """
     _positive(r, "growth rate r")
     e = _unit(model, e)

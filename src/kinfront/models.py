@@ -91,7 +91,8 @@ class Ball:
 
     def __post_init__(self):
         _positive(self.radius, "ball radius")
-        if self.dim not in (1, 2, 3):
+        # an integer type: a float such as 2.0 would pass the test below
+        if not isinstance(self.dim, (int, np.integer)) or self.dim not in (1, 2, 3):
             raise ValidationError("ball dimension must be 1, 2 or 3")
 
     @property

@@ -20,13 +20,14 @@ pass it to nullset_radius: it only narrows the bracket, and the root is
 still certified by a sign change of the conjugate, so a wrong speed
 falls back to the full bracket instead of becoming the radius.
 
-L and w* are searches over directions, as the minimum over e need not
-be set by a first-order condition: a scan, then a refinement about the
-scan's best row. The scan only picks where the refinement works, so its
-rows are ranked with _RANK_ROUNDS-round solves, which see a subset of
-the full solve's points; the chosen row, the refinement and the extra
-candidates are solved in full. An output then differs from that of a
-scan solved in full only where the cheap ranking picks another row.
+Along one direction both optima over decay rates are first-order
+points: below the critical decay H is convex, so g' and c' change sign
+once, and each ray's sup and each direction's c* is one bracketed root
+(dispersion._bracket_roots), unless it sits at an end of its bracket.
+Over directions the minimum need not be set by a first-order condition,
+so L and w* are searches over directions: a scan, then a refinement
+about the scan's best row (an angle zoom in 2-D, shrinking direction
+grids in 3-D), every row solved in full.
 """
 
 import functools
@@ -39,12 +40,11 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .dispersion import (
     _atom_dots,
+    _bracket_roots,
     _h_rays,
     _min_speeds,
     _ray_edges,
     _rows,
-    _zoom_min,
-    _zoom_shape,
 )
 from .errors import ValidationError
 from .models import _positive, _unit
@@ -55,8 +55,6 @@ _LAM_FLOOR = 1e-8
 _LAM_CEIL = 2.0**24
 # relative half-width of the bracket about a known speed in nullset_radius
 _SEED_REL = 1e-6
-# zoom rounds of the solves that only rank the rows of a direction scan
-_RANK_ROUNDS = 2
 
 
 def _is_radial(model):
@@ -65,20 +63,23 @@ def _is_radial(model):
     return not model.is_discrete and model.dim >= 2
 
 
-def _ray_sups(model, r, E, a, rounds=None):
+def _ray_sups(model, r, E, a):
     """sup over lam >= 0 of g(lam) = lam*a - (1+r)H(lam*e/(1+r)) - r, on k rays.
 
     The rays are the pairs (E[i], a[i]). +inf where a[i] > vbar(E[i]):
     past the reachable cone the singular branch grows without bound.
     Otherwise g is concave, and its sup lies in (0, lambda_tilde(e)]
     when that is finite (beyond it the branch is linear with slope
-    a - vbar <= 0); else the window [0, hi] grows from hi = 64 by
-    factors of 4 while g still rises at hi. _zoom_min, shaped by
-    _zoom_shape as for the minimal speeds, then pins the maximum to
-    ~1e-9 of the window, or in rounds rounds when given (_zoom_shape),
-    which gives a sup never above the full one. Each step is one batched
-    _h_rays solve over all rays, for any velocity set, and a ray's value
-    does not depend on the other rays.
+    a - vbar <= 0); else in the window [0, hi], which grows from hi = 64
+    by factors of 4, up to _LAM_CEIL, while g still rises at hi. The
+    sup is the root of g' = a - dH/dbeta (from _h_rays) on
+    [_LAM_FLOOR, hi], by _bracket_roots in log lam, unless g' <= 0 at
+    the floor (the sup is g there) or g' >= 0 at hi (the sup is g(hi)).
+    At lambda_tilde g' is taken from the left, a - vbar + l/j: the mean
+    of s that dH/dbeta subtracts from vbar tends to l/j as D -> beta s.
+    Each step is one batched _h_rays solve over the rays it concerns, for
+    any velocity set, and a ray's value does not depend on the other
+    rays.
     """
     E = np.atleast_2d(E)
     a = np.asarray(a, dtype=float)
@@ -87,25 +88,35 @@ def _ray_sups(model, r, E, a, rounds=None):
     rows = np.flatnonzero(~(a > vbar + 1e-12 * (1.0 + np.abs(vbar))))
     if rows.size == 0:
         return out
-    E, a = E[rows], a[rows]
+    E, a, vbar, lval = E[rows], a[rows], vbar[rows], lval[rows]
     scale = 1.0 / (1.0 + r)
 
-    def g(lams, sel=slice(None)):
-        return lams * a[sel, None] - (1.0 + r) * _h_rays(model, lams * scale, E[sel]) - r
+    def g(lams, sel):
+        # g and g' at the rates lams, shaped like lams
+        H, dH = _h_rays(model, lams * scale, E[sel])
+        return lams * a[sel, None] - (1.0 + r) * H - r, a[sel, None] - dH
 
-    hi = (1.0 + r) * lval[rows]
-    grow = np.flatnonzero(np.isinf(hi))
-    hi[grow] = 64.0
-    if grow.size:
-        pair = g(np.column_stack([0.5 * hi[grow], hi[grow]]), grow)
-        grow = grow[pair[:, 1] > pair[:, 0]]
+    lo, hi = np.full(rows.size, _LAM_FLOOR), (1.0 + r) * lval
+    kinked = np.isfinite(hi)
+    hi[~kinked] = 64.0
+    val, slope = g(np.column_stack([lo, hi]), np.arange(rows.size))
+    if kinked.any():
+        slope[kinked, 1] = a[kinked] - vbar[kinked] + lval[kinked] / model.grid.j
+    grow = np.flatnonzero(~kinked & (slope[:, 1] > 0.0))
     while grow.size:
         hi[grow] *= 4.0
-        pair = g(np.column_stack([0.25 * hi[grow], hi[grow]]), grow)
-        grow = grow[(pair[:, 1] > pair[:, 0]) & (hi[grow] < _LAM_CEIL)]
-    lo = np.full(rows.size, _LAM_FLOOR)
-    _, neg = _zoom_min(lambda lams, sel: -g(lams, sel), lo, hi, *_zoom_shape(model, rounds))
-    out[rows] = -neg
+        val[grow, 1:], slope[grow, 1:] = g(hi[grow, None], grow)
+        grow = grow[(slope[grow, 1] > 0.0) & (hi[grow] < _LAM_CEIL)]
+    sups = np.where(slope[:, 0] <= 0.0, val[:, 0], val[:, 1])
+    mid = np.flatnonzero((slope[:, 0] > 0.0) & (slope[:, 1] < 0.0))
+    if mid.size:
+
+        def root(x, i):
+            val, slope = g(np.exp(x)[:, None], mid[i])
+            return slope[:, 0], val[:, 0]
+
+        sups[mid] = _bracket_roots(root, np.log(lo[mid]), np.log(hi[mid]), slope[mid, 0], slope[mid, 1])[1]
+    out[rows] = sups
     return out
 
 
@@ -139,15 +150,80 @@ def _dots(D, pole):
     return _atom_dots(pole[None, :], D)[:, 0]
 
 
+def _spaced(lo, hi, n):
+    """Row-wise np.linspace(lo[i], hi[i], n), rounded exactly as it rounds."""
+    pts = np.arange(n) * ((hi - lo) / (n - 1))[:, None] + lo[:, None]
+    pts[:, -1] = hi
+    return pts
+
+
+def _zoom_min(f, lo, hi):
+    """Minimize k unimodal functions at once, on the brackets [lo, hi].
+
+    f(xs, rows) maps an array xs of abscissae, its row i lying in the
+    bracket rows[i], to the values of those rows' functions there. Each
+    of 10 rounds spaces 17 points per row and keeps the two intervals
+    around the row's smallest value, shrinking the bracket by 8, about
+    1e9 in all. It serves the 2-D angle zoom of _direction_min: a
+    minimum over directions need not be a first-order point (it can sit
+    at a corner of c*(e)/(e.e0)), so it is bracketed by values, not by a
+    sign change of a derivative. Returns the arrays (x, f(x)) of the
+    smallest values seen.
+
+    f sees each abscissa of a row at most once. A round's bracket ends
+    are points of the round before (_spaced reproduces lo and hi
+    exactly), and its middle point often rounds onto the abscissa of an
+    earlier round's smallest value; those values are carried over. f
+    must give each (row, abscissa) the same value in any batch, as every
+    H solve here does, so the results are those of evaluating every
+    point.
+    """
+    rounds, n = 10, 17
+    best_x, best_f = lo.copy(), np.full(lo.size, np.inf)
+    idx = np.arange(lo.size)
+    mid = n // 2
+    fresh = np.r_[1:mid, mid + 1 : n - 1]
+    # each round's smallest value and its abscissa, per row
+    past_x = past_f = np.empty((lo.size, 0))
+    fs = None
+    for _ in range(rounds):
+        xs = _spaced(lo, hi, n)
+        if fs is None:
+            fs = f(xs, idx)
+        else:
+            prev = fs
+            fs = np.empty_like(xs)
+            fs[:, 0], fs[:, -1] = prev[idx, left], prev[idx, right]
+            seen = xs[:, mid, None] == past_x
+            again = seen.any(axis=1)
+            if again.any():
+                fs[again, mid] = past_f[again, np.argmax(seen[again], axis=1)]
+                fs[:, fresh] = f(xs[:, fresh], idx)
+                new = np.flatnonzero(~again)
+                if new.size:
+                    fs[new, mid] = f(xs[new, mid : mid + 1], new)[:, 0]
+            else:
+                fs[:, 1:-1] = f(xs[:, 1:-1], idx)
+        j = np.argmin(fs, axis=1)
+        xj, fj = xs[idx, j], fs[idx, j]
+        past_x, past_f = np.column_stack([past_x, xj]), np.column_stack([past_f, fj])
+        better = fj < best_f
+        best_x = np.where(better, xj, best_x)
+        best_f = np.where(better, fj, best_f)
+        left, right = np.maximum(j - 1, 0), np.minimum(j + 1, n - 1)
+        lo, hi = xs[idx, left], xs[idx, right]
+    return best_x, best_f
+
+
 def _direction_min(f, pole, n, half=False, extra=None):
     """Smallest value of f over the unit directions, or with half over
     the open hemisphere about the pole: the one direction search.
 
-    f(D, dots, rounds=None) maps unit rows D and their dot products
-    with the pole to values; each step below is one call. The dots are
-    summed coordinate by coordinate (_dots), so a row's dot is the same
-    in any batch. pole is nonzero, and unit with half, where dots is
-    cos(offset) on the half circle.
+    f(D, dots) maps unit rows D and their dot products with the pole to
+    values; each step below is one call. The dots are summed coordinate
+    by coordinate (_dots), so a row's dot is the same in any batch. pole
+    is nonzero, and unit with half, where dots is cos(offset) on the half
+    circle.
     2-D: n angles (2 pi k / n, or with half the cell midpoints of the
     offsets from the pole in (-pi/2, pi/2)), then ten _zoom_min rounds
     about the best one; with half the bracket stops 1e-9 short of the
@@ -156,13 +232,9 @@ def _direction_min(f, pole, n, half=False, extra=None):
     pole's direction and a Fibonacci spiral of 2n directions (with half,
     those with dots > 1e-6), then 5 x 5 cap grids about the best
     direction, from the spiral spacing down to 1e-7 rad by factors of 4;
-    each grid leaves out its centre, the best direction so far.
-    The scan is the one call with rounds=_RANK_ROUNDS, whose cheaper
-    values must never be below f's: they only pick the best row, which
-    f then solves alone, with its dots from the scan, to seed the
-    smallest value. A scan whose best value is -inf returns it at once.
-    The rows of extra are candidates too, taken last, except one that
-    repeats the scan's best row.
+    each grid leaves out its centre, the best direction so far. A scan
+    whose best value is -inf returns it at once. The rows of extra are
+    candidates too, taken last, except those the scan already holds.
     """
     if pole.size == 2:
         if half:
@@ -186,18 +258,17 @@ def _direction_min(f, pole, n, half=False, extra=None):
             return D, dots
 
     D, dots = g(scan)
-    vals = f(D, dots, _RANK_ROUNDS)
+    vals = f(D, dots)
     k = int(np.argmin(vals))
-    best, center = float(vals[k]), D[k]
+    best, scanned = float(vals[k]), D
     if best == -np.inf:
         return best
-    best = float(f(D[k : k + 1], dots[k : k + 1])[0])
     if pole.size == 2:
         lo, hi = scan[k] - span, scan[k] + span
         if half:
             lo, hi = max(lo, -0.5 * math.pi + 1e-9), min(hi, 0.5 * math.pi - 1e-9)
         zoom = lambda ts, _: f(*g(ts[0]))[None, :]
-        t_star, zoomed = _zoom_min(zoom, np.array([lo]), np.array([hi]), 10, 17)
+        t_star, zoomed = _zoom_min(zoom, np.array([lo]), np.array([hi]))
         if half and abs(t_star[0]) > 0.5 * math.pi - 2.0 * span:
             warnings.warn(
                 "Freidlin-Gartner minimizer lies near the equator e.e0 = 0; "
@@ -206,7 +277,7 @@ def _direction_min(f, pole, n, half=False, extra=None):
             )
         best = min(best, float(zoomed[0]))
     else:
-        rad, cap = math.sqrt(4.0 * math.pi / (2 * n)), center
+        rad, cap = math.sqrt(4.0 * math.pi / (2 * n)), D[k]
         while True:
             D, dots = g(_cap_dirs(cap, rad))
             vals = f(D, dots)
@@ -217,7 +288,7 @@ def _direction_min(f, pole, n, half=False, extra=None):
                 break
             rad *= 0.25
     if extra is not None:
-        extra = extra[np.any(extra != center, axis=1)]
+        extra = extra[~(extra[:, None, :] == scanned[None, :, :]).all(axis=2).any(axis=1)]
         if len(extra):
             best = min(best, float(np.min(f(extra, _dots(extra, pole)))))
     return best
@@ -228,9 +299,7 @@ def lagrangian(model, r, p):
 
     The sup over directions e of the ray conjugates at p.e (_ray_sups) is
     one _direction_min about p's direction, with ANGLES_LAGRANGIAN
-    angles: the scan ranks its rays with _RANK_ROUNDS-round sups, and
-    the chosen ray, the angle zoom and the cap grids solve them in full.
-    p.e is the search's dots with the pole p, so a ray's p.e does not
+    angles. p.e is the search's dots with the pole p, so a ray's p.e does not
     depend on the batch that holds it. Past a facet of the atoms' hull,
     or off the span of a flat set, L is +inf without a search.
     Rotation-invariant models collapse to the aligned direction
@@ -254,7 +323,7 @@ def lagrangian(model, r, p):
     if np.any(facets[:, :-1] @ p + facets[:, -1] > 1e-12 * (1.0 + np.abs(facets[:, -1]))):
         return np.inf
     # the pole p makes each batch's dots the rays' p.e
-    neg = lambda D, a, rounds=None: -_ray_sups(model, r, D, a, rounds)
+    neg = lambda D, a: -_ray_sups(model, r, D, a)
     return -_direction_min(neg, p, ANGLES_LAGRANGIAN)
 
 
@@ -289,15 +358,14 @@ def hopf_lax_phi(model, r, t, x, init="point", e0=None):
     return max(val, 0.0)
 
 
-def _cstars(model, r, E, rounds=None):
+def _cstars(model, r, E):
     """Minimal speeds c*(e) on the rows of E, solved on every call.
 
-    One _min_speeds call on the normalised rows, for any velocity set,
-    its zoom cut to rounds rounds when given; a row's c* does not depend
-    on the other rows.
+    One _min_speeds call on the normalised rows, for any velocity set; a
+    row's c* does not depend on the other rows.
     """
     E = np.atleast_2d(E)
-    return _min_speeds(model, r, E / np.linalg.norm(E, axis=1, keepdims=True), rounds)[0]
+    return _min_speeds(model, r, E / np.linalg.norm(E, axis=1, keepdims=True))[0]
 
 
 def _hull_facets(model):
@@ -327,15 +395,13 @@ def freidlin_gartner_speed(model, r, e0):
     In 1-D (and for rotation-invariant models, where the minimizing
     direction is e0 itself) this is just c*(e0). Otherwise it is one
     _direction_min over the open hemisphere about e0, with ANGLES_FG
-    angles: the scan ranks its directions with _RANK_ROUNDS-round minimal
-    speeds, and the chosen one, the zoom and the cap grids solve them in
-    full. e0 itself is a candidate, and for a velocity set of atoms so
+    angles. e0 itself is a candidate, and for a velocity set of atoms so
     are the outward facet normals of their convex hull that face e0 (for
     a flat set, the normals of its span): once c* turns ballistic near
     such a normal the minimum can sit at that corner of the ratio, which
-    the search is not guaranteed to find. Each candidate is solved in
-    full once: in 3-D, e0 is also the scan's pole, and when the scan
-    picks it the candidate is not solved again.
+    the search is not guaranteed to find. Each candidate is solved once:
+    in 3-D, e0 is also the scan's pole, so the candidate is not solved
+    again.
     """
     _positive(r, "growth rate r")
     e0 = _unit(model, e0)
@@ -343,7 +409,7 @@ def freidlin_gartner_speed(model, r, e0):
         return float(_cstars(model, r, e0)[0])
     normals = _hull_facets(model)[:, :-1]
     normals = np.vstack([e0, normals[normals @ e0 > 0.0]])
-    ratios = lambda D, cos, rounds=None: _cstars(model, r, D, rounds) / cos
+    ratios = lambda D, cos: _cstars(model, r, D) / cos
     return _direction_min(ratios, e0, ANGLES_FG, half=True, extra=normals)
 
 

@@ -69,11 +69,13 @@ def test_tracer_counts_spreading_root_solves(tmp_path, capsys):
 
 
 def test_tracer_counts_sweep_solves(tmp_path, capsys):
-    # every minimal speed goes through _min_speeds and _h_rays; the counts
-    # are those of the separate atom-set and continuum paths they replaced,
-    # and a minimum at the kink (Case4 on quadratic-1d) solves H(lambda_tilde)
-    # once
-    for name, grid, h_solves in (("uniform-ball:2", "0.2:1.2:3", 36), ("two-speed", "0.5:2:3", 567),
+    # every minimal speed goes through _min_speeds and _h_rays. An interior
+    # minimum is one bracketed root of c': a continuum row takes one
+    # _h_value call at lambda_tilde, one at both bracket ends and one per
+    # root step; the two-speed rows are 2 at the bracket ends, and 9 root
+    # steps at r = 0.5 (r = 1.25 and 2 are ballistic). A
+    # minimum at the kink (Case4 on quadratic-1d) solves H(lambda_tilde) once
+    for name, grid, h_solves in (("uniform-ball:2", "0.2:1.2:3", 36), ("two-speed", "0.5:2:3", 15),
                                  ("quadratic-1d", "0.6:2:3", 3)):
         argv = ["sweep", "--model", name, "--r-grid", grid, "--out", str(tmp_path / "sweep.csv")]
         tracer = _tracer()
@@ -89,22 +91,21 @@ def test_tracer_counts_sweep_solves(tmp_path, capsys):
 
 
 def test_tracer_counts_direction_search_solves():
-    # the direction search behind L and w* ranks its scan with 2-round
-    # solves and solves the chosen row, the refinement and the extra rows
-    # in full: fewer H solves than a scan solved in full (176,978, 103,600,
-    # 248,442 and 211,189, with 3-D cap grids that still solved their
-    # centre), for the values that scan gives
+    # the direction search behind L and w* solves every row in full, each
+    # ray sup and each c* one bracketed root over decay rates: a few
+    # thousand H solves where the zoom over decay rates took 71,906 to
+    # 178,924 with a ranked scan
     pts = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
     diamond = VelocityModel(DiscreteSet(pts, [0.25] * 4))
     octahedron = VelocityModel(DiscreteSet(np.vstack([np.eye(3), -np.eye(3)]), [1.0 / 6.0] * 6))
     calls = (
         (lambda: propagation.freidlin_gartner_speed(diamond, 0.8, [math.cos(0.46), math.sin(0.46)]),
-         113_728, 0.7387021058641872),
-        (lambda: propagation.lagrangian(diamond, 0.8, [0.3, 0.2]), 71_906, -0.6754429719040473),
+         4_466, 0.7387021058641872),
+        (lambda: propagation.lagrangian(diamond, 0.8, [0.3, 0.2]), 2_629, -0.6754429719040476),
         (lambda: propagation.freidlin_gartner_speed(octahedron, 0.8, [1.0, 2.0, 2.0]),
-         178_924, 0.5944923414842707),
+         5_977, 0.5944923414842707),
         (lambda: propagation.lagrangian(octahedron, 0.8, [0.31, 0.17, 0.12]),
-         142_631, -0.59894991926643),
+         5_237, -0.5989499192664303),
     )
     for call, h_solves, value in calls:
         tracer = _tracer()

@@ -386,3 +386,64 @@ def test_continuum_min_speed_rows_do_not_depend_on_the_batch():
         cases |= _min_speed_rows_match(model("uniform-ball:2"), r, plane)
         cases |= _min_speed_rows_match(model("uniform-ball:3"), r, space)
     assert cases == {"Case1", "Case2", "Case3", "Case4"}
+
+
+@pytest.mark.parametrize("r", [0.5, 0.85, 0.97])
+def test_two_speed_lambda_star_closed_form(r):
+    # c'(lambda) = 0 is solved as a root, to well inside the 1e-9 a zoom over
+    # decay rates reached only at r = 0.5
+    sc = kf.minimal_speed(model("two-speed"), r, 1.0, sample=False)
+    lam = (1.0 + r) * math.sqrt(r) / (1.0 - r)
+    assert abs(sc.lambda_star - lam) <= 1e-9 * lam
+    np.testing.assert_allclose(sc.c_star, 2.0 * math.sqrt(r) / (1.0 + r), rtol=1e-14)
+
+
+def test_disk_lambda_star_closed_form():
+    # H = |p|^2 / 4 on the unit disk: c(lambda) = lambda / (4 (1+r)) + r / lambda
+    sc = kf.minimal_speed(model("uniform-ball:2"), 1.0, (1.0, 0.0), sample=False)
+    assert sc.case_label == "Case2"
+    assert abs(sc.lambda_star - 2.0 * math.sqrt(2.0)) <= 1e-9 * 2.0 * math.sqrt(2.0)
+
+
+@pytest.mark.parametrize("name,r", [
+    ("two-speed", 0.5), ("two-speed", 0.97), ("uniform-1d", 0.11), ("uniform-1d", 3.0),
+    ("quadratic-1d", 0.055), ("quadratic-1d", 0.31), ("uniform-ball:2", 0.11),
+    ("uniform-ball:2", 3.0), ("uniform-ball:3", 0.11), ("uniform-ball:3", 3.0),
+])
+def test_lambda_star_is_a_first_order_point(name, r):
+    # an interior minimum: c'(lambda*) = 0, as the derivative of the
+    # dispersion relation gives it, apart from the root solve
+    m = model(name)
+    e = np.eye(m.dim)[0]
+    sc = kf.minimal_speed(m, r, e, sample=False)
+    assert sc.case_label in ("Case1", "Case2") and np.isfinite(sc.lambda_star)
+    lam = sc.lambda_star
+    assert abs(kf.speed_derivative_left(m, r, e, lam)) <= 1e-8 / lam**2
+
+
+def test_bracket_roots_rows_do_not_depend_on_the_batch():
+    # x^3 + x - k on [-3, 5]: smooth rows, a root at an integer, and a row
+    # whose root sits close to the bracket's end
+    ks = np.array([0.5, 2.0, -7.0, 129.9, 10.0, 1e-9])
+    f = lambda x, rows: (x**3 + x - ks[rows], 2.0 * x)
+    lo, hi = np.full(ks.size, -3.0), np.full(ks.size, 5.0)
+    x, data = kf.dispersion._bracket_roots(f, lo, hi, f(lo, np.arange(ks.size))[0], f(hi, np.arange(ks.size))[0])
+    np.testing.assert_allclose(x**3 + x, ks, rtol=1e-11, atol=1e-11)
+    np.testing.assert_array_equal(data, 2.0 * x)
+    assert x[1] == 1.0
+    for i in range(ks.size):
+        one = kf.dispersion._bracket_roots(lambda y, _: f(y, np.array([i])), lo[:1], hi[:1],
+                                           f(lo[:1], [i])[0], f(hi[:1], [i])[0])
+        assert (one[0][0], one[1][0]) == (x[i], data[i])
+
+
+@pytest.mark.parametrize("r", [1e-9, 1e-7])
+def test_minimum_below_the_first_bracket_end(r):
+    # lambda* = sqrt(r) (1+r)/(1-r) and 2 sqrt(r (1+r)) lie below 1e-3: the
+    # bracket's lower end steps down until c' < 0 there
+    sc = kf.minimal_speed(model("two-speed"), r, 1.0, sample=False)
+    np.testing.assert_allclose(sc.c_star, 2.0 * math.sqrt(r) / (1.0 + r), rtol=1e-6)
+    np.testing.assert_allclose(sc.lambda_star, (1.0 + r) * math.sqrt(r) / (1.0 - r), rtol=1e-6)
+    sc = kf.minimal_speed(model("uniform-ball:2"), r, (1.0, 0.0), sample=False)
+    np.testing.assert_allclose(sc.c_star, math.sqrt(r / (1.0 + r)), rtol=1e-6)
+    np.testing.assert_allclose(sc.lambda_star, 2.0 * math.sqrt(r * (1.0 + r)), rtol=1e-6)

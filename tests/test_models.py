@@ -54,6 +54,8 @@ def test_support_validation():
         lambda: kf.Ball(inf),
         lambda: kf.Ball(nan),
         lambda: kf.Ball(1.0, dim=2.5),
+        # a float dim built a model whose minimal_speed raised a bare TypeError
+        lambda: kf.Ball(1.0, 2.0),
         lambda: kf.Interval(-inf, 1.0),
         lambda: kf.Interval(-1.0, inf),
         lambda: kf.Interval(nan, 1.0),

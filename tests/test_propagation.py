@@ -4,12 +4,15 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 import kinfront as kf
 from kinfront import propagation as P
 from kinfront.errors import ValidationError
 
 model = lru_cache(maxsize=None)(kf.preset)
+
+L_QUAD = 3.0 * (2.0 * math.log(2.0) - 1.0)
 
 
 def diamond():
@@ -263,7 +266,7 @@ def _zoom_min_every_point(f, lo, hi, rounds, n):
     best_x, best_f = lo.copy(), np.full(lo.size, np.inf)
     idx = np.arange(lo.size)
     for _ in range(rounds):
-        xs = kf.dispersion._spaced(lo, hi, n)
+        xs = P._spaced(lo, hi, n)
         fs = f(xs, idx)
         j = np.argmin(fs, axis=1)
         better = fs[idx, j] < best_f
@@ -274,12 +277,14 @@ def _zoom_min_every_point(f, lo, hi, rounds, n):
     return best_x, best_f
 
 
-@pytest.mark.parametrize("case", ["atom-set rays", "continuum c*", "2-D angle"])
+@pytest.mark.parametrize("case", ["2-D angle"])
 def test_zoom_min_evaluates_each_abscissa_once(monkeypatch, case):
-    zoom = kf.dispersion._zoom_min
-    sizes = []
+    # the angle refinement of the 2-D direction search is _zoom_min's one
+    # use: 10 rounds of 17 points on one bracket
+    zoom = P._zoom_min
+    calls = []
 
-    def checked(f, lo, hi, rounds, n):
+    def checked(f, lo, hi):
         rows, xs_seen = [], []
 
         def recorded(xs, sel):
@@ -287,28 +292,18 @@ def test_zoom_min_evaluates_each_abscissa_once(monkeypatch, case):
             xs_seen.append(xs.ravel())
             return f(xs, sel)
 
-        got = zoom(recorded, lo, hi, rounds, n)
+        got = zoom(recorded, lo, hi)
         pairs = np.column_stack([np.concatenate(rows), np.concatenate(xs_seen)])
         assert len(np.unique(pairs, axis=0)) == len(pairs)
-        want = _zoom_min_every_point(f, lo, hi, rounds, n)
+        want = _zoom_min_every_point(f, lo, hi, 10, 17)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
-        sizes.append((lo.size, n))
+        calls.append(lo.size)
         return got
 
-    monkeypatch.setattr(kf.dispersion, "_zoom_min", checked)
     monkeypatch.setattr(P, "_zoom_min", checked)
-    if case == "atom-set rays":
-        dirs = P._circle_dirs(np.linspace(0.1, 3.0, 7))
-        P._ray_sups(diamond(), 0.8, dirs, dirs @ np.array([0.3, 0.2]))
-        assert sizes == [(7, 65)]
-    elif case == "continuum c*":
-        kf.dispersion._min_speeds(model("uniform-1d"), 1.0, np.array([[1.0]]))
-        assert sizes == [(1, 17)]
-    else:
-        # the 128-ray scan, then the angle refinement over nested ray scans
-        kf.lagrangian(diamond(), 0.8, np.array([0.3, 0.2]))
-        assert (1, 17) in sizes and (128, 65) in sizes
+    kf.lagrangian(diamond(), 0.8, np.array([0.3, 0.2]))
+    assert calls == [1]
 
 
 def test_collinear_atoms_spread_like_their_line():
@@ -410,7 +405,7 @@ def _direction_case(dim, half):
     pole = np.array([1.0, 0.3, 0.5][:dim])
     pole /= np.linalg.norm(pole)
 
-    def f(D, cos, rounds=None):
+    def f(D, cos):
         # the cosines handed over are those of the rows with the pole
         np.testing.assert_allclose(cos, D @ pole, atol=1e-15)
         vals = np.exp(-2.0 * (D @ a)) + 0.3 * D[:, 1] ** 2
@@ -431,57 +426,27 @@ def test_direction_min_matches_a_dense_scan(dim, half, n_dense, atol):
     assert dense - atol <= got <= dense + 1e-12
 
 
-def test_ranked_direction_search_equals_a_search_ranked_in_full(monkeypatch):
-    # the scans rank their rows with 2-round solves; ranked with full
-    # solves instead, they pick the same rows, so L and w* do not move
-    tri = kf.VelocityModel(kf.DiscreteSet([(0.9, 0.2), (-0.3, 0.7), (-0.45, -0.675)],
-                                          [0.3, 0.3, 0.4]))
-    d, o = diamond(), octahedron()
-    calls = (
-        lambda: kf.lagrangian(d, 0.8, [0.3, 0.2]),
-        lambda: kf.freidlin_gartner_speed(d, 0.8, [math.cos(0.46), math.sin(0.46)]),
-        lambda: kf.lagrangian(tri, 1.1, [0.2, -0.3]),
-        lambda: kf.freidlin_gartner_speed(tri, 0.3, [math.cos(1.3), math.sin(1.3)]),
-        lambda: kf.freidlin_gartner_speed(tri, 3.0, [-0.6, 0.8]),
-        lambda: kf.lagrangian(o, 0.8, [0.31, 0.17, 0.12]),
-        lambda: kf.freidlin_gartner_speed(o, 0.8, [1.0, 2.0, 2.0]),
-        lambda: kf.freidlin_gartner_speed(o, 2.0, [1.0, 0.0, 0.0]),
-    )
-    monkeypatch.setattr(P, "ANGLES_LAGRANGIAN", 32)
-    monkeypatch.setattr(P, "ANGLES_FG", 32)
-    ranked = [call() for call in calls]
-    monkeypatch.setattr(P, "_RANK_ROUNDS", None)
-    assert [call() for call in calls] == ranked
-
-
 def test_3d_freidlin_gartner_solves_e0_in_full_once(monkeypatch):
-    # e0 is the pole of the scan and an extra candidate. Off the axes the
-    # scan ranks it cheaply and only the extra row solves it in full; on
-    # an axis the scan picks it, solves it in full, and the extra row
-    # skips it (the cap grids about it hold it at their centre)
+    # e0 is the pole of the scan and an extra candidate; the scan already
+    # holds it, so it is solved exactly once, on an axis and off the axes
     cstars = P._cstars
     for e0 in ((1.0, 2.0, 2.0), (1.0, 0.0, 0.0)):
         unit = kf.direction(e0)
-        full = []
+        seen = []
 
-        def counted(model, r, E, rounds=None):
-            if rounds is None:
-                full.append(int(np.all(np.atleast_2d(E) == unit, axis=1).sum()))
-            return cstars(model, r, E, rounds)
+        def counted(model, r, E):
+            seen.append(int(np.all(np.atleast_2d(E) == unit, axis=1).sum()))
+            return cstars(model, r, E)
 
         monkeypatch.setattr(P, "_cstars", counted)
-        w = kf.freidlin_gartner_speed(octahedron(), 0.8, e0)
-        if e0[1]:
-            assert sum(full) == 1 and full[-1] == 1
-            assert w == 0.5944923414842707
-        else:
-            assert full[0] == 1 and full[-1] == 0
+        kf.freidlin_gartner_speed(octahedron(), 0.8, e0)
+        assert sum(seen) == 1 and seen[0] == 1
 
 
 def test_direction_min_returns_minus_inf_from_the_scan():
     calls = []
 
-    def f(D, cos, rounds=None):
+    def f(D, cos):
         calls.append(len(D))
         vals = -D[:, 0]
         vals[D[:, 1] > 0.5] = -np.inf
@@ -519,7 +484,7 @@ def test_direction_search_dots_do_not_depend_on_the_batch():
         extra = rng.normal(size=(37, pole.size))
         seen = []
 
-        def f(D, dots, rounds=None):
+        def f(D, dots):
             seen.append((D.copy(), dots.copy()))
             return np.cos(3.0 * D[:, 0]) + D[:, 1] ** 2
 
@@ -533,3 +498,58 @@ def test_direction_search_dots_do_not_depend_on_the_batch():
                 assert dot == alone
                 rows += 1
         assert rows > 100
+
+
+@pytest.mark.parametrize("make,dirs", [
+    (diamond, P._circle_dirs(np.linspace(0.1, 6.0, 9))),
+    (lambda: model("uniform-ball:2"), P._circle_dirs(np.linspace(0.1, 6.0, 5))),
+    (lambda: model("quadratic-1d"), np.array([[1.0], [-1.0], [1.0], [1.0], [-1.0]])),
+])
+def test_ray_sups_rows_do_not_depend_on_the_batch(make, dirs):
+    # sups inside the window, at the floor (a <= 0), at lambda_tilde, and +inf
+    m = make()
+    a = np.linspace(-0.3, 1.2, len(dirs))
+    sups = P._ray_sups(m, 0.8, dirs, a)
+    assert np.isinf(sups).any() and np.isfinite(sups).any()
+    for i in range(len(dirs)):
+        assert P._ray_sups(m, 0.8, dirs[i:i + 1], a[i:i + 1])[0] == sups[i]
+
+
+def _ray_g(m, r, e, a, lam):
+    H = kf.dispersion._h_rays(m, np.array([[lam / (1.0 + r)]]), np.atleast_2d(e))[0]
+    return lam * a - (1.0 + r) * H[0, 0] - r
+
+
+@pytest.mark.parametrize("make,e", [(diamond, (0.6, 0.8)), (lambda: model("quadratic-1d"), (1.0,)),
+                                    (lambda: model("uniform-ball:2"), (0.0, 1.0))])
+def test_ray_sup_at_the_floor_when_a_is_not_positive(make, e):
+    # g' = a - dH/dbeta <= 0 from the start: g falls from -r, and its sup
+    # is g at the floor of the window
+    m = make()
+    for a in (0.0, -0.4):
+        got = P._ray_sups(m, 0.8, np.atleast_2d(e), [a])[0]
+        assert got == _ray_g(m, 0.8, e, a, P._LAM_FLOOR)
+        assert abs(got + 0.8) < 1e-8
+
+
+def test_ray_sup_at_lambda_tilde():
+    # the quadratic slab has a finite j, so g'(lambda_tilde-) = a - 1 + l/j
+    # is positive for a > 1 - l/j (about 0.37): the sup sits at the kink,
+    # where g = lambda_tilde (a - 1) + 1 on the singular branch
+    m, r = model("quadratic-1d"), 0.8
+    lam_t = (1.0 + r) * L_QUAD
+    l_over_j = L_QUAD / (6.0 * (1.0 - math.log(2.0)))
+    for a in (0.5, 0.9, 1.0):
+        assert a - 1.0 + l_over_j > 0.0
+        got = P._ray_sups(m, r, np.ones((1, 1)), [a])[0]
+        np.testing.assert_allclose(got, lam_t * (a - 1.0) + 1.0, rtol=1e-12)
+        # and nothing below the kink is higher
+        lams = np.geomspace(1e-3, lam_t, 200)[:-1]
+        assert max(_ray_g(m, r, (1.0,), a, lam) for lam in lams) < got
+    # below the threshold the sup is interior, a root of g', and bounded
+    # Brent on g finds the same value
+    got = P._ray_sups(m, r, np.ones((1, 1)), [0.3])[0]
+    res = minimize_scalar(lambda lam: -_ray_g(m, r, (1.0,), 0.3, lam), bounds=(1e-3, lam_t),
+                          method="bounded", options={"xatol": 1e-10})
+    assert res.x < lam_t * (1.0 - 1e-3)
+    assert -res.fun - 1e-14 <= got <= -res.fun + 1e-12

@@ -42,6 +42,7 @@ from .dispersion import (
     in_singular_set,
     lambda_tilde,
     minimal_speed,
+    minimal_speeds,
     singular_boundary_radius,
     speed,
     speed_derivative_left,
@@ -96,6 +97,7 @@ __all__ = [
     "lagrangian",
     "lambda_tilde",
     "minimal_speed",
+    "minimal_speeds",
     "nullset_radius",
     "planar_conjugate",
     "preset",

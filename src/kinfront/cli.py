@@ -374,10 +374,9 @@ def cmd_sweep(args):
     model = build_model(args)
     e = _default_e(args, model)
     rs = parse_grid(args.r_grid)
-
-    def cell(r):
-        curve = dispersion.minimal_speed(model, float(r), e, sample=False)
-        return [
+    # one batched solve; minimal_speeds gates every r before it
+    rows = [
+        [
             _fmt(r),
             _fmt(curve.lambda_tilde),
             _fmt(curve.lambda_star),
@@ -387,11 +386,12 @@ def cmd_sweep(args):
             if curve.left_derivative_at_tilde is not None
             else "nan",
         ]
-
+        for r, curve in zip(rs, dispersion.minimal_speeds(model, rs, e))
+    ]
     write_csv(
         args.out,
         ["r", "lambda_tilde", "lambda_star", "c_star", "case_label", "left_derivative"],
-        [cell(r) for r in rs],
+        rows,
     )
     return EXIT_OK
 

@@ -494,10 +494,11 @@ def _bracket_roots(f, lo, hi, flo, fhi):
 def _min_speeds(model, r, E):
     """Minimal speeds c*(e) on the unit rows of E, for any velocity set.
 
-    Returns the arrays (c_star, lambda_star, lambda_tilde, dleft, case)
-    over the rows, dleft being c'(lambda_tilde-) (nan where lambda_tilde
-    is +inf) and case the shape label of SpeedCurve. Each step is one
-    batched solve over the rows it concerns:
+    r is one growth rate for all rows, or one per row. Returns the arrays
+    (c_star, lambda_star, lambda_tilde, dleft, case) over the rows, dleft
+    being c'(lambda_tilde-) (nan where lambda_tilde is +inf) and case the
+    shape label of SpeedCurve. Each step is one batched solve over the
+    rows it concerns:
     - a row with finite lambda_tilde solves c(lambda_tilde) once and
       takes dleft from speed_derivative_left at that c; within DERIV_TOL
       of 0 (Case3) or below it (Case4) the minimum sits at the kink,
@@ -514,21 +515,23 @@ def _min_speeds(model, r, E):
     A row's values do not depend on the other rows.
     """
     vbar, lval = _ray_edges(model, E)
-    lam_tilde = (1.0 + r) * lval
     k = len(E)
+    r = np.broadcast_to(r, (k,))
+    lam_tilde = (1.0 + r) * lval
     c_star, lam_star, dleft = np.empty(k), np.full(k, np.inf), np.full(k, np.nan)
     case = np.where(np.isinf(lam_tilde), "Case1", "Case2")
 
     def curve(lams, rows):
         # c and lambda^2 c' at the rates lams, shaped like lams
-        H, dH = _h_rays(model, lams / (1.0 + r), E[rows])
-        c = ((1.0 + r) * H + r) / lams
+        rr = r[rows, None]
+        H, dH = _h_rays(model, lams / (1.0 + rr), E[rows])
+        c = ((1.0 + rr) * H + rr) / lams
         return c, lams * (dH - c)
 
     kinked = np.flatnonzero(np.isfinite(lam_tilde))
     if kinked.size:
         c_star[kinked] = curve(lam_tilde[kinked, None], kinked)[0][:, 0]
-        dleft[kinked] = [speed_derivative_left(model, r, E[i], lam_tilde[i], c=c_star[i]) for i in kinked]
+        dleft[kinked] = [speed_derivative_left(model, r[i], E[i], lam_tilde[i], c=c_star[i]) for i in kinked]
     case[kinked[np.abs(dleft[kinked]) <= DERIV_TOL]] = "Case3"
     case[kinked[dleft[kinked] <= -DERIV_TOL]] = "Case4"
     kink = np.flatnonzero((case == "Case3") | (case == "Case4"))
@@ -574,6 +577,36 @@ def _sample_grid(lo, hi, n, focus):
     return np.union1d(grid, np.geomspace(a, b, 17))
 
 
+def minimal_speeds(model, rs, e):
+    """Minimal speeds along e at each growth rate in rs, as one batched solve.
+
+    Every rate passes the r gate before any solve. _min_speeds then
+    solves all of them at once, one row per rate, and a row's values do
+    not depend on the other rows, so each returned SpeedCurve is the one
+    minimal_speed gives with sample=False: no sampled curve, the minimum
+    and its case label (see minimal_speed).
+    """
+    rs = np.asarray(rs, dtype=float).reshape(-1)
+    for r in rs:
+        _positive(r, "growth rate r")
+    e = _unit(model, e)
+    solved = _min_speeds(model, rs, np.tile(e, (rs.size, 1)))
+    return [
+        SpeedCurve(
+            e=e,
+            r=float(r),
+            lambda_grid=np.empty(0),
+            c_values=np.empty(0),
+            lambda_tilde=float(lam_tilde),
+            lambda_star=float(lam_star),
+            c_star=float(c_star),
+            case_label=str(case),
+            left_derivative_at_tilde=None if np.isinf(lam_tilde) else float(dleft),
+        )
+        for r, c_star, lam_star, lam_tilde, dleft, case in zip(rs, *solved)
+    ]
+
+
 def minimal_speed(model, r, e, sample=True):
     """Minimize c(., e) over decay rates and classify the curve shape.
 
@@ -587,31 +620,18 @@ def minimal_speed(model, r, e, sample=True):
     [1e-3, LAMBDA_CAP]; a Case1 curve still decreasing at the cap is
     reported as the ballistic limit c_star = vbar(e),
     lambda_star = inf. With sample, the curve is also sampled on N_SCAN
-    log-spaced rates, refined about lambda_star.
+    log-spaced rates from 1e-3, or from lambda_star / 10 when
+    lambda_star lies below 1e-3, refined about lambda_star.
     """
-    _positive(r, "growth rate r")
-    e = _unit(model, e)
-    c_star, lam_star, lam_tilde, dleft, case = (a[0] for a in _min_speeds(model, r, e[None, :]))
-    capped = np.isinf(lam_tilde)
+    curve = minimal_speeds(model, [r], e)[0]
     if sample:
-        hi = LAMBDA_CAP if capped else lam_tilde
-        lambda_grid = _sample_grid(1e-3, hi, N_SCAN, lam_star if np.isfinite(lam_star) else hi)
-        H = hamiltonian_values(model, np.multiply.outer(lambda_grid / (1.0 + r), e))
-        c_values = ((1.0 + r) * H + r) / lambda_grid
-    else:
-        lambda_grid = np.empty(0)
-        c_values = np.empty(0)
-    return SpeedCurve(
-        e=e,
-        r=float(r),
-        lambda_grid=lambda_grid,
-        c_values=c_values,
-        lambda_tilde=float(lam_tilde),
-        lambda_star=float(lam_star),
-        c_star=float(c_star),
-        case_label=str(case),
-        left_derivative_at_tilde=None if capped else float(dleft),
-    )
+        r, lam_star = curve.r, curve.lambda_star
+        hi = LAMBDA_CAP if np.isinf(curve.lambda_tilde) else curve.lambda_tilde
+        lo = 1e-3 if lam_star >= 1e-3 else lam_star / 10.0
+        curve.lambda_grid = _sample_grid(lo, hi, N_SCAN, lam_star if np.isfinite(lam_star) else hi)
+        H = hamiltonian_values(model, np.multiply.outer(curve.lambda_grid / (1.0 + r), curve.e))
+        curve.c_values = ((1.0 + r) * H + r) / curve.lambda_grid
+    return curve
 
 
 def case_from_square_criterion(model, r, e):

@@ -48,6 +48,7 @@ DIRECTION_CALLS = {
     "speed": lambda m, e: kf.speed(m, 1.0, e, 0.5),
     "speed_derivative_left": lambda m, e: kf.speed_derivative_left(m, 1.0, e, 0.5),
     "minimal_speed": lambda m, e: kf.minimal_speed(m, 1.0, e),
+    "minimal_speeds": lambda m, e: kf.minimal_speeds(m, [0.5, 1.0], e),
     "case_from_square_criterion": lambda m, e: kf.case_from_square_criterion(m, 1.0, e),
     "wave_profile": lambda m, e: kf.wave_profile(m, 1.0, e, 0.5),
     "planar_conjugate": lambda m, e: kf.planar_conjugate(m, 1.0, e, 0.1),
@@ -91,6 +92,7 @@ SCALAR_CALLS = {
     "speed_derivative_left lambda, c given": lambda m, x: kf.speed_derivative_left(
         m, 1.0, _e(m), x, c=0.5),
     "minimal_speed r": lambda m, x: kf.minimal_speed(m, x, _e(m)),
+    "minimal_speeds r": lambda m, x: kf.minimal_speeds(m, [1.0, x], _e(m)),
     "case_from_square_criterion r": lambda m, x: kf.case_from_square_criterion(m, x, _e(m)),
     "wave_profile r": lambda m, x: kf.wave_profile(m, x, _e(m), 0.5),
     "wave_profile lambda": lambda m, x: kf.wave_profile(m, 1.0, _e(m), x),

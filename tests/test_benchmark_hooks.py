@@ -69,14 +69,18 @@ def test_tracer_counts_spreading_root_solves(tmp_path, capsys):
 
 
 def test_tracer_counts_sweep_solves(tmp_path, capsys):
-    # every minimal speed goes through _min_speeds and _h_rays. An interior
-    # minimum is one bracketed root of c': a continuum row takes one
-    # _h_value call at lambda_tilde, one at both bracket ends and one per
-    # root step; the two-speed rows are 2 at the bracket ends, and 9 root
-    # steps at r = 0.5 (r = 1.25 and 2 are ballistic). A
-    # minimum at the kink (Case4 on quadratic-1d) solves H(lambda_tilde) once
-    for name, grid, h_solves in (("uniform-ball:2", "0.2:1.2:3", 36), ("two-speed", "0.5:2:3", 15),
-                                 ("quadratic-1d", "0.6:2:3", 3)):
+    # a sweep is one minimal_speeds call, and every minimal speed goes
+    # through one batched _min_speeds with a row per r. An interior minimum
+    # is one bracketed root of c', and all rows step together: on a
+    # continuum the tracer counts one H solve per batched _h_value pass,
+    # one at lambda_tilde, one at both bracket ends and one per root step
+    # of the slowest row (10 on uniform-ball:2). The two-speed solves are
+    # counted per row: 2 for each row's bracket ends, and 9 root steps at
+    # r = 0.5 (r = 1.25 and 2 are ballistic), in 10 passes. Minima at the
+    # kink (Case4 on quadratic-1d) solve H(lambda_tilde) once, in one pass
+    for name, grid, h_solves, passes in (("uniform-ball:2", "0.2:1.2:3", 12, 12),
+                                         ("two-speed", "0.5:2:3", 15, 10),
+                                         ("quadratic-1d", "0.6:2:3", 1, 1)):
         argv = ["sweep", "--model", name, "--r-grid", grid, "--out", str(tmp_path / "sweep.csv")]
         tracer = _tracer()
         tracer.install()
@@ -85,7 +89,10 @@ def test_tracer_counts_sweep_solves(tmp_path, capsys):
         finally:
             tracer.uninstall()
         layer = tracer.per_layer(tracer.take())
-        assert layer["calls"]["dispersion.minimal_speed"] == 3
+        assert layer["calls"]["dispersion.minimal_speeds"] == 1
+        assert "dispersion.minimal_speed" not in layer["calls"]
+        solver = "dispersion._discrete_h" if name == "two-speed" else "dispersion._h_value"
+        assert layer["calls"][solver] == passes
         assert layer["h_solves"] == h_solves
     capsys.readouterr()
 

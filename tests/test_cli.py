@@ -487,8 +487,8 @@ def test_simulate_window_failure_exits_4(capsys, tmp_path):
     assert "simulation failure" in err
 
 
-def test_sweep_threaded_matches_serial(capsys, tmp_path):
-    # sweeps run serially; two runs of one grid must be byte-identical
+def test_sweep_output_is_reproducible(capsys, tmp_path):
+    # two runs of one grid must be byte-identical
     a, b = tmp_path / "first.csv", tmp_path / "second.csv"
     for path in (a, b):
         code, _, _ = run_cli(capsys, "sweep", "--model", "quadratic-1d",
@@ -500,6 +500,67 @@ def test_sweep_threaded_matches_serial(capsys, tmp_path):
     assert len(lines) == 5
     labels = [ln.split(",")[4] for ln in lines[1:]]
     assert labels[0] == "Case2" and labels[-1] == "Case4"
+
+
+SWEEP_HEADER = "r,lambda_tilde,lambda_star,c_star,case_label,left_derivative"
+DIAMOND = ("support = discrete\npoint = 1,0 : 0.25\npoint = -1,0 : 0.25\n"
+           "point = 0,1 : 0.25\npoint = 0,-1 : 0.25\n")
+
+
+@pytest.mark.parametrize("name", ["uniform-1d", "quadratic-1d", "uniform-ball:2",
+                                  "uniform-ball:3", "two-speed", "diamond"])
+def test_sweep_equals_one_minimal_speed_per_r(capsys, tmp_path, name):
+    # a sweep is one batched solve over its rates; each row is what a
+    # minimal_speed call at that rate alone gives. The grid starts at
+    # r = 1e-9, below the first bracket end, and ends past the slab's
+    # Case3 point and the two-speed ballistic limit
+    if name == "diamond":
+        path = tmp_path / "diamond.model"
+        path.write_text(DIAMOND)
+        m, e = parse_model_file(str(path)), np.array([0.6, 0.8])
+        argv = ["--model-file", str(path), "--e", "0.6,0.8"]
+    else:
+        m = kf.preset(name)
+        e = np.eye(m.dim)[0]
+        argv = ["--model", name]
+    grid, out = "1e-9:2.5:6", tmp_path / "sweep.csv"
+    code, stdout, _ = run_cli(capsys, "sweep", *argv, "--r-grid", grid, "--out", str(out))
+    assert code == 0 and stdout == ""
+    lines = [SWEEP_HEADER]
+    for r in parse_grid(grid):
+        sc = kf.minimal_speed(m, float(r), e, sample=False)
+        dleft = "nan" if sc.left_derivative_at_tilde is None else _fmt(sc.left_derivative_at_tilde)
+        lines.append(",".join([_fmt(r), _fmt(sc.lambda_tilde), _fmt(sc.lambda_star),
+                               _fmt(sc.c_star), sc.case_label, dleft]))
+    assert out.read_text() == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("grid", ["0:1:3", "1:nan:2"])
+def test_sweep_gates_every_r_before_solving(capsys, tmp_path, monkeypatch, grid):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a minimal speed solved before the r gate")
+
+    monkeypatch.setattr(kf.dispersion, "_min_speeds", no_solve)
+    code, out, err = run_cli(capsys, "sweep", "--model", "two-speed", "--r-grid", grid,
+                             "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "growth rate r must be positive" in err
+    assert out == "" and os.listdir(tmp_path) == []
+
+
+def test_speed_curve_reaches_a_minimum_below_the_first_rate(capsys, tmp_path):
+    # at two-speed r = 1e-7, lambda* = 3.16e-4 lies below 1e-3, where the
+    # samples start when lambda* >= 1e-3 (r = 0.5)
+    out = tmp_path / "curve.csv"
+    for r in ("1e-7", "0.5"):
+        code, stdout, _ = run_cli(capsys, "speed-curve", "--model", "two-speed", "--r", r,
+                                  "--out", str(out))
+        assert code == 0
+        summary = json.loads(stdout)
+        table = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        lams, cs = [float(row[0]) for row in table], [float(row[1]) for row in table]
+        assert lams[0] == min(1e-3, summary["lambda_star"] / 10.0)
+        assert min(abs(c - summary["c_star"]) for c in cs) <= 0.01 * summary["c_star"]
 
 
 def test_model_file_drives_subcommands(capsys, tmp_path):

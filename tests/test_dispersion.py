@@ -447,3 +447,30 @@ def test_minimum_below_the_first_bracket_end(r):
     sc = kf.minimal_speed(model("uniform-ball:2"), r, (1.0, 0.0), sample=False)
     np.testing.assert_allclose(sc.c_star, math.sqrt(r / (1.0 + r)), rtol=1e-6)
     np.testing.assert_allclose(sc.lambda_star, 2.0 * math.sqrt(r * (1.0 + r)), rtol=1e-6)
+
+
+def test_min_speed_rows_with_their_own_r_do_not_depend_on_the_batch():
+    # one growth rate per row, as a sweep solves them, in a shuffled order:
+    # Case1, Case2, Case3 on the slab's square-criterion boundary, Case4,
+    # the ballistic two-speed row at r = 2, and r = 1e-9 rows whose
+    # bracket's lower end steps down
+    lval = kf.models.l_integral(model("quadratic-1d"), np.ones(1))
+    jval = kf.models.j_integral(model("quadratic-1d"), np.ones(1))
+    rng = np.random.default_rng(17)
+    cases, ballistic = set(), 0
+    for name in ("uniform-1d", "quadratic-1d", "uniform-ball:2", "uniform-ball:3", "two-speed"):
+        m = model(name)
+        rs = np.array([1e-9, 0.1, 0.3, jval / lval**2 - 1.0, 1.0, 2.0, 1e-9, 2.0])
+        rs = rs[rng.permutation(rs.size)]
+        E = rng.standard_normal((rs.size, m.dim))
+        E /= np.linalg.norm(E, axis=1, keepdims=True)
+        batch = kf.dispersion._min_speeds(m, rs, E)
+        for i in range(rs.size):
+            for r in (rs[i:i + 1], rs[i]):
+                one = kf.dispersion._min_speeds(m, r, E[i:i + 1])
+                for got, want in zip(one, batch):
+                    np.testing.assert_array_equal(got, want[i:i + 1])
+        cases |= set(batch[4])
+        ballistic += int(np.isinf(batch[1]).sum())
+    assert cases == {"Case1", "Case2", "Case3", "Case4"}
+    assert ballistic > 0

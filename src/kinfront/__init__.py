@@ -17,6 +17,7 @@ from .errors import (
     FrontLeftDomain,
     KinfrontError,
     QuadratureNotConverged,
+    SolverNotConverged,
     ValidationError,
 )
 from .models import (
@@ -80,6 +81,7 @@ __all__ = [
     "PRESET_NAMES",
     "QuadratureNotConverged",
     "SimConfig",
+    "SolverNotConverged",
     "SpeedCurve",
     "ValidationError",
     "VelocityModel",

@@ -26,6 +26,7 @@ from .errors import (
     DomainError,
     FrontLeftDomain,
     QuadratureNotConverged,
+    SolverNotConverged,
     ValidationError,
 )
 from .models import (
@@ -470,7 +471,7 @@ def main(argv=None):
     except ValidationError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
-    except (QuadratureNotConverged, DomainError) as exc:
+    except (QuadratureNotConverged, SolverNotConverged, DomainError) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return EXIT_NUMERICS
     except FrontLeftDomain as exc:

@@ -15,6 +15,11 @@ class QuadratureNotConverged(KinfrontError):
     as a clean divergence within the allowed number of levels."""
 
 
+class SolverNotConverged(KinfrontError):
+    """An iterative solve did not meet its stopping rule within its
+    iteration bound."""
+
+
 class DomainError(KinfrontError):
     """An argument is outside the mathematical domain of the requested
     quantity (e.g. a wave profile past the critical decay rate)."""

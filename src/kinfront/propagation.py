@@ -4,12 +4,14 @@ The Lagrangian is the convex conjugate
 
     L(p) = sup_q [ p.q - (1+r) H(q/(1+r)) - r ],
 
-evaluated by reparameterizing q = lam*e/(1+r) and maximizing
+On 1-D and rotation-invariant models it is evaluated along rays,
+by reparameterizing q = lam*e and maximizing
 
     g(lam) = lam (p.e) - (1+r) H(lam e/(1+r)) - r
 
 over decay rates lam >= 0 (g is concave in lam below the critical decay,
-with boundary value -r as lam -> 0) and directions e. Hopf-Lax then
+with boundary value -r as lam -> 0); the same ray sup along e0 is the
+conjugate of planar data. On atom sets it is solved in q. Hopf-Lax then
 gives the limiting phase phi(t, x) in closed form for the two supported
 initial conditions, planar fronts and compactly supported (point) data,
 whose null sets propagate at the minimal speed c*(e0) and at the
@@ -24,8 +26,12 @@ Along one direction both optima over decay rates are first-order
 points: below the critical decay H is convex, so g' and c' change sign
 once, and each ray's sup and each direction's c* is one bracketed root
 (dispersion._bracket_roots), unless it sits at an end of its bracket.
-Over directions the minimum need not be set by a first-order condition,
-so L and w* are searches over directions: a scan, then a refinement
+On an atom set H is regular everywhere, smooth and strictly convex, so
+L(p) is a smooth concave sup over q with one first-order point inside
+the hull: one damped Newton solve in q, with no search over directions.
+The minimum of c*(e)/(e.e0) that gives w* need not be set by a
+first-order condition (it can sit at the kink of c*, or at a corner of
+the ratio), so w* is a search over directions: a scan, then a refinement
 about the scan's best row (an angle zoom in 2-D, shrinking direction
 grids in 3-D), every row solved in full.
 """
@@ -41,18 +47,23 @@ from scipy.spatial import ConvexHull, QhullError
 from .dispersion import (
     _atom_dots,
     _bracket_roots,
+    _discrete_h,
     _h_rays,
     _min_speeds,
     _ray_edges,
     _rows,
 )
-from .errors import ValidationError
+from .errors import SolverNotConverged, ValidationError
 from .models import _positive, _unit
 
-ANGLES_LAGRANGIAN = 128
 ANGLES_FG = 256
 _LAM_FLOOR = 1e-8
 _LAM_CEIL = 2.0**24
+# damped Newton of an atom-set Lagrangian: iteration bound, Armijo share of
+# the decrement, and the smallest damping before a step counts as flat
+_NEWTON_ITERS = 100
+_ARMIJO = 1e-4
+_MIN_STEP = 2.0**-30
 # relative half-width of the bracket about a known speed in nullset_radius
 _SEED_REL = 1e-6
 
@@ -215,47 +226,38 @@ def _zoom_min(f, lo, hi):
     return best_x, best_f
 
 
-def _direction_min(f, pole, n, half=False, extra=None):
-    """Smallest value of f over the unit directions, or with half over
-    the open hemisphere about the pole: the one direction search.
+def _direction_min(f, pole, n, extra=None):
+    """Smallest value of f over the open hemisphere about the unit pole:
+    the direction search of freidlin_gartner_speed.
 
     f(D, dots) maps unit rows D and their dot products with the pole to
     values; each step below is one call. The dots are summed coordinate
-    by coordinate (_dots), so a row's dot is the same in any batch. pole
-    is nonzero, and unit with half, where dots is cos(offset) on the half
-    circle.
-    2-D: n angles (2 pi k / n, or with half the cell midpoints of the
-    offsets from the pole in (-pi/2, pi/2)), then ten _zoom_min rounds
-    about the best one; with half the bracket stops 1e-9 short of the
-    equator, and a minimizer near it is flagged, as a ratio over e.e0
-    blows up there and attainment relies on interior angles. 3-D: the
-    pole's direction and a Fibonacci spiral of 2n directions (with half,
-    those with dots > 1e-6), then 5 x 5 cap grids about the best
-    direction, from the spiral spacing down to 1e-7 rad by factors of 4;
-    each grid leaves out its centre, the best direction so far. A scan
-    whose best value is -inf returns it at once. The rows of extra are
-    candidates too, taken last, except those the scan already holds.
+    by coordinate (_dots), so a row's dot is the same in any batch; on
+    the 2-D half circle they are cos(offset).
+    2-D: the cell midpoints of n offsets from the pole in (-pi/2, pi/2),
+    then ten _zoom_min rounds about the best one; the bracket stops 1e-9
+    short of the equator, and a minimizer near it is flagged, as a ratio
+    over e.e0 blows up there and attainment relies on interior angles.
+    3-D: the pole and the directions of a Fibonacci spiral of 2n with
+    dots > 1e-6, then 5 x 5 cap grids about the best direction, from the
+    spiral spacing down to 1e-7 rad by factors of 4; each grid leaves out
+    its centre, the best direction so far. A scan whose best value is
+    -inf returns it at once. The rows of extra are candidates too, taken
+    last, except those the scan already holds.
     """
     if pole.size == 2:
-        if half:
-            base, span = math.atan2(pole[1], pole[0]), math.pi / n
-            scan = -0.5 * math.pi + math.pi * (np.arange(n) + 0.5) / n
-        else:
-            base, span = 0.0, 2.0 * math.pi / n
-            scan = 2.0 * math.pi * np.arange(n) / n
+        base, span = math.atan2(pole[1], pole[0]), math.pi / n
+        scan = -0.5 * math.pi + math.pi * (np.arange(n) + 0.5) / n
 
         def g(ts):
-            D = _circle_dirs(base + ts)
-            return D, (np.cos(ts) if half else _dots(D, pole))
+            return _circle_dirs(base + ts), np.cos(ts)
 
     else:
-        scan = np.vstack([pole if half else pole / np.linalg.norm(pole), _fibonacci_sphere(2 * n)])
+        scan = np.vstack([pole, _fibonacci_sphere(2 * n)])
 
         def g(D):
             dots = _dots(D, pole)
-            if half:
-                D, dots = D[dots > 1e-6], dots[dots > 1e-6]
-            return D, dots
+            return D[dots > 1e-6], dots[dots > 1e-6]
 
     D, dots = g(scan)
     vals = f(D, dots)
@@ -264,12 +266,11 @@ def _direction_min(f, pole, n, half=False, extra=None):
     if best == -np.inf:
         return best
     if pole.size == 2:
-        lo, hi = scan[k] - span, scan[k] + span
-        if half:
-            lo, hi = max(lo, -0.5 * math.pi + 1e-9), min(hi, 0.5 * math.pi - 1e-9)
+        lo = max(scan[k] - span, -0.5 * math.pi + 1e-9)
+        hi = min(scan[k] + span, 0.5 * math.pi - 1e-9)
         zoom = lambda ts, _: f(*g(ts[0]))[None, :]
         t_star, zoomed = _zoom_min(zoom, np.array([lo]), np.array([hi]))
-        if half and abs(t_star[0]) > 0.5 * math.pi - 2.0 * span:
+        if abs(t_star[0]) > 0.5 * math.pi - 2.0 * span:
             warnings.warn(
                 "Freidlin-Gartner minimizer lies near the equator e.e0 = 0; "
                 "increase ANGLES_FG if the minimum looks truncated",
@@ -297,15 +298,13 @@ def _direction_min(f, pole, n, half=False, extra=None):
 def lagrangian(model, r, p):
     """Convex conjugate L(p); +inf outside the closed velocity hull.
 
-    The sup over directions e of the ray conjugates at p.e (_ray_sups) is
-    one _direction_min about p's direction, with ANGLES_LAGRANGIAN
-    angles. p.e is the search's dots with the pole p, so a ray's p.e does not
-    depend on the batch that holds it. Past a facet of the atoms' hull,
-    or off the span of a flat set, L is +inf without a search.
+    1-D models take the larger of the two ray sups at +-p (_ray_sups).
     Rotation-invariant models collapse to the aligned direction
     e = p/|p| exactly (the per-direction value is nondecreasing in p.e
-    and the radial H does not depend on e). The direction search only
-    ever sees atom sets (balls are radial, intervals 1-D).
+    and the radial H does not depend on e), as does p = 0. On an atom set
+    of dimension 2 or 3 L is +inf past a facet of the atoms' hull, or off
+    the span of a flat set, without a solve; inside, _atom_lagrangian
+    solves for the sup's one first-order point in q.
     """
     _positive(r, "growth rate r")
     P, _ = _rows(model, np.ravel(p))
@@ -317,14 +316,76 @@ def lagrangian(model, r, p):
     if _is_radial(model) or nrm == 0.0:
         e = p / nrm if nrm > 0 else np.eye(model.dim)[0]
         return float(_ray_sups(model, r, e, [nrm])[0])
-    # past a facet of the hull the ray along its normal already gives
-    # +inf, which the direction search may step over
     facets = _hull_facets(model)
     if np.any(facets[:, :-1] @ p + facets[:, -1] > 1e-12 * (1.0 + np.abs(facets[:, -1]))):
         return np.inf
-    # the pole p makes each batch's dots the rays' p.e
-    neg = lambda D, a: -_ray_sups(model, r, D, a)
-    return -_direction_min(neg, p, ANGLES_LAGRANGIAN)
+    return _atom_lagrangian(model, r, p)
+
+
+def _atom_lagrangian(model, r, p):
+    """sup over q of F(q) = p.q - (1+r) H(q/(1+r)) - r on an atom set, p in its hull.
+
+    Damped Newton from q = 0. At beta = q/(1+r), with D_i = 1 + H - v_i.beta
+    and u_i = w_i/D_i^2 (differentiating sum w_i/D_i = 1),
+
+        grad H = sum u_i v_i / sum u_i,
+        hess H = 2 sum (w_i/D_i^3) (v_i - grad H)(v_i - grad H)^T / sum u_i,
+
+    so grad F = p - grad H and hess F = -hess H/(1+r); each iterate is one
+    one-row _discrete_h solve. The step is halved until it gains an
+    Armijo share of the Newton decrement. On a flat set q lives in the
+    span of the atoms (hess H is singular across it), so the solve runs in
+    its coordinates. The solve stops when the decrement, twice the gain
+    Newton predicts, is below the roundoff of F. On the hull's boundary
+    the sup lies at infinity: the solve returns the last F once |q| passes
+    _LAM_CEIL, the cap of the ray windows, or when a step is singular or
+    no longer increases F. Running past _NEWTON_ITERS iterations raises
+    SolverNotConverged.
+    """
+    pts, w = model.support.points, model.support.weights
+    span = _span(pts)[0]
+    if len(span) < model.dim:
+        pts, p = _atom_dots(span, pts), _dots(span, p)
+    scale = 1.0 + r
+
+    def value(q):
+        dots = _atom_dots(pts, q[None, :] / scale)
+        H = float(_discrete_h(w, dots)[0])
+        return float(p @ q) - scale * H - r, H, dots[0]
+
+    q = np.zeros(p.size)
+    f, H, dots = value(q)
+    for _ in range(_NEWTON_ITERS):
+        D = 1.0 + H - dots
+        u = w / (D * D)
+        dh = u @ pts / u.sum()
+        X = pts - dh
+        hess = 2.0 * (X.T * (w / D**3)) @ X / u.sum()
+        grad = p - dh
+        try:
+            step = scale * np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            return f
+        dec = float(grad @ step)
+        if not dec > np.finfo(float).eps * (abs(float(p @ q)) + scale * abs(H) + r):
+            return f
+        t = 1.0
+        while True:
+            trial = q + t * step
+            f_new, H_new, dots_new = value(trial)
+            if f_new >= f + _ARMIJO * t * dec:
+                break
+            t *= 0.5
+            if t < _MIN_STEP:
+                return f
+        if not f_new > f:
+            return f
+        q, f, H, dots = trial, f_new, H_new, dots_new
+        if np.linalg.norm(q) > _LAM_CEIL:
+            return f
+    raise SolverNotConverged(
+        "Lagrangian Newton solve did not converge in %d iterations" % _NEWTON_ITERS
+    )
 
 
 def planar_conjugate(model, r, e0, q):
@@ -368,6 +429,14 @@ def _cstars(model, r, E):
     return _min_speeds(model, r, E / np.linalg.norm(E, axis=1, keepdims=True))[0]
 
 
+def _span(points):
+    """Orthonormal rows spanning the points, and rows spanning the
+    orthogonal complement of that span, from one SVD."""
+    _, sv, vt = np.linalg.svd(points)
+    k = np.count_nonzero(sv > 1e-12 * sv[0])
+    return vt[:k], vt[k:]
+
+
 def _hull_facets(model):
     """Facets n.x + c <= 0 of the atoms' convex hull as rows (n, c), n unit.
 
@@ -383,8 +452,7 @@ def _hull_facets(model):
     try:
         return ConvexHull(pts).equations
     except QhullError:
-        _, sv, vt = np.linalg.svd(pts)
-        normals = vt[np.count_nonzero(sv > 1e-12 * sv[0]) :]
+        normals = _span(pts)[1]
         normals = np.vstack([normals, -normals])
         return np.column_stack([normals, np.zeros(len(normals))])
 
@@ -410,7 +478,7 @@ def freidlin_gartner_speed(model, r, e0):
     normals = _hull_facets(model)[:, :-1]
     normals = np.vstack([e0, normals[normals @ e0 > 0.0]])
     ratios = lambda D, cos: _cstars(model, r, D) / cos
-    return _direction_min(ratios, e0, ANGLES_FG, half=True, extra=normals)
+    return _direction_min(ratios, e0, ANGLES_FG, extra=normals)
 
 
 def _hull_extent(model, e0):

@@ -302,9 +302,10 @@ def lagrangian(model, r, p):
     Rotation-invariant models collapse to the aligned direction
     e = p/|p| exactly (the per-direction value is nondecreasing in p.e
     and the radial H does not depend on e), as does p = 0. On an atom set
-    of dimension 2 or 3 L is +inf past a facet of the atoms' hull, or off
-    the span of a flat set, without a solve; inside, _atom_lagrangian
-    solves for the sup's one first-order point in q.
+    of dimension 2 or 3 L is +inf past a facet of the atoms' hull (for a
+    flat set, off its span or past its hull in the span), without a
+    solve; inside, _atom_lagrangian solves for the sup's one first-order
+    point in q.
     """
     _positive(r, "growth rate r")
     P, _ = _rows(model, np.ravel(p))
@@ -332,11 +333,13 @@ def _atom_lagrangian(model, r, p):
         hess H = 2 sum (w_i/D_i^3) (v_i - grad H)(v_i - grad H)^T / sum u_i,
 
     so grad F = p - grad H and hess F = -hess H/(1+r); each iterate is one
-    one-row _discrete_h solve. The step is halved until it gains an
+    one-row _discrete_h solve. The Newton step solves with the SVD of a
+    square root Y of hess H = Y^T Y, so that near the hull it keeps the
+    curvature across a facet. The step is halved until it gains an
     Armijo share of the Newton decrement. On a flat set q lives in the
-    span of the atoms (hess H is singular across it), so the solve runs in
-    its coordinates. The solve stops when the decrement, twice the gain
-    Newton predicts, is below the roundoff of F. On the hull's boundary
+    span of the atoms (hess H is singular across it), so the solve runs
+    in its coordinates. The solve stops when the decrement, twice the
+    gain Newton predicts, is below the roundoff of F. On the hull's boundary
     the sup lies at infinity: the solve returns the last F once |q| passes
     _LAM_CEIL, the cap of the ray windows, or when a step is singular or
     no longer increases F. Running past _NEWTON_ITERS iterations raises
@@ -359,14 +362,18 @@ def _atom_lagrangian(model, r, p):
         D = 1.0 + H - dots
         u = w / (D * D)
         dh = u @ pts / u.sum()
-        X = pts - dh
-        hess = 2.0 * (X.T * (w / D**3)) @ X / u.sum()
         grad = p - dh
-        try:
-            step = scale * np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
+        # hess H = Y^T Y with rows Y_i = sqrt(2 w_i / (D_i^3 sum u)) (v_i -
+        # grad H). Its eigenvalue across a facet falls like |q|^-3 and is
+        # lost to roundoff in hess H once |q| passes about 1e5; the singular
+        # values of Y, its square roots, last past _LAM_CEIL
+        Y = np.sqrt(2.0 * w / (D**3 * u.sum()))[:, None] * (pts - dh)
+        _, sv, vt = np.linalg.svd(Y, full_matrices=False)
+        if not sv[-1] > 0.0:
             return f
-        dec = float(grad @ step)
+        z = (vt @ grad) / sv
+        step = scale * (vt.T @ (z / sv))
+        dec = scale * float(z @ z)
         if not dec > np.finfo(float).eps * (abs(float(p @ q)) + scale * abs(H) + r):
             return f
         t = 1.0
@@ -441,10 +448,12 @@ def _hull_facets(model):
     """Facets n.x + c <= 0 of the atoms' convex hull as rows (n, c), n unit.
 
     No rows for continuum models and 1-D sets. When the atoms are flat
-    (Qhull cannot build a full-dimensional hull) the rows are (n, 0) for
-    the +- unit normals n of the orthogonal complement of their span,
-    which passes through 0 as their mean is 0: every x off the span is
-    then past a facet.
+    (Qhull cannot build a full-dimensional hull) the rows are the facets
+    of their hull inside their span, lifted back (the two ends of a
+    segment), and (n, 0) for the +- unit normals n of the orthogonal
+    complement of the span, which passes through 0 as their mean is 0:
+    every x off the span, or in it but past the atoms' hull, is then past
+    a facet.
     """
     if not model.is_discrete or model.dim == 1:
         return np.empty((0, model.dim + 1))
@@ -452,9 +461,19 @@ def _hull_facets(model):
     try:
         return ConvexHull(pts).equations
     except QhullError:
-        normals = _span(pts)[1]
-        normals = np.vstack([normals, -normals])
-        return np.column_stack([normals, np.zeros(len(normals))])
+        span, normals = _span(pts)
+        proj = _atom_dots(span, pts)
+        if len(span) == 1:
+            inner = np.array([[1.0, -proj.max()], [-1.0, proj.min()]])
+        elif len(span) > 1:
+            inner = ConvexHull(proj).equations
+        else:
+            inner = np.empty((0, 1))
+        off = np.vstack([normals, -normals])
+        return np.vstack([
+            np.column_stack([inner[:, :-1] @ span, inner[:, -1]]),
+            np.column_stack([off, np.zeros(len(off))]),
+        ])
 
 
 def freidlin_gartner_speed(model, r, e0):
@@ -465,9 +484,11 @@ def freidlin_gartner_speed(model, r, e0):
     _direction_min over the open hemisphere about e0, with ANGLES_FG
     angles. e0 itself is a candidate, and for a velocity set of atoms so
     are the outward facet normals of their convex hull that face e0 (for
-    a flat set, the normals of its span): once c* turns ballistic near
-    such a normal the minimum can sit at that corner of the ratio, which
-    the search is not guaranteed to find. Each candidate is solved once:
+    a flat set, those in its span and the normals of that span): once c*
+    turns ballistic near such a normal the minimum can sit at that corner
+    of the ratio, which the search is not guaranteed to find. A normal
+    within roundoff of the equator e.e0 = 0 is left out: its ratio is
+    roundoff over roundoff. Each candidate is solved once:
     in 3-D, e0 is also the scan's pole, so the candidate is not solved
     again.
     """
@@ -476,7 +497,7 @@ def freidlin_gartner_speed(model, r, e0):
     if model.dim == 1 or _is_radial(model):
         return float(_cstars(model, r, e0)[0])
     normals = _hull_facets(model)[:, :-1]
-    normals = np.vstack([e0, normals[normals @ e0 > 0.0]])
+    normals = np.vstack([e0, normals[normals @ e0 > 1e-12]])
     ratios = lambda D, cos: _cstars(model, r, D) / cos
     return _direction_min(ratios, e0, ANGLES_FG, extra=normals)
 
@@ -485,7 +506,9 @@ def _hull_extent(model, e0):
     """Largest q with q e0 in the atoms' hull, from its facets; else vbar(e0)."""
     vb = model.support_max(e0)
     facets = _hull_facets(model)
-    up = facets[:, :-1] @ e0 > 0.0
+    # a normal within roundoff of e0's orthogonal complement, as those of
+    # a flat set's span are for e0 in it, does not bound the ray
+    up = facets[:, :-1] @ e0 > 1e-12
     if not up.any():
         return vb
     # at least 0, which the hull holds (the atoms' mean is 0)

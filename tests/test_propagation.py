@@ -327,8 +327,42 @@ def test_flat_atom_set_spreads_only_in_its_plane():
     assert kf.nullset_radius(flat, 1.0, e0, 2.0, init="point") == 0.0
     for q in np.concatenate([[1e-9, 1e-6], np.linspace(5e-4, 0.01, 20)]):
         assert kf.lagrangian(flat, 1.0, q * e0) == np.inf
-    # in the plane the conjugate stays finite
+    # in the plane the conjugate stays finite inside the atoms' hull, and
+    # is +inf past it: no first-order point exists there
     assert np.isfinite(kf.lagrangian(flat, 1.0, np.array([0.2, 0.1, 0.0])))
+    assert kf.lagrangian(flat, 1.0, np.array([0.7, 0.5, 0.0])) == np.inf
+    line = kf.VelocityModel(kf.DiscreteSet([(1.0, 1.0), (-1.0, -1.0)], [0.5, 0.5]))
+    assert np.isfinite(kf.lagrangian(line, 0.5, np.array([0.5, 0.5])))
+    assert kf.lagrangian(line, 0.5, np.array([2.0, 2.0])) == np.inf
+
+
+@pytest.mark.parametrize("r", [1.0, 3.0, 10.0])
+def test_flat_atom_set_spreads_in_its_plane_like_the_planar_set(r):
+    # the cross +-e1, +-e2 in 3-D, in its plane, is the 2-D diamond; at
+    # r = 3 and 10 the front is ballistic and the radius is the distance
+    # sqrt(1.25)/1.5 to the facet x + y = 1, short of vbar(e0) = 2/sqrt(5)
+    e0 = np.array([1.0, 0.5]) / math.sqrt(1.25)
+    flat, e0_3 = _flat_cross(), np.append(e0, 0.0)
+    want = kf.nullset_radius(diamond(), r, e0, 1.0, init="point")
+    np.testing.assert_allclose(kf.nullset_radius(flat, r, e0_3, 1.0, init="point"), want,
+                               rtol=1e-12)
+    np.testing.assert_allclose(kf.freidlin_gartner_speed(flat, r, e0_3),
+                               kf.freidlin_gartner_speed(diamond(), r, e0), rtol=1e-12)
+    if r > 1.0:
+        np.testing.assert_allclose(want, math.sqrt(1.25) / 1.5, rtol=1e-12)
+
+
+def test_collinear_atoms_spread_along_an_oblique_line_like_the_line():
+    # +-(1, 1): every direction of the half plane about the line gives the
+    # ratio c*_line; the span's normals lie within roundoff of e.e0 = 0
+    # and are no candidates
+    line = kf.VelocityModel(kf.DiscreteSet([(1.0, 1.0), (-1.0, -1.0)], [0.5, 0.5]))
+    e0 = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    c = kf.minimal_speed(line, 0.5, e0, sample=False).c_star
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # flat ratio: any minimizer
+        np.testing.assert_allclose(kf.freidlin_gartner_speed(line, 0.5, e0), c, rtol=1e-8)
+    np.testing.assert_allclose(kf.nullset_radius(line, 0.5, e0, 1.0, init="point"), c, rtol=1e-8)
 
 
 def test_collinear_atoms_do_not_spread_across_their_line():
@@ -390,11 +424,12 @@ NEAR_HULL = [
 def test_newton_lagrangian_near_the_hull(make, x, n, want):
     # inside, the sup is a first-order point: both solves agree to roundoff
     # of F, which grows with |q| (about 2e4 at 1e-9 inside); on the hull
-    # both are sups at infinity, cut off at a large |q|
+    # both are sups at infinity, cut off at |q| = _LAM_CEIL, where F is
+    # within about 1e-7 of the sup
     m = make()
     got = [kf.lagrangian(m, 0.8, np.array(x) - d * np.array(n)) for d in (1e-2, 1e-5, 1e-9, 0.0)]
     np.testing.assert_allclose(got[:3], want[:3], rtol=0.0, atol=1e-11)
-    assert abs(got[3] - want[3]) < 1e-5
+    assert abs(got[3] - want[3]) < 1e-7
     assert got[0] < got[1] < got[2] < got[3]
 
 

@@ -31,9 +31,9 @@ L(p) is a smooth concave sup over q with one first-order point inside
 the hull: one damped Newton solve in q, with no search over directions.
 The minimum of c*(e)/(e.e0) that gives w* need not be set by a
 first-order condition (it can sit at the kink of c*, or at a corner of
-the ratio), so w* is a search over directions: a scan, then a refinement
-about the scan's best row (an angle zoom in 2-D, shrinking direction
-grids in 3-D), every row solved in full.
+the ratio), so w* is a search over directions: a scan, then shrinking
+tangent grids about the best direction so far (one tangent axis in 2-D,
+two in 3-D), every row solved in full.
 """
 
 import functools
@@ -57,6 +57,10 @@ from .errors import SolverNotConverged, ValidationError
 from .models import _positive, _unit
 
 ANGLES_FG = 256
+# the refinement of _direction_min: points per tangent axis of a grid, by
+# dimension, and the half-width in rad below which it stops
+_GRID_POINTS = {2: 9, 3: 5}
+_GRID_STOP = 1e-7
 _LAM_FLOOR = 1e-8
 _LAM_CEIL = 2.0**24
 # damped Newton of an atom-set Lagrangian: iteration bound, Armijo share of
@@ -143,16 +147,21 @@ def _fibonacci_sphere(n):
     return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
 
 
-def _cap_dirs(center, rad):
-    """Unit directions on a 5 x 5 tangent-plane grid of half-width rad about
-    center, without the centre itself: the search has solved it already."""
-    u = np.cross(center, np.eye(3)[int(np.argmin(np.abs(center)))])
-    u /= np.linalg.norm(u)
-    w = np.cross(center, u)
-    g = np.linspace(-rad, rad, 5)
-    D = (center + g[:, None, None] * u + g[None, :, None] * w).reshape(-1, 3)
-    D = np.delete(D, 12, axis=0)  # the centre, g = 0 on both axes
-    return D / np.linalg.norm(D, axis=1, keepdims=True)
+def _cap_dirs(center, T, x, rad, m):
+    """One level of the tangent-grid refinement of _direction_min, in 2-D
+    and 3-D.
+
+    The orthonormal rows T span the tangent space of the unit center, and
+    x is a point of that chart. The grid puts m points on each tangent
+    axis, at x + linspace(-rad, rad, m), and leaves out x itself, whose
+    value the search holds. Returns the grid's chart points X and the
+    unit directions along center + X T.
+    """
+    g = np.linspace(-rad, rad, m)
+    X = x + np.stack(np.meshgrid(*[g] * len(T), indexing="ij"), axis=-1).reshape(-1, len(T))
+    X = np.delete(X, len(X) // 2, axis=0)  # the centre, g = 0 on every axis
+    D = center + X @ T
+    return X, D / np.linalg.norm(D, axis=1, keepdims=True)
 
 
 def _dots(D, pole):
@@ -161,133 +170,67 @@ def _dots(D, pole):
     return _atom_dots(pole[None, :], D)[:, 0]
 
 
-def _spaced(lo, hi, n):
-    """Row-wise np.linspace(lo[i], hi[i], n), rounded exactly as it rounds."""
-    pts = np.arange(n) * ((hi - lo) / (n - 1))[:, None] + lo[:, None]
-    pts[:, -1] = hi
-    return pts
-
-
-def _zoom_min(f, lo, hi):
-    """Minimize k unimodal functions at once, on the brackets [lo, hi].
-
-    f(xs, rows) maps an array xs of abscissae, its row i lying in the
-    bracket rows[i], to the values of those rows' functions there. Each
-    of 10 rounds spaces 17 points per row and keeps the two intervals
-    around the row's smallest value, shrinking the bracket by 8, about
-    1e9 in all. It serves the 2-D angle zoom of _direction_min: a
-    minimum over directions need not be a first-order point (it can sit
-    at a corner of c*(e)/(e.e0)), so it is bracketed by values, not by a
-    sign change of a derivative. Returns the arrays (x, f(x)) of the
-    smallest values seen.
-
-    f sees each abscissa of a row at most once. A round's bracket ends
-    are points of the round before (_spaced reproduces lo and hi
-    exactly), and its middle point often rounds onto the abscissa of an
-    earlier round's smallest value; those values are carried over. f
-    must give each (row, abscissa) the same value in any batch, as every
-    H solve here does, so the results are those of evaluating every
-    point.
-    """
-    rounds, n = 10, 17
-    best_x, best_f = lo.copy(), np.full(lo.size, np.inf)
-    idx = np.arange(lo.size)
-    mid = n // 2
-    fresh = np.r_[1:mid, mid + 1 : n - 1]
-    # each round's smallest value and its abscissa, per row
-    past_x = past_f = np.empty((lo.size, 0))
-    fs = None
-    for _ in range(rounds):
-        xs = _spaced(lo, hi, n)
-        if fs is None:
-            fs = f(xs, idx)
-        else:
-            prev = fs
-            fs = np.empty_like(xs)
-            fs[:, 0], fs[:, -1] = prev[idx, left], prev[idx, right]
-            seen = xs[:, mid, None] == past_x
-            again = seen.any(axis=1)
-            if again.any():
-                fs[again, mid] = past_f[again, np.argmax(seen[again], axis=1)]
-                fs[:, fresh] = f(xs[:, fresh], idx)
-                new = np.flatnonzero(~again)
-                if new.size:
-                    fs[new, mid] = f(xs[new, mid : mid + 1], new)[:, 0]
-            else:
-                fs[:, 1:-1] = f(xs[:, 1:-1], idx)
-        j = np.argmin(fs, axis=1)
-        xj, fj = xs[idx, j], fs[idx, j]
-        past_x, past_f = np.column_stack([past_x, xj]), np.column_stack([past_f, fj])
-        better = fj < best_f
-        best_x = np.where(better, xj, best_x)
-        best_f = np.where(better, fj, best_f)
-        left, right = np.maximum(j - 1, 0), np.minimum(j + 1, n - 1)
-        lo, hi = xs[idx, left], xs[idx, right]
-    return best_x, best_f
-
-
 def _direction_min(f, pole, n, extra=None):
     """Smallest value of f over the open hemisphere about the unit pole:
     the direction search of freidlin_gartner_speed.
 
     f(D, dots) maps unit rows D and their dot products with the pole to
-    values; each step below is one call. The dots are summed coordinate
-    by coordinate (_dots), so a row's dot is the same in any batch; on
-    the 2-D half circle they are cos(offset).
-    2-D: the cell midpoints of n offsets from the pole in (-pi/2, pi/2),
-    then ten _zoom_min rounds about the best one; the bracket stops 1e-9
-    short of the equator, and a minimizer near it is flagged, as a ratio
-    over e.e0 blows up there and attainment relies on interior angles.
-    3-D: the pole and the directions of a Fibonacci spiral of 2n with
-    dots > 1e-6, then 5 x 5 cap grids about the best direction, from the
-    spiral spacing down to 1e-7 rad by factors of 4; each grid leaves out
-    its centre, the best direction so far. A scan whose best value is
-    -inf returns it at once. The rows of extra are candidates too, taken
-    last, except those the scan already holds.
+    values. Each step below is one call, on its rows with dots > 1e-6;
+    the dots are summed coordinate by coordinate (_dots), so a row's dot
+    is the same in any batch.
+
+    The scan takes the cell midpoints of n angles about the pole in 2-D,
+    and the pole and a Fibonacci spiral of 2n directions in 3-D. A scan
+    whose best value is -inf returns it at once. The refinement then
+    solves tangent grids (_cap_dirs) in the chart center + x T about the
+    scan's best direction, m = _GRID_POINTS points per tangent axis about
+    the best chart point so far. The first half-width is tan of the
+    scan's spacing. Each level multiplies it by 2/(m - 1), which makes it
+    the spacing of the level before: a level covers the bracket that the
+    one before left.
+    The refinement stops once the half-width is at most _GRID_STOP. Over
+    directions the minimum need not be a first-order point (it can sit
+    at the kink of c* or at a corner of the ratio), so the grids compare
+    values.
+
+    A minimizer within two scan spacings of the equator is flagged, as a
+    ratio over e.e0 blows up there and attainment relies on interior
+    directions. The rows of extra are candidates too, taken last, except
+    those the scan already holds.
     """
     if pole.size == 2:
-        base, span = math.atan2(pole[1], pole[0]), math.pi / n
-        scan = -0.5 * math.pi + math.pi * (np.arange(n) + 0.5) / n
-
-        def g(ts):
-            return _circle_dirs(base + ts), np.cos(ts)
-
+        base, spacing = math.atan2(pole[1], pole[0]), math.pi / n
+        scan = _circle_dirs(base + (-0.5 * math.pi + math.pi * (np.arange(n) + 0.5) / n))
     else:
+        spacing = math.sqrt(4.0 * math.pi / (2 * n))
         scan = np.vstack([pole, _fibonacci_sphere(2 * n)])
 
-        def g(D):
-            dots = _dots(D, pole)
-            return D[dots > 1e-6], dots[dots > 1e-6]
+    def solve(D):
+        dots = _dots(D, pole)
+        rows = np.flatnonzero(dots > 1e-6)
+        return rows, dots[rows], f(D[rows], dots[rows])
 
-    D, dots = g(scan)
-    vals = f(D, dots)
+    rows, dots, vals = solve(scan)
     k = int(np.argmin(vals))
-    best, scanned = float(vals[k]), D
+    best, best_dot = float(vals[k]), dots[k]
     if best == -np.inf:
         return best
-    if pole.size == 2:
-        lo = max(scan[k] - span, -0.5 * math.pi + 1e-9)
-        hi = min(scan[k] + span, 0.5 * math.pi - 1e-9)
-        zoom = lambda ts, _: f(*g(ts[0]))[None, :]
-        t_star, zoomed = _zoom_min(zoom, np.array([lo]), np.array([hi]))
-        if abs(t_star[0]) > 0.5 * math.pi - 2.0 * span:
-            warnings.warn(
-                "Freidlin-Gartner minimizer lies near the equator e.e0 = 0; "
-                "increase ANGLES_FG if the minimum looks truncated",
-                RuntimeWarning,
-            )
-        best = min(best, float(zoomed[0]))
-    else:
-        rad, cap = math.sqrt(4.0 * math.pi / (2 * n)), D[k]
-        while True:
-            D, dots = g(_cap_dirs(cap, rad))
-            vals = f(D, dots)
-            j = int(np.argmin(vals))
-            if vals[j] < best:
-                best, cap = float(vals[j]), D[j]
-            if rad <= 1e-7:
-                break
-            rad *= 0.25
+    scanned, center = scan[rows], scan[rows[k]]
+    T = _span(center[None, :])[1]
+    x, m, rad = np.zeros(len(T)), _GRID_POINTS[pole.size], math.tan(spacing)
+    while rad > _GRID_STOP:
+        X, D = _cap_dirs(center, T, x, rad, m)
+        rows, dots, vals = solve(D)
+        j = int(np.argmin(vals))
+        if vals[j] < best:
+            best, best_dot, x = float(vals[j]), dots[j], X[rows[j]]
+        rad *= 2.0 / (m - 1)
+    if best_dot < math.sin(2.0 * spacing):
+        warnings.warn(
+            "Freidlin-Gartner minimizer lies near the equator e.e0 = 0; "
+            "increase ANGLES_FG if the minimum looks truncated",
+            RuntimeWarning,
+        )
     if extra is not None:
         extra = extra[~(extra[:, None, :] == scanned[None, :, :]).all(axis=2).any(axis=1)]
         if len(extra):

@@ -28,7 +28,10 @@ from .quadrature import FAILURES
 # classification threshold on c'(lambda_tilde-); the zero-derivative case
 # sits on a measure-zero boundary in r, the tolerance makes it observable
 DERIV_TOL = 1e-6
+# the first decay-rate window of a Case1 minimal speed, and the ceiling
+# that it and the ray windows of propagation grow to by factors of 4
 LAMBDA_CAP = 1e3
+_LAM_CEIL = 2.0**24
 # log-spaced decay rates of the curve that minimal_speed samples
 N_SCAN = 64
 _I_CAP = 1e6
@@ -171,7 +174,7 @@ def _profile_closure(model, p, H):
 
 
 def _newton_rows(t, evaluate, floor=None):
-    """Roots of I(t) = 1 for a batch of rows, by Newton from the left.
+    """Roots of I(t) = 1 for a batch of rows, by Newton on 1/I - 1.
 
     I is a positive sum (or integral) of w/(t + b) terms with b >= 0, so
     1/I is concave and increasing in t: from any t with I > 1, Newton on
@@ -180,25 +183,28 @@ def _newton_rows(t, evaluate, floor=None):
     on those rows. A row stops once its own step is below roundoff, so
     its root does not depend on which other rows share the batch.
 
-    With floor, a row whose I <= 1 at its start steps the start down by
-    factors of 10, to no lower than its floor, and ends there when I is
-    still <= 1.
+    With floor, a row may start right of its root (I < 1). There the
+    Newton step in t lands left of the root, by concavity, but far left
+    where I grows like log(1/t); the Newton step in log t is exact there.
+    Such a row steps down by the larger of the two, by at most a factor
+    1000, and to no lower than its floor. A row on its floor with I <= 1
+    ends there: its root lies below the floor.
     """
-    search = np.full(t.size, floor is not None)
     live = np.arange(t.size)
     for _ in range(100):
-        I, slope = evaluate(live, t[live])
+        old = t[live]
+        I, slope = evaluate(live, old)
         step = (I - 1.0) * I / slope
-        newton = ~search[live] | (I > 1.0)
-        search[live[newton]] = False
-        t[live[newton]] += step[newton]
-        done = newton & (np.abs(step) < 4e-16 * (1.0 + t[live]))
-        low = live[~newton]
-        if low.size:
-            stop = t[low] <= floor[low]
-            done[~newton] = stop
-            low = low[~stop]
-            t[low] = np.maximum(0.1 * t[low], floor[low])
+        if floor is None:
+            new = old + step
+            done = np.abs(step) < 4e-16 * (1.0 + new)
+        else:
+            right = I < 1.0
+            down = old[right] * np.expm1((I[right] - 1.0) / (old[right] * slope[right]))
+            step[right] = np.minimum(down, np.maximum(step[right], -0.999 * old[right]))
+            new = np.maximum(old + step, floor[live])
+            done = (np.abs(step) < 4e-16 * (1.0 + new)) | ((old <= floor[live]) & (I <= 1.0))
+        t[live] = new
         live = live[~done]
         if live.size == 0:
             break
@@ -307,13 +313,23 @@ def _edge_roots(grid, beta):
 
     I(t) = integral of mbar(s) / (t + beta s) over s = vbar - v.e: the
     grid's nodes and weights are a weighted atom set in s, and I and I'
-    come from one (rows, nodes) reciprocal array per pass. The graded
-    grid cannot separate offsets t below a few powers of two above its
-    innermost panel width, so _newton_rows starts each row at
-    1e-3 (1 + beta) with the floor eps_min; a row with I <= 1 there has
-    its root below quadrature resolution and returns the floor (the
-    large-|p| regime where t decays like exp(-2|p|)). _I_CAP keeps the
-    Newton step usable where the quadrature reports +inf.
+    come from one (rows, nodes) reciprocal array per pass.
+
+    Every row starts from a bound that depends only on |p|. The slice
+    marginal is symmetric, so pairing v.p with -v.p gives
+    I >= (1 + sigma^2 beta^2 / a^2) / a at a = 1 + H, with sigma^2 the
+    grid's second moment m2. At the root I = 1, so 1 + H is at least the
+    root a0 of a^3 - a^2 - sigma^2 beta^2 = 0, and
+    t0 = a0 - beta vbar lies left of the root (close to it for small
+    |p|). Where t0 falls below 1e-3 (1 + beta), the row starts there
+    instead, possibly right of its root, and _newton_rows steps it down.
+
+    The graded grid cannot separate offsets t below a few powers of two
+    above its innermost panel width, so eps_min is the floor of
+    _newton_rows: a row whose root lies below it (the large-|p| regime
+    where t decays like exp(-2|p|)) reaches the floor in a few passes and
+    returns it. _I_CAP keeps the Newton step usable where the quadrature
+    reports +inf.
     """
     s, w = grid.s, grid.w
 
@@ -325,8 +341,14 @@ def _edge_roots(grid, beta):
             raise QuadratureNotConverged(FAILURES[fail[fail > 0][0]])
         return np.minimum(I, _I_CAP), (y * rec).sum(axis=1)
 
+    # the real root of a^3 - a^2 - c = 0 by Cardano, a = 1/3 + x with
+    # x^3 - x/3 = 2/27 + c
+    c = grid.m2 * beta * beta
+    half = 1.0 / 27.0 + 0.5 * c
+    root = np.sqrt(c / 27.0 + 0.25 * c * c)
+    a0 = 1.0 / 3.0 + np.cbrt(half + root) + np.cbrt(half - root)
     eps_min = beta * grid.edge_tail * 2.0**13
-    return _newton_rows(1e-3 * (1.0 + beta), evaluate, eps_min)
+    return _newton_rows(np.maximum(a0 - beta * grid.vbar, 1e-3 * (1.0 + beta)), evaluate, eps_min)
 
 
 def _edge_mean(grid, t, beta):
@@ -507,8 +529,11 @@ def _min_speeds(model, r, E):
       lambda^2 c' = lambda (dH/dbeta - c) (_h_rays). The other rows take
       it at 1e-3 and at hi, LAMBDA_CAP where lambda_tilde is +inf
       (Case1), or lambda_tilde approached from the left, where dleft is
-      known. A Case1 row still falling at the cap is the ballistic
-      limit c_star = vbar(e), lambda_star = +inf. A row already rising
+      known. A Case1 row still falling at hi grows hi by factors of 4, up
+      to _LAM_CEIL; one still falling there is the ballistic limit
+      c_star = vbar(e), lambda_star = +inf, and so is an atom-set row
+      with (1+r) w_tie >= 1 at once, w_tie the weight at vbar(e), since
+      c tends to vbar from above. A row already rising
       at 1e-3 moves that end down by factors of 1000 until c' < 0 there,
       or to 1e-12, where the minimum is taken;
     - _bracket_roots solves c' = 0 in log lambda on the remaining rows.
@@ -544,6 +569,18 @@ def _min_speeds(model, r, E):
     lo, hi = np.full(rows.size, 1e-3), np.where(capped, LAMBDA_CAP, lam_tilde[rows])
     c, slope = curve(np.column_stack([lo, hi]), rows)
     slope[~capped, 1] = dleft[rows[~capped]] * hi[~capped] ** 2
+    grow = np.flatnonzero(capped & (slope[:, 1] < 0.0))
+    if model.is_discrete and grow.size:
+        # c = vbar + ((1+r) t - 1) / lambda, t = H - (mu - 1) falling to the
+        # weight w_tie at vbar(e) and staying above it: where (1+r) w_tie >= 1
+        # c stays above vbar, so the row is ballistic with no wider window
+        dots = _atom_dots(model.support.points, E[rows[grow]])
+        tie = (model.support.weights * (dots >= dots.max(axis=1, keepdims=True))).sum(axis=1)
+        grow = grow[(1.0 + r[rows[grow]]) * tie < 1.0]
+    while grow.size:
+        hi[grow] = np.minimum(4.0 * hi[grow], _LAM_CEIL)
+        c[grow, 1:], slope[grow, 1:] = curve(hi[grow, None], rows[grow])
+        grow = grow[(slope[grow, 1] < 0.0) & (hi[grow] < _LAM_CEIL)]
     down = slope[:, 1] < 0.0
     c_star[rows[down]] = vbar[rows[down]]
     # a curve already rising at 1e-3 (r below about 1e-6) has its minimum
@@ -617,16 +654,21 @@ def minimal_speed(model, r, e, sample=True):
     derivative vanishes within DERIV_TOL, Case4 if negative). An
     interior minimum is the root of c' in log lambda, bracketed by
     [1e-3, lambda_tilde) or, with lambda_tilde = +inf (Case1), by
-    [1e-3, LAMBDA_CAP]; a Case1 curve still decreasing at the cap is
-    reported as the ballistic limit c_star = vbar(e),
-    lambda_star = inf. With sample, the curve is also sampled on N_SCAN
-    log-spaced rates from 1e-3, or from lambda_star / 10 when
-    lambda_star lies below 1e-3, refined about lambda_star.
+    [1e-3, hi], where hi grows from LAMBDA_CAP by factors of 4 up to
+    _LAM_CEIL while the curve still decreases there; a Case1 curve still
+    decreasing at the ceiling is reported as the ballistic limit
+    c_star = vbar(e), lambda_star = inf. With sample, the curve is also
+    sampled on N_SCAN log-spaced rates from 1e-3, or from
+    lambda_star / 10 when lambda_star lies below 1e-3, up to
+    lambda_tilde, or on Case1 up to LAMBDA_CAP or 10 lambda_star past
+    it, refined about lambda_star.
     """
     curve = minimal_speeds(model, [r], e)[0]
     if sample:
         r, lam_star = curve.r, curve.lambda_star
-        hi = LAMBDA_CAP if np.isinf(curve.lambda_tilde) else curve.lambda_tilde
+        hi = curve.lambda_tilde
+        if np.isinf(hi):
+            hi = max(LAMBDA_CAP, 10.0 * lam_star) if np.isfinite(lam_star) else LAMBDA_CAP
         lo = 1e-3 if lam_star >= 1e-3 else lam_star / 10.0
         curve.lambda_grid = _sample_grid(lo, hi, N_SCAN, lam_star if np.isfinite(lam_star) else hi)
         H = hamiltonian_values(model, np.multiply.outer(curve.lambda_grid / (1.0 + r), curve.e))

@@ -184,8 +184,9 @@ class VelocityModel:
     name : optional label used by the CLI.
 
     grid is the GradedGrid over s = vbar(e) - v.e of a continuum model,
-    built at construction and the same for every direction e; None on a
-    DiscreteSet.
+    built once at construction, at norm constant 1 for the raw mass, and
+    then rescaled to the normalized M; it is the same for every direction
+    e. None on a DiscreteSet.
     """
 
     def __init__(self, support, density=None, name=None):
@@ -209,13 +210,18 @@ class VelocityModel:
             # family normalization constant, via the graded edge grid
             # (robust to root-type endpoint behavior of non-integer exponents)
             self._norm_const = 1.0
-            raw_mass = self._build_grid().kernel_integral(np.ones_like)
+            R = self.v_max
+            grid = GradedGrid(np.array([0.0, R, 2.0 * R]), self._edge_marginal, R)
+            raw_mass = grid.kernel_integral(np.ones_like)
             if not np.isfinite(raw_mass) or raw_mass <= 0:
                 raise ValidationError("density has non-finite or zero mass")
             self._norm_const = 1.0 / raw_mass
             # a radial M on a ball or a symmetric interval has the same slice
-            # marginal along every e, so one grid serves every direction
-            self.grid = self._build_grid()
+            # marginal along every e, so one grid serves every direction: the
+            # raw grid, its weights scaled by the constant (the marginal is
+            # linear in M, so this is the normalized grid up to rounding)
+            grid.w = grid.w * self._norm_const
+            self.grid = grid
             self._validate_moments()
 
     # -- basic geometry ------------------------------------------------
@@ -280,10 +286,6 @@ class VelocityModel:
             raise ValidationError("mean velocity along the first axis is %.3g, not 0" % mean_e)
 
     # -- directional machinery ------------------------------------------
-
-    def _build_grid(self):
-        R = self.v_max
-        return GradedGrid(np.array([0.0, R, 2.0 * R]), self._edge_marginal, R)
 
     def _edge_marginal(self, s):
         """Slice marginal at t = R - s, R = v_max: the same along every direction."""

@@ -45,6 +45,7 @@ from scipy.optimize import brentq
 from scipy.spatial import ConvexHull, QhullError
 
 from .dispersion import (
+    _LAM_CEIL,
     _atom_dots,
     _bracket_roots,
     _discrete_h,
@@ -62,7 +63,6 @@ ANGLES_FG = 256
 _GRID_POINTS = {2: 9, 3: 5}
 _GRID_STOP = 1e-7
 _LAM_FLOOR = 1e-8
-_LAM_CEIL = 2.0**24
 # damped Newton of an atom-set Lagrangian: iteration bound, Armijo share of
 # the decrement, and the smallest damping before a step counts as flat
 _NEWTON_ITERS = 100

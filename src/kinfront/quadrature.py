@@ -12,10 +12,13 @@ extrapolation and divergence classification on the panel increments.
 
 A continuum model builds one grid, nodes and weights, once, at
 construction: its slice marginal is the same along every direction. The
-grid computes its edge integrals l and j once, on first use. The
-kernel values of many rows (the dispersion relation at every frequency of
-a batched H solve) are integrated in one vectorized pass, `integrals`;
-`kernel_integral` is its one-row case.
+grid computes its edge integrals l and j, and the second moment m2 that
+starts the H solves, once, on first use. The kernel values of many rows
+(the dispersion relation at every frequency of a batched H solve) are
+integrated in one vectorized pass, `integrals`; `kernel_integral` is its
+one-row case. Most calls have one row, so `integrals` keeps its
+per-call numpy work small: one errstate, nested `where`s for the codes,
+and the first-failure gather only when some ladder has a code.
 """
 
 from functools import cached_property, lru_cache
@@ -86,15 +89,14 @@ def _tail_stats(increments):
     the largest deviation of such a ratio from rbar, and the geometric
     tail past the last level. Entries that the classification in
     GradedGrid.integrals never reaches (ratios of an overflowing ladder,
-    say) may be inf or nan.
+    say) may be inf or nan; the caller silences their warnings.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        totals = np.cumsum(increments, axis=2)[:, :, -1]
-        last = increments[:, :, -7:]
-        ratios = last[:, :, 1:] / np.maximum(last[:, :, :-1], 1e-300)
-        rbar = ratios.sum(axis=2) / ratios.shape[2]
-        scatter = np.abs(ratios - rbar[:, :, None]).max(axis=2)
-        tail = increments[:, :, -1] * rbar / (1.0 - rbar)
+    totals = np.cumsum(increments, axis=2)[:, :, -1]
+    last = increments[:, :, -7:]
+    ratios = last[:, :, 1:] / np.maximum(last[:, :, :-1], 1e-300)
+    rbar = ratios.sum(axis=2) / ratios.shape[2]
+    scatter = np.abs(ratios - rbar[:, :, None]).max(axis=2)
+    tail = increments[:, :, -1] * rbar / (1.0 - rbar)
     return totals, last.max(axis=2), rbar, scatter, tail
 
 
@@ -155,27 +157,24 @@ class GradedGrid:
         into FAILURES, for a row whose increments do not converge. A
         row's result does not depend on the other rows.
         """
-        part, big, rbar, scatter, tail = _tail_stats(y.reshape((-1,) + self._shape).sum(axis=3))
-        with np.errstate(invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            part, big, rbar, scatter, tail = _tail_stats(y.reshape((-1,) + self._shape).sum(axis=3))
             # a positive ladder whose tail is not negligible is classified
             judged = ~(part <= 0.0) & ~(big <= 1e-15 * part)
-            code = np.select(
-                [
-                    part > DIVERGENCE_CAP,
-                    judged & self._singular & (rbar >= DIVERGENCE_RATIO),
-                    judged & (scatter > RATIO_SCATTER_TOL * np.maximum(rbar, _TAIL_RATIO_FLOOR)),
-                    # non-singular ladders never see singular kernels; a fat
-                    # tail here means the integrand misbehaves at a
-                    # supposedly regular endpoint
-                    judged & (rbar >= DIVERGENCE_RATIO),
-                ],
-                [_DIVERGENT, _DIVERGENT, 1, 2],
-                0,
+            fat = judged & (rbar >= DIVERGENCE_RATIO)
+            # non-singular ladders never see singular kernels; a fat tail
+            # there (code 2) means the integrand misbehaves at a supposedly
+            # regular endpoint
+            code = np.where(
+                (part > DIVERGENCE_CAP) | (fat & self._singular),
+                _DIVERGENT,
+                np.where(judged & (scatter > RATIO_SCATTER_TOL * np.maximum(rbar, _TAIL_RATIO_FLOOR)), 1, np.where(fat, 2, 0)),
             )
-            add = np.where(part <= 0.0, 0.0, part)
-            add = np.where(judged & (rbar > _TAIL_RATIO_FLOOR), part + tail, add)
+            add = np.where(judged & (rbar > _TAIL_RATIO_FLOOR), part + tail, np.where(part <= 0.0, 0.0, part))
         # summed in ladder order; the first ladder with a code decides
         total = np.cumsum(add, axis=1)[:, -1]
+        if not code.any():
+            return total, code[:, 0]  # zeros: every row converged
         code = code[np.arange(code.shape[0]), np.argmax(code > 0, axis=1)]
         total[code == _DIVERGENT] = np.inf
         return total, np.where(code == _DIVERGENT, 0, code)
@@ -205,6 +204,11 @@ class GradedGrid:
         if power == 2:
             return self.kernel_integral(lambda s: 1.0 / (d + beta * s) ** 2)
         raise ValueError("power must be 1 or 2")
+
+    @cached_property
+    def m2(self):
+        """Second moment of t = vbar - s against the marginal, one weighted sum, computed once."""
+        return float(self.w @ (self.vbar - self.s) ** 2)
 
     @cached_property
     def l(self):

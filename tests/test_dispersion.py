@@ -474,3 +474,59 @@ def test_min_speed_rows_with_their_own_r_do_not_depend_on_the_batch():
         ballistic += int(np.isinf(batch[1]).sum())
     assert cases == {"Case1", "Case2", "Case3", "Case4"}
     assert ballistic > 0
+
+
+@pytest.mark.parametrize("name,ps,passes", [
+    # |p| on both sides of 1 / vbar = 1, the regular rows of each preset up
+    # to close below l, and on the slab rows whose root lies below the
+    # eps_min floor (|p| = 15 and 50)
+    ("uniform-1d", (0.1, 0.5, 0.9, 1.1, 2.0, 5.0, 15.0, 50.0), 37),
+    ("quadratic-1d", (0.1, 0.5, 0.9, 1.1, 1.15), 19),
+    ("uniform-ball:2", (0.1, 0.5, 0.9, 1.1, 1.9, 1.999), 31),
+    ("uniform-ball:3", (0.1, 0.5, 0.9, 1.1, 1.45, 1.4999), 28),
+])
+def test_edge_root_newton_passes(name, ps, passes):
+    # each row starts from the moment bound a0 - |p| vbar: one integrals
+    # pass per Newton step, counted on a fresh model's grid
+    grid = kf.preset(name).grid
+    integrals = grid.integrals
+    seen = []
+
+    def counted(y):
+        seen.append(len(y))
+        return integrals(y)
+
+    grid.integrals = counted
+    for p in ps:
+        t = kf.dispersion._edge_roots(grid, np.array([p]))
+        assert t[0] > 0.0
+    assert len(seen) == passes
+
+
+@pytest.mark.parametrize("name,ps", [
+    ("uniform-1d", (0.01, 0.3, 0.99, 1.0, 1.01, 3.0)),
+    ("uniform-ball:2", (0.01, 0.3, 0.99, 1.0, 1.01, 1.9)),
+])
+def test_edge_root_start_lies_left_of_the_root(name, ps):
+    # pairing v.p with -v.p bounds 1 + H below by the root a0 of
+    # a^3 - a^2 - sigma^2 |p|^2: the H solve returns at least a0 - 1
+    m = kf.preset(name)
+    for p in ps:
+        c = m.grid.m2 * p * p
+        a0 = np.roots([1.0, -1.0, 0.0, -c])
+        a0 = a0[np.abs(a0.imag) < 1e-12].real.max()
+        H = kf.hamiltonian_value(m, p * np.eye(m.dim)[0])
+        assert 1.0 + H >= a0 * (1.0 - 1e-14)
+
+
+def test_two_speed_minimum_past_the_first_window():
+    # at r = 0.9995, lambda* = (1+r) sqrt(r) / (1-r) is about 4e3, past
+    # LAMBDA_CAP: the window grows to it, and c* is not the ballistic 1
+    r = 0.9995
+    sc = kf.minimal_speed(model("two-speed"), r, 1.0, sample=False)
+    assert np.isfinite(sc.lambda_star)
+    np.testing.assert_allclose(sc.lambda_star, (1.0 + r) * math.sqrt(r) / (1.0 - r), rtol=1e-9)
+    assert abs(sc.c_star - 2.0 * math.sqrt(r) / (1.0 + r)) <= 1e-10
+    curve = kf.minimal_speed(model("two-speed"), r, 1.0)
+    assert curve.lambda_grid[-1] >= 10.0 * sc.lambda_star * (1.0 - 1e-12)
+    assert np.all(curve.c_values >= sc.c_star * (1.0 - 1e-12))

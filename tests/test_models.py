@@ -210,3 +210,32 @@ def test_arg_mu_extremal_velocities():
     np.testing.assert_allclose(hits[0], [0.0, 1.0], atol=1e-12)
     m1 = model("uniform-1d")
     np.testing.assert_allclose(m1.arg_mu(np.array([-3.0]))[0], [-1.0])
+
+
+def test_continuum_model_builds_its_grid_once(monkeypatch):
+    # the raw mass is taken on the one grid, whose weights are then scaled:
+    # l and j keep the values of a grid built at the normalized M
+    from kinfront.models import MASS_TOL
+    from kinfront.quadrature import GradedGrid
+
+    builds = []
+    init = GradedGrid.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GradedGrid, "__init__", counted)
+    want = {
+        "uniform-1d": (math.inf, math.inf),
+        "quadratic-1d": (1.1588830833596722, 1.841116916640328),
+        "uniform-ball:2": (1.9999999998983238, math.inf),
+        "uniform-ball:3": (1.5, math.inf),
+    }
+    for name, (lval, jval) in want.items():
+        builds.clear()
+        m = kf.preset(name)
+        assert len(builds) == 1
+        assert abs(m.grid.kernel_integral(np.ones_like) - 1.0) <= MASS_TOL
+        for got, ref in ((m.grid.l, lval), (m.grid.j, jval)):
+            assert got == ref if math.isinf(ref) else abs(got - ref) <= 1e-14 * ref

@@ -621,3 +621,13 @@ def test_ray_sup_at_lambda_tilde():
                           method="bounded", options={"xatol": 1e-10})
     assert res.x < lam_t * (1.0 - 1e-3)
     assert -res.fun - 1e-14 <= got <= -res.fun + 1e-12
+
+
+def test_diamond_wstar_where_lambda_star_passes_the_first_window():
+    # near the diagonal at r = 1.0517..., c*(e) has lambda* past LAMBDA_CAP
+    # = 1e3; a window fixed there reported the ballistic vbar(e) and put w*
+    # 6.3e-8 above the point radius
+    r, theta = 1.051749152672088, 0.476002222947521
+    e0 = (math.cos(theta), math.sin(theta))
+    radius = kf.nullset_radius(diamond(), r, e0, 1.0, init="point", tol=1e-13)
+    assert abs(kf.freidlin_gartner_speed(diamond(), r, e0) - radius) <= 1e-8

@@ -192,3 +192,25 @@ def test_row_integrals_classify_each_row_as_kernel_integral_does():
         t2, f2 = g.integrals(Y[order])
         np.testing.assert_array_equal(t2, total[order])
         np.testing.assert_array_equal(f2, fail[order])
+
+
+def test_mixed_batch_rows_match_the_per_ladder_loop():
+    # one integrals call per grid whose rows reach every outcome of the
+    # classification side by side, each row against the loop oracle
+    from kinfront.quadrature import FAILURES
+
+    grids, kernels = _grids_and_kernels()
+    seen = set()
+    for g in grids:
+        with np.errstate(all="ignore"):
+            Y = np.array([k(g.s) * g.w for k in kernels])
+        total, fail = g.integrals(Y)
+        outcomes = set()
+        for kernel, t, f in zip(kernels, total, fail):
+            got = ("raised: %s" % FAILURES[f]) if f else t
+            want = _outcome(lambda: _loop_kernel_integral(g, kernel))
+            assert got == want or (np.isnan(got) and np.isnan(want))
+            outcomes.add(want if isinstance(want, str) else ("inf" if np.isinf(want) else "finite"))
+        assert len(outcomes) >= 3, outcomes
+        seen |= outcomes
+    assert len(seen) == 4, seen

@@ -469,7 +469,7 @@ def speed_derivative_left(model, r, e, lam, c=None):
     return (1.0 - 1.0 / ((1.0 + r) * jcal)) / lam**2
 
 
-def _bracket_roots(f, lo, hi, flo, fhi):
+def _bracket_roots(f, lo, hi, flo, fhi, tol=1e-12):
     """Roots of k functions at once, by Chandrupatla's method.
 
     Row i's function takes the values flo[i] and fhi[i], of opposite
@@ -478,10 +478,12 @@ def _bracket_roots(f, lo, hi, flo, fhi):
     (values, data) of those rows' functions there. Each step interpolates
     inverse-quadratically through the row's last three points when their
     values allow it and bisects otherwise, keeping half the tolerance
-    4 eps |x| + 1e-12 inside the bracket. A row stops at a zero value or
+    4 eps |x| + tol inside the bracket. A row stops at a zero value or
     once its bracket is narrower than the tolerance, so its root does not
-    depend on the other rows. Returns each row's last abscissa, which is
-    within the tolerance of the sign change, and the data f gave there.
+    depend on the other rows. Values may be +-inf (a function that jumps
+    to +inf past a hull, say): no interpolation runs through them, and
+    the step bisects. Returns each row's last abscissa, which is within
+    the tolerance of the sign change, and the data f gave there.
     """
     x1, f1, x2, f2 = lo.copy(), flo.copy(), hi.copy(), fhi.copy()
     x3, f3 = x2.copy(), f2.copy()
@@ -498,9 +500,9 @@ def _bracket_roots(f, lo, hi, flo, fhi):
         x2[flip], f2[flip] = x1[flip], f1[flip]
         x1[live], f1[live] = x, fx
         width = np.abs(x2[live] - x1[live])
-        tol = 4.0 * np.finfo(float).eps * np.abs(x) + 1e-12
-        go = (fx != 0.0) & (width > tol)
-        live, width, tol = live[go], width[go], tol[go]
+        band = 4.0 * np.finfo(float).eps * np.abs(x) + tol
+        go = (fx != 0.0) & (width > band)
+        live, width, band = live[go], width[go], band[go]
         if live.size == 0:
             break
         a1, a2, a3, b1, b2, b3 = x1[live], x2[live], x3[live], f1[live], f2[live], f3[live]
@@ -508,7 +510,7 @@ def _bracket_roots(f, lo, hi, flo, fhi):
             xi, phi = (a1 - a2) / (a3 - a2), (b1 - b2) / (b3 - b2)
             iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
             step = b1 / (b1 - b2) * b3 / (b3 - b2) - (a3 - a1) / (a2 - a1) * b1 / (b3 - b1) * b2 / (b2 - b3)
-        edge = 0.5 * tol / width
+        edge = 0.5 * band / width
         t[live] = np.clip(np.where(iqi, step, 0.5), edge, 1.0 - edge)
     return x1, data
 

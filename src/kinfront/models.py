@@ -26,6 +26,10 @@ from .quadrature import GradedGrid, _Ladder, gl_rule
 
 MASS_TOL = 1e-8
 MEAN_TOL = 1e-8
+# the most atoms of a 3-D DiscreteSet: the facets of their hull are searched
+# among the C(m, 3) planes through triples of atoms, each tested against
+# every atom, m^4 / 6 products (about 5 ms at m = 32 on a 2-vCPU x86-64 host)
+MAX_ATOMS_3D = 32
 _MARGINAL_LEVELS = 16
 _MARGINAL_ORDER = 12
 # unit graded ladder on (0, 1] toward 0 for the 2-ball marginal, level-major
@@ -101,12 +105,17 @@ class Ball:
 
 
 class DiscreteSet:
-    """Finite velocity set: points (m, n) with positive weights summing to 1."""
+    """Finite velocity set: points (m, n) with positive weights summing to 1.
+
+    n is 1, 2 or 3, and a 3-D set has at most MAX_ATOMS_3D weighted points.
+    """
 
     def __init__(self, points, weights):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.ndim != 2:
             raise ValidationError("points must be an (m, n) array")
+        if pts.shape[1] not in (1, 2, 3):
+            raise ValidationError("velocity points must have 1, 2 or 3 components")
         w = np.asarray(weights, dtype=float)
         if w.shape != (pts.shape[0],):
             raise ValidationError("one weight per velocity point required")
@@ -116,6 +125,11 @@ class DiscreteSet:
         pts, w = pts[keep], w[keep]
         if pts.shape[0] == 0:
             raise ValidationError("discrete set needs at least one weighted point")
+        if pts.shape[1] == 3 and pts.shape[0] > MAX_ATOMS_3D:
+            raise ValidationError(
+                "a 3-D discrete set has at most %d weighted points, got %d"
+                % (MAX_ATOMS_3D, pts.shape[0])
+            )
         if np.any(w < 0):
             raise ValidationError("weights must be nonnegative")
         if abs(w.sum() - 1.0) > MASS_TOL:

@@ -36,13 +36,10 @@ tangent grids about the best direction so far (one tangent axis in 2-D,
 two in 3-D), every row solved in full.
 """
 
-import functools
 import math
 import warnings
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.spatial import ConvexHull, QhullError
 
 from .dispersion import (
     _LAM_CEIL,
@@ -70,6 +67,8 @@ _ARMIJO = 1e-4
 _MIN_STEP = 2.0**-30
 # relative half-width of the bracket about a known speed in nullset_radius
 _SEED_REL = 1e-6
+# entries (triples x atoms) per chunk of the 3-D facet search in _hull_planes
+_TRIPLE_CHUNK = 2**18
 
 
 def _is_radial(model):
@@ -227,8 +226,10 @@ def _direction_min(f, pole, n, extra=None):
         rad *= 2.0 / (m - 1)
     if best_dot < math.sin(2.0 * spacing):
         warnings.warn(
-            "Freidlin-Gartner minimizer lies near the equator e.e0 = 0; "
-            "increase ANGLES_FG if the minimum looks truncated",
+            "Freidlin-Gartner minimizer lies near the equator e.e0 = 0, where "
+            "the ratio c*(e)/(e.e0) can hide a smaller value; check w* against "
+            "the point-data radius of nullset_radius (init='point'; the 'point' "
+            "radii of the spreading command), which searches no directions",
             RuntimeWarning,
         )
     if extra is not None:
@@ -388,10 +389,11 @@ def _span(points):
 
 
 def _hull_facets(model):
-    """Facets n.x + c <= 0 of the atoms' convex hull as rows (n, c), n unit.
+    """Facets n.x + c <= 0 of the atoms' convex hull as rows (n, c), n unit,
+    one row per plane.
 
     No rows for continuum models and 1-D sets. When the atoms are flat
-    (Qhull cannot build a full-dimensional hull) the rows are the facets
+    (the rank from _span is below the dimension) the rows are the facets
     of their hull inside their span, lifted back (the two ends of a
     segment), and (n, 0) for the +- unit normals n of the orthogonal
     complement of the span, which passes through 0 as their mean is 0:
@@ -401,22 +403,78 @@ def _hull_facets(model):
     if not model.is_discrete or model.dim == 1:
         return np.empty((0, model.dim + 1))
     pts = model.support.points
-    try:
-        return ConvexHull(pts).equations
-    except QhullError:
-        span, normals = _span(pts)
-        proj = _atom_dots(span, pts)
-        if len(span) == 1:
-            inner = np.array([[1.0, -proj.max()], [-1.0, proj.min()]])
-        elif len(span) > 1:
-            inner = ConvexHull(proj).equations
-        else:
-            inner = np.empty((0, 1))
-        off = np.vstack([normals, -normals])
-        return np.vstack([
-            np.column_stack([inner[:, :-1] @ span, inner[:, -1]]),
-            np.column_stack([off, np.zeros(len(off))]),
-        ])
+    span, normals = _span(pts)
+    if len(span) == model.dim:
+        return _hull_planes(pts)
+    inner = _hull_planes(_atom_dots(span, pts)) if len(span) else np.empty((0, 1))
+    off = np.vstack([normals, -normals])
+    return np.vstack([
+        np.column_stack([inner[:, :-1] @ span, inner[:, -1]]),
+        np.column_stack([off, np.zeros(len(off))]),
+    ])
+
+
+def _hull_planes(pts):
+    """Facets (n, c) of the hull of full-dimensional points in 1-3 dimensions.
+
+    1-D: the two ends. 2-D: the edges of Andrew's monotone chain. 3-D:
+    the planes through triples of points that have every point on one
+    side, in chunks of _TRIPLE_CHUNK entries; a face with more than three
+    points gives one plane per triple, kept once (two facets of a convex
+    hull never share an outward normal). A point within 1e-12 |v|max of
+    a facet counts as on it, and c = -max n.v over the points.
+    """
+    dim = pts.shape[1]
+    if dim == 1:
+        return np.array([[1.0, -pts.max()], [-1.0, pts.min()]])
+    vmax = float(np.max(np.linalg.norm(pts, axis=1)))
+    tol = 1e-12 * vmax
+    if dim == 2:
+        hull = _chain(pts, tol)
+        edge = np.roll(hull, -1, axis=0) - hull
+        N = np.column_stack([edge[:, 1], -edge[:, 0]])
+        N = N / np.linalg.norm(N, axis=1, keepdims=True)
+    else:
+        k = np.arange(len(pts))
+        tri = np.column_stack(np.nonzero((k[:, None, None] < k[:, None]) & (k[:, None] < k)))
+        found = []
+        for rows in np.array_split(tri, max(1, len(tri) * len(pts) // _TRIPLE_CHUNK)):
+            a = pts[rows[:, 0]]
+            N = np.cross(pts[rows[:, 1]] - a, pts[rows[:, 2]] - a)
+            size = np.linalg.norm(N, axis=1)
+            plane = size > tol * vmax  # a collinear triple spans no plane
+            N, a, size = N[plane], a[plane], size[plane]
+            side = _atom_dots(pts, N) - (N * a).sum(axis=1)[:, None]
+            found += [N[side.max(axis=1) <= tol * size], -N[side.min(axis=1) >= -tol * size]]
+        N = np.vstack(found)
+        N = N / np.linalg.norm(N, axis=1, keepdims=True)
+        kept = []
+        while len(N):
+            kept.append(N[0])
+            N = N[np.abs(N - N[0]).max(axis=1) > 1e-9]
+        N = np.array(kept)
+    return np.column_stack([N, -(N @ pts.T).max(axis=1)])
+
+
+def _chain(pts, tol):
+    """Vertices of the hull of 2-D points, counter-clockwise, by Andrew's
+    monotone chain; a point within tol of the chord of its neighbours is
+    not a vertex."""
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    hull = []
+    for seq in (order, order[::-1]):
+        half = []
+        for i in seq:
+            p = pts[i]
+            while len(half) >= 2:
+                o, q = half[-2], half[-1]
+                cross = (q[0] - o[0]) * (p[1] - o[1]) - (q[1] - o[1]) * (p[0] - o[0])
+                if cross > tol * math.hypot(p[0] - o[0], p[1] - o[1]):
+                    break
+                half.pop()
+            half.append(p)
+        hull += half[:-1]
+    return np.array(hull)
 
 
 def freidlin_gartner_speed(model, r, e0):
@@ -465,28 +523,31 @@ def nullset_radius(model, r, e0, t, init="point", tol=1e-9, speed=None):
     Point data: the largest |x| along e0 with phi = 0, equal to w*(e0) t.
     Both come out of a bracketed root solve on the conjugate along the
     ray (phi is t times a function of x/t, so the radius is exactly
-    linear in t). When the conjugate never turns positive inside the
-    velocity hull the front is ballistic and the radius is the hull's
-    extent along e0 times t: vbar(e0) t for planar data, and for point
-    data on a full-dimensional hull of atoms the distance to its
-    boundary, found from the hull's facets, where L jumps to +inf. tol,
-    the root's absolute tolerance in x/t, must be positive.
+    linear in t): dispersion._bracket_roots on one row, with an absolute
+    term of min(tol, 1e-12), which costs no more steps than a looser one
+    as the steps converge superlinearly. When the conjugate never turns
+    positive inside the velocity hull the front is ballistic and the
+    radius is the hull's extent along e0 times t: vbar(e0) t for planar
+    data, and for point data on a full-dimensional hull of atoms the
+    distance to its boundary, found from the hull's facets, where L
+    jumps to +inf. tol, the root's absolute tolerance in x/t, must be
+    positive.
 
     speed, when given, is the expected radius per unit time (c*(e0) for
     planar data, w*(e0) for point data). It only narrows the bracket to
     speed (1 -+ 1e-6), and only when that bracket lies inside the hull
     and the conjugate changes sign across it. The conjugate is convex
     and nondecreasing along e0 for q >= 0 and negative at 0, so such a
-    sign change holds its one positive root, which brentq then finds to
-    the same tol. Otherwise the full bracket runs as without a speed:
-    a speed whose bracket misses the root gives the unseeded radius bit
-    for bit, and one that holds it still gives the root of phi, not the
-    speed.
+    sign change holds its one positive root, which the same solve then
+    finds to the same tolerance. Planar data takes the conjugate at both
+    ends in one 2-ray _ray_sups call. Otherwise the full bracket [0,
+    vbar(e0)] runs as without a speed: a speed whose bracket misses the
+    root gives the unseeded radius bit for bit, and one that holds it
+    still gives the root of phi, not the speed.
 
     Every call solves its root: a caller that wants the radii at several
     times can solve once at t = 1 and scale. Within the call each
-    conjugate value is computed once, as the ballistic test and brentq
-    both take f(vbar).
+    conjugate value is computed once.
     """
     if init not in ("planar", "point"):
         raise ValidationError("init must be 'planar' or 'point'")
@@ -496,30 +557,40 @@ def nullset_radius(model, r, e0, t, init="point", tol=1e-9, speed=None):
     vb = model.support_max(e0)
     top = _hull_extent(model, e0) if init == "point" else vb
 
-    @functools.lru_cache(maxsize=None)
     def f(q):
         if init == "planar":
             return planar_conjugate(model, r, e0, q)
         return lagrangian(model, r, q * e0)
 
-    rtol = 4.0 * np.finfo(float).eps
+    def radius(a, b, fa, fb):
+        # t times the sign change of f in [a, b], fa < 0 < fb
+        def step(x, rows):
+            fx = np.array([f(float(x[0]))])
+            return fx, fx
+
+        ends = [np.array([v]) for v in (a, b, fa, fb)]
+        return t * float(_bracket_roots(step, *ends, tol=min(tol, 1e-12))[0][0])
+
     if speed is not None:
         a, b = speed * (1.0 - _SEED_REL), speed * (1.0 + _SEED_REL)
-        if 0.0 < a < b < top and f(a) < 0.0 < f(b):
-            return t * float(brentq(f, a, b, xtol=tol, rtol=rtol))
+        if 0.0 < a < b < top:
+            if init == "planar":
+                fa, fb = _ray_sups(model, r, np.vstack([e0, e0]), [a, b])
+            else:
+                fa = f(a)
+                fb = f(b) if fa < 0.0 else fa  # no sign change: skip the call
+            if fa < 0.0 < fb:
+                return radius(a, b, fa, fb)
     if init == "point":
         # L jumps to +inf past the hull, which can end before vbar(e0):
         # when L <= 0 up to the hull the radius is the hull's extent, where
-        # Brent on [0, vbar] would bisect onto the jump (41 Lagrangian calls
-        # at one diamond corner). Otherwise the bracket stays [0, vbar]:
-        # its points past the hull cost nothing, L being +inf there from
-        # the facets alone, and the radii repeat those of that solve bit
-        # for bit, where Brent on [0, extent] moves them within its xtol
-        # (by 1e-10 relative at one diamond direction)
+        # a root solve on [0, vbar] would bisect onto the jump. Otherwise
+        # the bracket stays [0, vbar]: its points past the hull cost
+        # nothing, L being +inf there from the facets alone, and the step
+        # bisects off them
         if top < vb * (1.0 - 1e-12) and f(top) <= 0.0:
             return t * top
-    if f(vb) <= 0.0:
+    f_vb = f(vb)
+    if f_vb <= 0.0:
         return t * vb
-    q_star = brentq(f, 0.0, vb, xtol=tol, rtol=rtol)
-    return t * float(q_star)
-
+    return radius(0.0, vb, f(0.0), f_vb)

@@ -587,6 +587,47 @@ def test_malformed_model_file_value_exits_2(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+NO_SCIPY = """
+import importlib.abc, json, sys
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError("scipy is blocked: " + name)
+
+sys.meta_path.insert(0, NoScipy())
+from kinfront.cli import main
+
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+"""
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: with its import blocked, every
+    # subcommand runs and no scipy module is loaded
+    diamond = tmp_path / "diamond.model"
+    diamond.write_text(DIAMOND)
+    out = str(tmp_path / "out")
+    calls = [
+        ["hamiltonian", "--model", "uniform-ball:2", "--p-grid", "0:3:4", "--out", out],
+        ["sing", "--model", "quadratic-1d", "--out", out],
+        ["speed-curve", "--model", "uniform-1d", "--r", "0.5", "--out", out],
+        ["spreading", "--model-file", str(diamond), "--r", "0.8", "--e", "0.6,0.8", "--out", out],
+        ["spreading", "--model", "uniform-ball:3", "--r", "0.8", "--out", out],
+        ["simulate", "--model", "two-speed", "--r", "1", "--t-end", "5", "--dx", "0.05",
+         "--length", "10", "--out", out],
+        ["sweep", "--model", "two-speed", "--r-grid", "0.1:3:8", "--out", out],
+    ]
+    src = os.path.dirname(os.path.dirname(kf.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY, json.dumps(calls)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result == {"codes": [0] * len(calls), "scipy": []}
+
+
 def test_installed_entry_point_reports_version():
     # the child imports kinfront from where this process found it, which
     # the pytest pythonpath setting puts on sys.path but not in the environment

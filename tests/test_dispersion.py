@@ -437,6 +437,32 @@ def test_bracket_roots_rows_do_not_depend_on_the_batch():
         assert (one[0][0], one[1][0]) == (x[i], data[i])
 
 
+@pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-15])
+def test_bracket_roots_tolerance_keeps_rows_independent(tol):
+    # the absolute term of the stopping rule is an argument; each row stops
+    # within 4 eps |x| + tol of its sign change whatever the batch. The last
+    # row's function jumps to +inf past x = 1 and its root sits at 0.75: the
+    # steps bisect off the +inf values instead of interpolating through them
+    ks = np.array([0.5, 2.0, -7.0, 129.9, 1e-9])
+    roots = np.cbrt(ks)
+
+    def f(x, rows):
+        cubic = x**3 - ks[np.minimum(rows, ks.size - 1)]
+        jump = np.where(x > 1.0, np.inf, x - 0.75)
+        return np.where(rows == ks.size, jump, cubic), x
+
+    rows = np.arange(ks.size + 1)
+    lo, hi = np.full(rows.size, -3.0), np.full(rows.size, 6.0)
+    x, _ = kf.dispersion._bracket_roots(f, lo, hi, f(lo, rows)[0], f(hi, rows)[0], tol=tol)
+    band = 4.0 * np.finfo(float).eps * np.abs(x) + tol
+    assert np.all(np.abs(x - np.append(roots, 0.75)) <= band)
+    for i in rows:
+        one = kf.dispersion._bracket_roots(lambda y, _: f(y, np.array([i])), lo[:1], hi[:1],
+                                           f(lo[:1], np.array([i]))[0], f(hi[:1], np.array([i]))[0],
+                                           tol=tol)
+        assert one[0][0] == x[i]
+
+
 @pytest.mark.parametrize("r", [1e-9, 1e-7])
 def test_minimum_below_the_first_bracket_end(r):
     # lambda* = sqrt(r) (1+r)/(1-r) and 2 sqrt(r (1+r)) lie below 1e-3: the

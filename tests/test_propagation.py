@@ -5,6 +5,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
+from scipy.spatial import ConvexHull
 
 import kinfront as kf
 from kinfront import propagation as P
@@ -180,7 +181,8 @@ def test_seeded_point_radius_is_few_lagrangian_calls(monkeypatch):
     w, plain = _generic_point_radius()
     calls = _count_lagrangian_calls(monkeypatch)
     seeded = kf.nullset_radius(diamond(), 0.8, GENERIC, 1.0, speed=w)
-    # the two bracket ends and a step or two of Brent, against 16-17
+    # the two bracket ends and a step or two of the bracketed root solve
+    # (dispersion._bracket_roots), against 16-17
     assert len(calls) <= 4
     assert abs(seeded - plain) <= 2e-9
 
@@ -530,7 +532,7 @@ def test_freidlin_gartner_flags_a_minimizer_at_the_equator(dim):
     line = kf.VelocityModel(kf.DiscreteSet([(1.0, 1.0, 0.0)[:dim], (-1.0, -1.0, 0.0)[:dim]],
                                            [0.5, 0.5]))
     theta = 0.25 * math.pi + 0.01
-    with pytest.warns(RuntimeWarning, match="equator"):
+    with pytest.warns(RuntimeWarning, match="equator.*nullset_radius"):
         kf.freidlin_gartner_speed(line, 0.5, [math.cos(theta), math.sin(theta), 0.0][:dim])
 
 
@@ -631,3 +633,68 @@ def test_diamond_wstar_where_lambda_star_passes_the_first_window():
     e0 = (math.cos(theta), math.sin(theta))
     radius = kf.nullset_radius(diamond(), r, e0, 1.0, init="point", tol=1e-13)
     assert abs(kf.freidlin_gartner_speed(diamond(), r, e0) - radius) <= 1e-8
+
+
+def _same_planes(got, want):
+    # equal as sets of rows (n, c), up to row order and duplicate rows
+    close = np.abs(got[:, None, :] - want[None, :, :]).max(axis=2) <= 1e-12
+    return close.any(axis=1).all() and close.any(axis=0).all()
+
+
+def _atoms(pts):
+    pts = np.asarray(pts, dtype=float)
+    return kf.VelocityModel(kf.DiscreteSet(pts - pts.mean(axis=0), [1.0 / len(pts)] * len(pts)))
+
+
+def _random_2d_with_an_edge_point():
+    pts = np.random.default_rng(3).standard_normal((12, 2))
+    a, b = ConvexHull(pts).vertices[:2]
+    return np.vstack([pts, 0.5 * (pts[a] + pts[b])])  # on the hull's edge a-b
+
+
+@pytest.mark.parametrize("make", [
+    diamond,
+    lambda: _atoms(_random_2d_with_an_edge_point()),
+    octahedron,
+    lambda: _atoms([(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]),
+    lambda: _atoms(np.random.default_rng(5).standard_normal((kf.models.MAX_ATOMS_3D, 3))),
+], ids=["diamond", "random 2-D with an edge point", "octahedron", "cube", "random 3-D"])
+def test_hull_facets_match_qhull(make):
+    m = make()
+    got = P._hull_facets(m)
+    assert _same_planes(got, ConvexHull(m.support.points).equations)
+    # one row per plane, unit normals, every atom inside
+    assert len(np.unique(np.round(got, 9), axis=0)) == len(got)
+    np.testing.assert_allclose(np.linalg.norm(got[:, :-1], axis=1), 1.0, rtol=1e-15)
+    assert np.all(m.support.points @ got[:, :-1].T + got[:, -1] <= 1e-12)
+
+
+def test_hull_facets_of_flat_sets_are_lifted():
+    # the cross in the plane z = 0: its square's edges, and the plane's normals
+    square = ConvexHull(_flat_cross().support.points[:, :2]).equations
+    want = np.vstack([np.insert(square, 2, 0.0, axis=1),
+                      [(0.0, 0.0, 1.0, 0.0), (0.0, 0.0, -1.0, 0.0)]])
+    assert _same_planes(P._hull_facets(_flat_cross()), want)
+    # the segment between +-(1, 1): its two ends, and the line's normals
+    line = kf.VelocityModel(kf.DiscreteSet([(1.0, 1.0), (-1.0, -1.0)], [0.5, 0.5]))
+    want = np.array([(1.0, 1.0, -2.0), (-1.0, -1.0, -2.0), (1.0, -1.0, 0.0), (-1.0, 1.0, 0.0)])
+    assert _same_planes(P._hull_facets(line), want / np.array([S2, S2, S2]))
+
+
+def test_a_3d_atom_set_past_the_facet_bound_fails_at_construction(capsys, tmp_path):
+    from kinfront.cli import main
+
+    pts = np.random.default_rng(7).standard_normal((kf.models.MAX_ATOMS_3D + 1, 3))
+    pts -= pts.mean(axis=0)
+    w = [1.0 / len(pts)] * len(pts)
+    with pytest.raises(ValidationError, match="at most %d" % kf.models.MAX_ATOMS_3D):
+        kf.DiscreteSet(pts, w)
+    # zero weights do not count, and 2-D sets have no bound
+    n = kf.models.MAX_ATOMS_3D
+    kf.DiscreteSet(np.vstack([pts[:-1] - pts[:-1].mean(axis=0), pts[-1]]), [1.0 / n] * n + [0.0])
+    kf.DiscreteSet(pts[:, :2] - pts[:, :2].mean(axis=0), w)
+    path = tmp_path / "big.model"
+    path.write_text("support = discrete\n" + "".join(
+        "point = %r,%r,%r : %r\n" % (*map(float, p), wi) for p, wi in zip(pts, w)))
+    assert main(["spreading", "--model-file", str(path), "--r", "1"]) == 2
+    assert "at most" in capsys.readouterr().err

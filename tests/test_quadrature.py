@@ -3,17 +3,26 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import roots_legendre
 
 from kinfront.quadrature import GradedGrid, gl_rule, panel_nodes
 
 
 def test_gl_rule_polynomial_exactness():
     # order-n Gauss is exact through degree 2n-1 on [0, 1]
-    for order in (4, 8, 16):
+    for order in (1, 2, 4, 8, 16, 24, 96):
         x, w = gl_rule(order)
         for k in range(2 * order):
             np.testing.assert_allclose(np.sum(w * x**k), 1.0 / (k + 1),
                                        rtol=1e-13)
+
+
+@pytest.mark.parametrize("order", [16, 24, 96])
+def test_gl_rule_matches_scipy(order):
+    x, w = gl_rule(order)
+    xs, ws = roots_legendre(order)
+    np.testing.assert_allclose(x, 0.5 * (xs + 1.0), rtol=0, atol=2e-16)
+    np.testing.assert_allclose(w, 0.5 * ws, rtol=1e-12, atol=0)
 
 
 def test_panel_nodes_shift_and_scale():

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, QuadratureNotConverged, ValidationError
-from .models import _positive, _unit, edge_kernel_integral, j_integral, l_integral
+from .models import _atom_dots, _positive, _unit, edge_kernel_integral, j_integral, l_integral
 from .quadrature import FAILURES
 
 # classification threshold on c'(lambda_tilde-); the zero-derivative case
@@ -235,19 +235,6 @@ def _discrete_h(weights, dots):
         return rat.sum(axis=1), (rat * rat / w).sum(axis=1)
 
     return mu - 1.0 + _newton_rows((w * (b <= 0.0)).sum(axis=1), evaluate)
-
-
-def _atom_dots(points, E):
-    """Projections v . e of the atoms on the rows of E, shape (k, atoms).
-
-    Summed coordinate by coordinate rather than through a BLAS product,
-    whose rounding can depend on the shape of the batch; a row's
-    projections are then the same in any batch.
-    """
-    dots = E[:, :1] * points[:, 0]
-    for j in range(1, points.shape[1]):
-        dots = dots + E[:, j : j + 1] * points[:, j]
-    return dots
 
 
 # matrix entries per _discrete_h call in _h_rays: a few MB of temporaries

@@ -14,9 +14,11 @@ l and j integrals and the dispersion-relation kernels) run on a
 `GradedGrid`; see the `quadrature` module. M is radial on a ball or a
 symmetric interval, so its slice marginal is the same along every
 direction: a continuum model builds that one grid at construction and
-keeps nothing else between calls.
+keeps nothing else between calls. An atom set builds, once, the span and
+the convex-hull facets of its atoms, which L, the point radii and w* read.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +28,9 @@ from .quadrature import GradedGrid, _Ladder, gl_rule
 
 MASS_TOL = 1e-8
 MEAN_TOL = 1e-8
-# the most atoms of a 3-D DiscreteSet: the facets of their hull are searched
-# among the C(m, 3) planes through triples of atoms, each tested against
-# every atom, m^4 / 6 products (about 5 ms at m = 32 on a 2-vCPU x86-64 host)
+# the most atoms of a 3-D DiscreteSet: at construction the facets of their
+# hull are searched among the C(m, 3) planes through triples of atoms, each
+# tested against every atom, m^4 / 6 products (3-6 ms at m = 32, 2-vCPU x86-64)
 MAX_ATOMS_3D = 32
 _MARGINAL_LEVELS = 16
 _MARGINAL_ORDER = 12
@@ -107,7 +109,10 @@ class Ball:
 class DiscreteSet:
     """Finite velocity set: points (m, n) with positive weights summing to 1.
 
-    n is 1, 2 or 3, and a 3-D set has at most MAX_ATOMS_3D weighted points.
+    n is 1, 2 or 3; zero weights are dropped, then a 3-D set has at most
+    MAX_ATOMS_3D points. Built once, at construction: span, orthonormal rows
+    (k, n) spanning the points, and facets, the rows (n, c) of their convex
+    hull n.x + c <= 0 (see _hull_facets).
     """
 
     def __init__(self, points, weights):
@@ -144,6 +149,8 @@ class DiscreteSet:
             )
         self.points = pts
         self.weights = w
+        self.span, normals = _span(pts)
+        self.facets = _hull_facets(pts, self.span, normals)
 
     @property
     def dim(self):
@@ -152,6 +159,112 @@ class DiscreteSet:
     @property
     def v_max(self):
         return float(np.max(np.linalg.norm(self.points, axis=1)))
+
+
+# -- atom-set geometry, built once per DiscreteSet ---------------------
+
+
+def _atom_dots(points, E):
+    """Projections v . e of the atoms on the rows of E, shape (k, atoms).
+
+    Summed coordinate by coordinate rather than through a BLAS product,
+    whose rounding can depend on the shape of the batch; a row's
+    projections are then the same in any batch.
+    """
+    dots = E[:, :1] * points[:, 0]
+    for j in range(1, points.shape[1]):
+        dots = dots + E[:, j : j + 1] * points[:, j]
+    return dots
+
+
+def _span(points):
+    """Orthonormal rows spanning the m points and rows spanning its orthogonal
+    complement, from one SVD: the full one, with an (m, m) factor, only for
+    m below the dimension, where the reduced one lacks complement rows."""
+    _, sv, vt = np.linalg.svd(points, full_matrices=len(points) < points.shape[1])
+    k = np.count_nonzero(sv > 1e-12 * sv[0])
+    return vt[:k], vt[k:]
+
+
+def _hull_facets(pts, span, normals):
+    """Facets n.x + c <= 0 of the points' convex hull as rows (n, c), n unit,
+    one row per plane; span and normals are the rows of _span. When the
+    points are flat (their rank is below the dimension) the rows
+    are the facets of their hull inside their span, lifted back (the two
+    ends of a segment), and (n, 0) for the +- unit normals n of the
+    orthogonal complement of the span, which passes through 0 as their
+    mean is 0: every x off the span, or in it but past the points' hull,
+    is then past a facet.
+    """
+    if len(span) == pts.shape[1]:
+        return _hull_planes(pts)
+    inner = _hull_planes(_atom_dots(span, pts)) if len(span) else np.empty((0, 1))
+    off = np.vstack([normals, -normals])
+    return np.vstack([
+        np.column_stack([inner[:, :-1] @ span, inner[:, -1]]),
+        np.column_stack([off, np.zeros(len(off))]),
+    ])
+
+
+def _hull_planes(pts):
+    """Facets (n, c) of the hull of full-dimensional points in 1-3 dimensions.
+
+    1-D: the two ends. 2-D: the edges of Andrew's monotone chain. 3-D:
+    the planes through triples of points that have every point on one
+    side; a face with more than three points gives one plane per triple,
+    kept once (two facets of a convex hull never share an outward
+    normal). A point within 1e-12 |v|max of a facet counts as on it, and
+    c = -max n.v over the points.
+    """
+    dim = pts.shape[1]
+    if dim == 1:
+        return np.array([[1.0, -pts.max()], [-1.0, pts.min()]])
+    vmax = float(np.max(np.linalg.norm(pts, axis=1)))
+    tol = 1e-12 * vmax
+    if dim == 2:
+        hull = _chain(pts, tol)
+        edge = np.roll(hull, -1, axis=0) - hull
+        N = np.column_stack([edge[:, 1], -edge[:, 0]])
+        N = N / np.linalg.norm(N, axis=1, keepdims=True)
+    else:
+        # at most C(32, 3) x 32 = 158,720 side entries, about 1.3 MB
+        k = np.arange(len(pts))
+        tri = np.column_stack(np.nonzero((k[:, None, None] < k[:, None]) & (k[:, None] < k)))
+        a = pts[tri[:, 0]]
+        N = np.cross(pts[tri[:, 1]] - a, pts[tri[:, 2]] - a)
+        size = np.linalg.norm(N, axis=1)
+        plane = size > tol * vmax  # a collinear triple spans no plane
+        N, a, size = N[plane], a[plane], size[plane]
+        side = _atom_dots(pts, N) - (N * a).sum(axis=1)[:, None]
+        N = np.vstack([N[side.max(axis=1) <= tol * size], -N[side.min(axis=1) >= -tol * size]])
+        N = N / np.linalg.norm(N, axis=1, keepdims=True)
+        kept = []
+        while len(N):
+            kept.append(N[0])
+            N = N[np.abs(N - N[0]).max(axis=1) > 1e-9]
+        N = np.array(kept)
+    return np.column_stack([N, -(N @ pts.T).max(axis=1)])
+
+
+def _chain(pts, tol):
+    """Vertices of the hull of 2-D points, counter-clockwise, by Andrew's
+    monotone chain; a point within tol of the chord of its neighbours is
+    not a vertex."""
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    hull = []
+    for seq in (order, order[::-1]):
+        half = []
+        for i in seq:
+            p = pts[i]
+            while len(half) >= 2:
+                o, q = half[-2], half[-1]
+                cross = (q[0] - o[0]) * (p[1] - o[1]) - (q[1] - o[1]) * (p[0] - o[0])
+                if cross > tol * math.hypot(p[0] - o[0], p[1] - o[1]):
+                    break
+                half.pop()
+            half.append(p)
+        hull += half[:-1]
+    return np.array(hull)
 
 
 class DensityFamily:

@@ -43,7 +43,6 @@ import numpy as np
 
 from .dispersion import (
     _LAM_CEIL,
-    _atom_dots,
     _bracket_roots,
     _discrete_h,
     _h_rays,
@@ -52,7 +51,7 @@ from .dispersion import (
     _rows,
 )
 from .errors import SolverNotConverged, ValidationError
-from .models import _positive, _unit
+from .models import _atom_dots, _positive, _span, _unit
 
 ANGLES_FG = 256
 # the refinement of _direction_min: points per tangent axis of a grid, by
@@ -67,8 +66,6 @@ _ARMIJO = 1e-4
 _MIN_STEP = 2.0**-30
 # relative half-width of the bracket about a known speed in nullset_radius
 _SEED_REL = 1e-6
-# entries (triples x atoms) per chunk of the 3-D facet search in _hull_planes
-_TRIPLE_CHUNK = 2**18
 
 
 def _is_radial(model):
@@ -165,7 +162,7 @@ def _cap_dirs(center, T, x, rad, m):
 
 def _dots(D, pole):
     """D @ pole without a BLAS product, whose rounding can depend on the
-    shape of the batch (see dispersion._atom_dots)."""
+    shape of the batch (see models._atom_dots)."""
     return _atom_dots(pole[None, :], D)[:, 0]
 
 
@@ -261,7 +258,7 @@ def lagrangian(model, r, p):
     if _is_radial(model) or nrm == 0.0:
         e = p / nrm if nrm > 0 else np.eye(model.dim)[0]
         return float(_ray_sups(model, r, e, [nrm])[0])
-    facets = _hull_facets(model)
+    facets = model.support.facets
     if np.any(facets[:, :-1] @ p + facets[:, -1] > 1e-12 * (1.0 + np.abs(facets[:, -1]))):
         return np.inf
     return _atom_lagrangian(model, r, p)
@@ -290,7 +287,7 @@ def _atom_lagrangian(model, r, p):
     SolverNotConverged.
     """
     pts, w = model.support.points, model.support.weights
-    span = _span(pts)[0]
+    span = model.support.span
     if len(span) < model.dim:
         pts, p = _atom_dots(span, pts), _dots(span, p)
     scale = 1.0 + r
@@ -380,103 +377,6 @@ def _cstars(model, r, E):
     return _min_speeds(model, r, E / np.linalg.norm(E, axis=1, keepdims=True))[0]
 
 
-def _span(points):
-    """Orthonormal rows spanning the points, and rows spanning the
-    orthogonal complement of that span, from one SVD."""
-    _, sv, vt = np.linalg.svd(points)
-    k = np.count_nonzero(sv > 1e-12 * sv[0])
-    return vt[:k], vt[k:]
-
-
-def _hull_facets(model):
-    """Facets n.x + c <= 0 of the atoms' convex hull as rows (n, c), n unit,
-    one row per plane.
-
-    No rows for continuum models and 1-D sets. When the atoms are flat
-    (the rank from _span is below the dimension) the rows are the facets
-    of their hull inside their span, lifted back (the two ends of a
-    segment), and (n, 0) for the +- unit normals n of the orthogonal
-    complement of the span, which passes through 0 as their mean is 0:
-    every x off the span, or in it but past the atoms' hull, is then past
-    a facet.
-    """
-    if not model.is_discrete or model.dim == 1:
-        return np.empty((0, model.dim + 1))
-    pts = model.support.points
-    span, normals = _span(pts)
-    if len(span) == model.dim:
-        return _hull_planes(pts)
-    inner = _hull_planes(_atom_dots(span, pts)) if len(span) else np.empty((0, 1))
-    off = np.vstack([normals, -normals])
-    return np.vstack([
-        np.column_stack([inner[:, :-1] @ span, inner[:, -1]]),
-        np.column_stack([off, np.zeros(len(off))]),
-    ])
-
-
-def _hull_planes(pts):
-    """Facets (n, c) of the hull of full-dimensional points in 1-3 dimensions.
-
-    1-D: the two ends. 2-D: the edges of Andrew's monotone chain. 3-D:
-    the planes through triples of points that have every point on one
-    side, in chunks of _TRIPLE_CHUNK entries; a face with more than three
-    points gives one plane per triple, kept once (two facets of a convex
-    hull never share an outward normal). A point within 1e-12 |v|max of
-    a facet counts as on it, and c = -max n.v over the points.
-    """
-    dim = pts.shape[1]
-    if dim == 1:
-        return np.array([[1.0, -pts.max()], [-1.0, pts.min()]])
-    vmax = float(np.max(np.linalg.norm(pts, axis=1)))
-    tol = 1e-12 * vmax
-    if dim == 2:
-        hull = _chain(pts, tol)
-        edge = np.roll(hull, -1, axis=0) - hull
-        N = np.column_stack([edge[:, 1], -edge[:, 0]])
-        N = N / np.linalg.norm(N, axis=1, keepdims=True)
-    else:
-        k = np.arange(len(pts))
-        tri = np.column_stack(np.nonzero((k[:, None, None] < k[:, None]) & (k[:, None] < k)))
-        found = []
-        for rows in np.array_split(tri, max(1, len(tri) * len(pts) // _TRIPLE_CHUNK)):
-            a = pts[rows[:, 0]]
-            N = np.cross(pts[rows[:, 1]] - a, pts[rows[:, 2]] - a)
-            size = np.linalg.norm(N, axis=1)
-            plane = size > tol * vmax  # a collinear triple spans no plane
-            N, a, size = N[plane], a[plane], size[plane]
-            side = _atom_dots(pts, N) - (N * a).sum(axis=1)[:, None]
-            found += [N[side.max(axis=1) <= tol * size], -N[side.min(axis=1) >= -tol * size]]
-        N = np.vstack(found)
-        N = N / np.linalg.norm(N, axis=1, keepdims=True)
-        kept = []
-        while len(N):
-            kept.append(N[0])
-            N = N[np.abs(N - N[0]).max(axis=1) > 1e-9]
-        N = np.array(kept)
-    return np.column_stack([N, -(N @ pts.T).max(axis=1)])
-
-
-def _chain(pts, tol):
-    """Vertices of the hull of 2-D points, counter-clockwise, by Andrew's
-    monotone chain; a point within tol of the chord of its neighbours is
-    not a vertex."""
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    hull = []
-    for seq in (order, order[::-1]):
-        half = []
-        for i in seq:
-            p = pts[i]
-            while len(half) >= 2:
-                o, q = half[-2], half[-1]
-                cross = (q[0] - o[0]) * (p[1] - o[1]) - (q[1] - o[1]) * (p[0] - o[0])
-                if cross > tol * math.hypot(p[0] - o[0], p[1] - o[1]):
-                    break
-                half.pop()
-            half.append(p)
-        hull += half[:-1]
-    return np.array(hull)
-
-
 def freidlin_gartner_speed(model, r, e0):
     """Spreading speed of point data: min of c*(e)/(e.e0) over e.e0 > 0.
 
@@ -497,16 +397,16 @@ def freidlin_gartner_speed(model, r, e0):
     e0 = _unit(model, e0)
     if model.dim == 1 or _is_radial(model):
         return float(_cstars(model, r, e0)[0])
-    normals = _hull_facets(model)[:, :-1]
+    normals = model.support.facets[:, :-1]
     normals = np.vstack([e0, normals[normals @ e0 > 1e-12]])
     ratios = lambda D, cos: _cstars(model, r, D) / cos
     return _direction_min(ratios, e0, ANGLES_FG, extra=normals)
 
 
 def _hull_extent(model, e0):
-    """Largest q with q e0 in the atoms' hull, from its facets; else vbar(e0)."""
+    """Largest q with q e0 in the atoms' hull, from their facets; at most vbar(e0)."""
     vb = model.support_max(e0)
-    facets = _hull_facets(model)
+    facets = model.support.facets
     # a normal within roundoff of e0's orthogonal complement, as those of
     # a flat set's span are for e0 in it, does not bound the ray
     up = facets[:, :-1] @ e0 > 1e-12
@@ -555,7 +455,7 @@ def nullset_radius(model, r, e0, t, init="point", tol=1e-9, speed=None):
     _positive(tol, "tol")
     e0 = _unit(model, e0)
     vb = model.support_max(e0)
-    top = _hull_extent(model, e0) if init == "point" else vb
+    top = _hull_extent(model, e0) if init == "point" and model.is_discrete else vb
 
     def f(q):
         if init == "planar":

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from functools import lru_cache
 
@@ -8,6 +9,7 @@ from scipy.optimize import minimize_scalar
 from scipy.spatial import ConvexHull
 
 import kinfront as kf
+from kinfront import models as M
 from kinfront import propagation as P
 from kinfront.errors import ValidationError
 
@@ -661,7 +663,7 @@ def _random_2d_with_an_edge_point():
 ], ids=["diamond", "random 2-D with an edge point", "octahedron", "cube", "random 3-D"])
 def test_hull_facets_match_qhull(make):
     m = make()
-    got = P._hull_facets(m)
+    got = m.support.facets
     assert _same_planes(got, ConvexHull(m.support.points).equations)
     # one row per plane, unit normals, every atom inside
     assert len(np.unique(np.round(got, 9), axis=0)) == len(got)
@@ -674,11 +676,11 @@ def test_hull_facets_of_flat_sets_are_lifted():
     square = ConvexHull(_flat_cross().support.points[:, :2]).equations
     want = np.vstack([np.insert(square, 2, 0.0, axis=1),
                       [(0.0, 0.0, 1.0, 0.0), (0.0, 0.0, -1.0, 0.0)]])
-    assert _same_planes(P._hull_facets(_flat_cross()), want)
+    assert _same_planes(_flat_cross().support.facets, want)
     # the segment between +-(1, 1): its two ends, and the line's normals
     line = kf.VelocityModel(kf.DiscreteSet([(1.0, 1.0), (-1.0, -1.0)], [0.5, 0.5]))
     want = np.array([(1.0, 1.0, -2.0), (-1.0, -1.0, -2.0), (1.0, -1.0, 0.0), (-1.0, 1.0, 0.0)])
-    assert _same_planes(P._hull_facets(line), want / np.array([S2, S2, S2]))
+    assert _same_planes(line.support.facets, want / np.array([S2, S2, S2]))
 
 
 def test_a_3d_atom_set_past_the_facet_bound_fails_at_construction(capsys, tmp_path):
@@ -698,3 +700,65 @@ def test_a_3d_atom_set_past_the_facet_bound_fails_at_construction(capsys, tmp_pa
         "point = %r,%r,%r : %r\n" % (*map(float, p), wi) for p, wi in zip(pts, w)))
     assert main(["spreading", "--model-file", str(path), "--r", "1"]) == 2
     assert "at most" in capsys.readouterr().err
+
+
+def test_an_atom_set_builds_its_span_and_hull_once(monkeypatch, tmp_path, capsys):
+    # one spreading call parses the diamond, builds its geometry there, and
+    # then only reads it; the one other span is w*'s tangent basis
+    from kinfront.cli import main
+
+    calls = []
+
+    def spy(name, module):
+        orig = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: calls.append(name) or orig(*a))
+
+    spy("_hull_planes", M)
+    spy("_span", M)
+    spy("_span", P)
+    path = tmp_path / "diamond.model"
+    path.write_text("support = discrete\npoint = 1,0 : 0.25\npoint = -1,0 : 0.25\n"
+                    "point = 0,1 : 0.25\npoint = 0,-1 : 0.25\n")
+    argv = ["spreading", "--model-file", str(path), "--r", "0.8", "--e", "%r,%r" % GENERIC]
+    assert main(argv + ["--t", "1,2"]) == 0
+    capsys.readouterr()
+    assert sorted(calls) == ["_hull_planes", "_span", "_span"]
+    m = diamond()
+    calls.clear()
+    kf.lagrangian(m, 0.8, np.array([0.3, 0.2]))
+    kf.lagrangian(m, 0.8, np.array([0.9, 0.9]))
+    kf.nullset_radius(m, 0.8, GENERIC, 1.0, init="point")
+    assert calls == []
+    kf.freidlin_gartner_speed(m, 0.8, GENERIC)
+    assert calls == ["_span"]
+
+
+def test_atom_sets_with_fewer_atoms_than_dimensions():
+    # the full SVD gives the complement rows that the reduced one lacks
+    origin = kf.DiscreteSet([[0.0, 0.0]], [1.0])
+    assert origin.span.shape == (0, 2) and origin.facets.shape == (4, 3)
+    seg = kf.DiscreteSet([(1.0, 1.0, 1.0), (-1.0, -1.0, -1.0)], [0.5, 0.5])
+    assert seg.span.shape == (1, 3) and seg.facets.shape == (6, 4)
+    np.testing.assert_allclose(np.abs(seg.span), 1.0 / S3, rtol=1e-15)
+    m = kf.VelocityModel(seg)
+    on = np.array([0.3, 0.3, 0.3])
+    assert np.isfinite(kf.lagrangian(m, 0.8, on))
+    assert kf.lagrangian(m, 0.8, on + [0.0, 0.0, 1e-6]) == np.inf
+    assert kf.lagrangian(m, 0.8, 1.1 * np.ones(3)) == np.inf
+
+
+def test_a_large_2d_atom_set_allocates_no_square_factor():
+    # 2-D sets have no atom bound: an (m, m) SVD factor of the atoms would
+    # take 72 MB at m = 3,000
+    pts = np.random.default_rng(11).standard_normal((3000, 2))
+    tracemalloc.start()
+    try:
+        m = _atoms(pts)
+        built = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        L = kf.lagrangian(m, 0.8, np.array([0.3, -0.2]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(L)
+    assert built < 8e6 and peak < 8e6

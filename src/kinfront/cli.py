@@ -295,10 +295,10 @@ def cmd_spreading(args):
     else:
         dirs = [_default_e(args, model)]
     report = []
-    # on 1-D and radial models L(q e0) is the planar conjugate along e0 at
-    # q, so w*(e0) is c*(e0) and the point null set is the planar one: one
-    # speed and one root serve both
-    planar_is_point = model.dim == 1 or propagation._is_radial(model)
+    # on 1-D and continuum models L(q e0) is the planar conjugate along e0
+    # at q, so w*(e0) is c*(e0) and the point null set is the planar one:
+    # one speed and one root serve both
+    planar_is_point = propagation._point_is_planar(model)
     for e0 in dirs:
         c_star = dispersion.minimal_speed(model, args.r, e0, sample=False).c_star
         # phi(t, x) = t phi(1, x/t): each radius is t times its value at t = 1;

@@ -149,9 +149,7 @@ def _atom_profile(points, num, den):
         vals = np.where(den != 0.0, num / den, np.inf)
 
     def profile(v):
-        v = np.atleast_2d(np.asarray(v, dtype=float))
-        if v.shape[1] != points.shape[1]:
-            v = v.reshape(-1, points.shape[1])
+        v = np.asarray(v, dtype=float).reshape(-1, points.shape[1])
         d2 = ((v[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
         k = np.argmin(d2, axis=1)
         return np.where(d2[np.arange(k.size), k] < 1e-18, vals[k], 0.0)
@@ -162,7 +160,7 @@ def _atom_profile(points, num, den):
 def _profile_closure(model, p, H):
     if model.is_discrete:
         pts = model.support.points
-        return _atom_profile(pts, model.support.weights, 1.0 + H - pts @ p)
+        return _atom_profile(pts, model.support.weights, 1.0 + H - _atom_dots(pts, p))
 
     def profile(v):
         v = np.asarray(v, dtype=float)
@@ -254,14 +252,16 @@ def _h_rays(model, scales, E):
     On an atom set the (k n, atoms) matrix of scales times the atoms'
     projections on E goes to _discrete_h in row chunks of about _H_CHUNK
     entries, so sets with many atoms keep their temporaries small, and
-    <s> is a sum over the atoms; a continuum model solves all k n
-    frequencies in one _h_value call and takes <s> from _edge_mean. A
-    ray's values do not depend on the other rays, nor on the chunking.
+    <s> is a sum over the atoms. H on a continuum model depends on |p|
+    alone, so its k n frequencies go along the first axis, where |p| is
+    the scale bit for bit, to one _h_value call (E is not read), with <s>
+    from _edge_mean. A ray's values do not depend on the other rays or the
+    chunking.
     """
     k, n = scales.shape
     if not model.is_discrete:
-        Q = scales[:, :, None] * E[:, None, :]
-        H, regular, _, nrm, t = _h_value(model, Q.reshape(-1, model.dim))
+        Q = np.column_stack([scales.ravel(), np.zeros((k * n, model.dim - 1))])
+        H, regular, _, nrm, t = _h_value(model, Q)
         dH = np.full(H.size, model.grid.vbar)
         reg = np.flatnonzero(regular & (nrm > 0.0))
         if reg.size:
@@ -308,7 +308,7 @@ def _edge_roots(grid, beta):
     grid's second moment m2. At the root I = 1, so 1 + H is at least the
     root a0 of a^3 - a^2 - sigma^2 beta^2 = 0, and
     t0 = a0 - beta vbar lies left of the root (close to it for small
-    |p|). Where t0 falls below 1e-3 (1 + beta), the row starts there
+    |p|). Where t0 is nan or below 1e-3 (1 + beta), the row starts there
     instead, possibly right of its root, and _newton_rows steps it down.
 
     The graded grid cannot separate offsets t below a few powers of two
@@ -329,13 +329,14 @@ def _edge_roots(grid, beta):
         return np.minimum(I, _I_CAP), (y * rec).sum(axis=1)
 
     # the real root of a^3 - a^2 - c = 0 by Cardano, a = 1/3 + x with
-    # x^3 - x/3 = 2/27 + c
-    c = grid.m2 * beta * beta
-    half = 1.0 / 27.0 + 0.5 * c
-    root = np.sqrt(c / 27.0 + 0.25 * c * c)
-    a0 = 1.0 / 3.0 + np.cbrt(half + root) + np.cbrt(half - root)
+    # x^3 - x/3 = 2/27 + c; nan where c * c overflows, past |p| ~ 1e77
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = grid.m2 * beta * beta
+        half = 1.0 / 27.0 + 0.5 * c
+        root = np.sqrt(c / 27.0 + 0.25 * c * c)
+        a0 = 1.0 / 3.0 + np.cbrt(half + root) + np.cbrt(half - root)
     eps_min = beta * grid.edge_tail * 2.0**13
-    return _newton_rows(np.maximum(a0 - beta * grid.vbar, 1e-3 * (1.0 + beta)), evaluate, eps_min)
+    return _newton_rows(np.fmax(a0 - beta * grid.vbar, 1e-3 * (1.0 + beta)), evaluate, eps_min)
 
 
 def _edge_mean(grid, t, beta):
@@ -730,8 +731,7 @@ def wave_profile(model, r, e, lam):
 
     if model.is_discrete:
         pts = model.support.points
-        num = (1.0 + r) * model.support.weights
-        density = _atom_profile(pts, num, 1.0 + lam * (c - pts @ e))
+        density = _atom_profile(pts, (1.0 + r) * model.support.weights, 1.0 + lam * (c - _atom_dots(pts, e)))
     else:
 
         def density(v):

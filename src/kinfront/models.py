@@ -165,15 +165,16 @@ class DiscreteSet:
 
 
 def _atom_dots(points, E):
-    """Projections v . e of the atoms on the rows of E, shape (k, atoms).
+    """Projections v . e of the atoms on the rows of E, shape (k, atoms), or
+    (atoms,) on one direction E: every v . e of an atom set is read here.
 
     Summed coordinate by coordinate rather than through a BLAS product,
     whose rounding can depend on the shape of the batch; a row's
-    projections are then the same in any batch.
+    projections are then the same in any batch and on every path.
     """
-    dots = E[:, :1] * points[:, 0]
+    dots = E[..., :1] * points[:, 0]
     for j in range(1, points.shape[1]):
-        dots = dots + E[:, j : j + 1] * points[:, j]
+        dots = dots + E[..., j : j + 1] * points[:, j]
     return dots
 
 
@@ -243,7 +244,7 @@ def _hull_planes(pts):
             kept.append(N[0])
             N = N[np.abs(N - N[0]).max(axis=1) > 1e-9]
         N = np.array(kept)
-    return np.column_stack([N, -(N @ pts.T).max(axis=1)])
+    return np.column_stack([N, -_atom_dots(pts, N).max(axis=1)])
 
 
 def _chain(pts, tol):
@@ -381,7 +382,7 @@ class VelocityModel:
         """Support function vbar(e) = max of v.e over V."""
         e = _unit(self, e)
         if self.is_discrete:
-            return float(np.max(self.support.points @ e))
+            return float(_atom_dots(self.support.points, e).max())
         return float(self.v_max)
 
     def arg_mu(self, p, tol=1e-12):
@@ -393,7 +394,7 @@ class VelocityModel:
         e = _unit(self, p)
         if not self.is_discrete:
             return [self.v_max * e]
-        vals = self.support.points @ e
+        vals = _atom_dots(self.support.points, e)
         m = vals.max()
         hits = self.support.points[vals >= m - tol]
         order = np.lexsort(hits.T[::-1])
@@ -481,7 +482,7 @@ def edge_kernel_integral(model, e, d, beta, power):
     e = _unit(model, e)
     if not model.is_discrete:
         return model.grid.power_kernel(d, beta, power)
-    svals = model.support_max(e) - model.support.points @ e
+    svals = model.support_max(e) - _atom_dots(model.support.points, e)
     den = (d + beta * svals) ** power
     if np.any(den == 0.0):
         return np.inf

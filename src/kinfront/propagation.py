@@ -4,7 +4,7 @@ The Lagrangian is the convex conjugate
 
     L(p) = sup_q [ p.q - (1+r) H(q/(1+r)) - r ],
 
-On 1-D and rotation-invariant models it is evaluated along rays,
+On 1-D and continuum models it is evaluated along the ray e = p/|p|,
 by reparameterizing q = lam*e and maximizing
 
     g(lam) = lam (p.e) - (1+r) H(lam e/(1+r)) - r
@@ -68,10 +68,11 @@ _MIN_STEP = 2.0**-30
 _SEED_REL = 1e-6
 
 
-def _is_radial(model):
-    # a continuum model in 2-D or 3-D is a ball with a radial M: its slice
-    # marginal, hence H, depends only on |p|
-    return not model.is_discrete and model.dim >= 2
+def _point_is_planar(model):
+    """L(q e0) is the planar conjugate along e0, so w*(e0) = c*(e0): on
+    continuum models, where H depends on |p| alone, and in 1-D, where
+    the ray opposite p has sup below -r, g(0), as H >= 0 at mean 0."""
+    return model.dim == 1 or not model.is_discrete
 
 
 def _ray_sups(model, r, E, a):
@@ -162,7 +163,8 @@ def _cap_dirs(center, T, x, rad, m):
 
 def _dots(D, pole):
     """D @ pole without a BLAS product, whose rounding can depend on the
-    shape of the batch (see models._atom_dots)."""
+    shape of the batch (see models._atom_dots): the one projection rule
+    of directions and hull-facet normals."""
     return _atom_dots(pole[None, :], D)[:, 0]
 
 
@@ -239,27 +241,21 @@ def _direction_min(f, pole, n, extra=None):
 def lagrangian(model, r, p):
     """Convex conjugate L(p); +inf outside the closed velocity hull.
 
-    1-D models take the larger of the two ray sups at +-p (_ray_sups).
-    Rotation-invariant models collapse to the aligned direction
-    e = p/|p| exactly (the per-direction value is nondecreasing in p.e
-    and the radial H does not depend on e), as does p = 0. On an atom set
-    of dimension 2 or 3 L is +inf past a facet of the atoms' hull (for a
-    flat set, off its span or past its hull in the span), without a
-    solve; inside, _atom_lagrangian solves for the sup's one first-order
-    point in q.
+    Where _point_is_planar holds, and at p = 0, L(p) is the planar
+    conjugate along e = p/|p| at |p|, one ray sup (_ray_sups). On an atom
+    set of dimension 2 or 3 L is +inf past a facet of the atoms' hull
+    (for a flat set, off its span or past its hull in the span), without
+    a solve; inside, _atom_lagrangian solves for the sup's one
+    first-order point in q.
     """
     _positive(r, "growth rate r")
-    P, _ = _rows(model, np.ravel(p))
-    p = P[0]
-    nrm = float(np.linalg.norm(p))
-    if model.dim == 1:
-        E = np.array([[1.0], [-1.0]])
-        return float(np.max(_ray_sups(model, r, E, E[:, 0] * p[0])))
-    if _is_radial(model) or nrm == 0.0:
+    P, nrm = _rows(model, np.ravel(p))
+    p, nrm = P[0], float(nrm[0])
+    if _point_is_planar(model) or nrm == 0.0:
         e = p / nrm if nrm > 0 else np.eye(model.dim)[0]
         return float(_ray_sups(model, r, e, [nrm])[0])
     facets = model.support.facets
-    if np.any(facets[:, :-1] @ p + facets[:, -1] > 1e-12 * (1.0 + np.abs(facets[:, -1]))):
+    if np.any(_dots(facets[:, :-1], p) + facets[:, -1] > 1e-12 * (1.0 + np.abs(facets[:, -1]))):
         return np.inf
     return _atom_lagrangian(model, r, p)
 
@@ -288,6 +284,8 @@ def _atom_lagrangian(model, r, p):
     """
     pts, w = model.support.points, model.support.weights
     span = model.support.span
+    if not len(span):
+        return -float(r)  # every atom sits at 0: H = 0, so F = -r
     if len(span) < model.dim:
         pts, p = _atom_dots(span, pts), _dots(span, p)
     scale = 1.0 + r
@@ -380,8 +378,8 @@ def _cstars(model, r, E):
 def freidlin_gartner_speed(model, r, e0):
     """Spreading speed of point data: min of c*(e)/(e.e0) over e.e0 > 0.
 
-    In 1-D (and for rotation-invariant models, where the minimizing
-    direction is e0 itself) this is just c*(e0). Otherwise it is one
+    Where _point_is_planar holds (1-D and continuum models) this is
+    just c*(e0). Otherwise it is one
     _direction_min over the open hemisphere about e0, with ANGLES_FG
     angles. e0 itself is a candidate, and for a velocity set of atoms so
     are the outward facet normals of their convex hull that face e0 (for
@@ -395,10 +393,10 @@ def freidlin_gartner_speed(model, r, e0):
     """
     _positive(r, "growth rate r")
     e0 = _unit(model, e0)
-    if model.dim == 1 or _is_radial(model):
+    if _point_is_planar(model):
         return float(_cstars(model, r, e0)[0])
     normals = model.support.facets[:, :-1]
-    normals = np.vstack([e0, normals[normals @ e0 > 1e-12]])
+    normals = np.vstack([e0, normals[_dots(normals, e0) > 1e-12]])
     ratios = lambda D, cos: _cstars(model, r, D) / cos
     return _direction_min(ratios, e0, ANGLES_FG, extra=normals)
 
@@ -409,11 +407,10 @@ def _hull_extent(model, e0):
     facets = model.support.facets
     # a normal within roundoff of e0's orthogonal complement, as those of
     # a flat set's span are for e0 in it, does not bound the ray
-    up = facets[:, :-1] @ e0 > 1e-12
-    if not up.any():
-        return vb
+    cos = _dots(facets[:, :-1], e0)
+    up = cos > 1e-12
     # at least 0, which the hull holds (the atoms' mean is 0)
-    return max(0.0, min(vb, float(np.min(-facets[up, -1] / (facets[up, :-1] @ e0)))))
+    return max(0.0, min(vb, float(np.min(-facets[up, -1] / cos[up])))) if up.any() else vb
 
 
 def nullset_radius(model, r, e0, t, init="point", tol=1e-9, speed=None):

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import FrontLeftDomain, ValidationError
-from ..models import _positive, _unit
+from ..models import _atom_dots, _positive, _unit
 from ..quadrature import panel_nodes
 from . import kernels
 
@@ -49,9 +49,12 @@ class SimConfig:
     def __post_init__(self):
         if not all(0.0 < x < np.inf for x in (self.dx, self.t_end, self.length)):
             raise ValidationError("dx, t_end and length must be finite and positive")
-        # sim_nodes puts nv // 2 Gauss-Legendre nodes on each of its two panels
+        if not self.length / self.dx < np.inf:
+            raise ValidationError("length / dx overflows: too many cells")
         if not (isinstance(self.nv, (int, np.integer)) and self.nv >= 4):
             raise ValidationError("nv must be an integer of at least 4")
+        if self.nv % 2:
+            raise ValidationError("nv must be even: sim_nodes puts nv / 2 nodes on each side of v.e = 0")
         if not 0 < self.cfl <= 1.0:
             raise ValidationError("cfl must lie in (0, 1]")
         if not 0 < self.gamma <= 1.0:
@@ -116,7 +119,7 @@ def sim_nodes(model, e, nv):
     """
     e = _unit(model, e)
     if model.is_discrete:
-        s = model.support.points @ e
+        s = _atom_dots(model.support.points, e)
         order = np.argsort(s, kind="stable")
         masses = model.support.weights[order].astype(float)
         return s[order], masses / masses.sum(), masses
@@ -136,10 +139,7 @@ def initial_front_state(model, r, e=None, config=None):
     """Front-like data g = gamma for x <= 0, 0 ahead, on a centered window."""
     _positive(r, "growth rate r")
     config = config or SimConfig()
-    if e is None:
-        e = np.zeros(model.dim)
-        e[0] = 1.0
-    e = _unit(model, e)
+    e = _unit(model, np.eye(model.dim)[0] if e is None else e)
     s, masses, m_vals = sim_nodes(model, e, config.nv)
     nx = int(round(config.length / config.dx)) + 1
     x0 = -0.5 * config.length
@@ -191,6 +191,8 @@ def run_front_experiment(model, r, config=None, e=None):
     advances, so this indicates a window shorter than the front).
     """
     config = config or SimConfig()
+    if not config.t_end / config.dx / config.cfl * model.v_max < np.inf:
+        raise ValidationError("t_end v_max / (cfl dx) overflows: too many steps")
     state = initial_front_state(model, r, e, config)
     g = state.g
     nv, nx = g.shape

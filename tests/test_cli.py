@@ -101,6 +101,9 @@ def test_parse_model_file_errors(tmp_path):
         "bada.model": "support = interval\ndensity = uniform\na = x\n",
         "badradius.model": "support = ball\ndensity = uniform\nradius = x\n",
         "ragged.model": "support = discrete\npoint = 1,0 : 0.5\npoint = -1 : 0.5\n",
+        "nosupport.model": "density = uniform\na = -1\n",
+        "discreteextra.model": "support = discrete\npoint = 1 : 0.5\npoint = -1 : 0.5\nk = 2\n",
+        "nopoints.model": "support = discrete\nname = empty\n",
     }
     for fname, text in cases.items():
         path = tmp_path / fname
@@ -367,18 +370,40 @@ def test_spreading_rejects_non_finite_t(capsys):
     assert "time t must be positive" in err and out == ""
 
 
+SIM_RANGES = {
+    "--threshold": "threshold must lie in (0, 1)",
+    "--cfl": "cfl must lie in (0, 1]",
+    "--gamma": "gamma must lie in (0, 1]",
+    "--fit-fraction": "fit_fraction must lie in (0, 1)",
+}
+
+
 @pytest.mark.parametrize("flag,value", [("--dx", "nan"), ("--t-end", "nan"),
                                         ("--length", "nan"), ("--t-end", "inf"),
-                                        ("--threshold", "1.5")])
+                                        ("--threshold", "1.5"), ("--cfl", "1.5"),
+                                        ("--cfl", "0"), ("--gamma", "0"), ("--gamma", "2"),
+                                        ("--fit-fraction", "1"), ("--fit-fraction", "0")])
 def test_simulate_rejects_non_finite_grid(capsys, tmp_path, flag, value):
     code, _, err = run_cli(capsys, "simulate", "--model", "two-speed", "--r", "0.5",
                            flag, value, "--out", str(tmp_path / "run"))
     assert code == 2
-    if flag == "--threshold":
-        assert "threshold must lie in (0, 1)" in err
-    else:
-        assert "must be finite and positive" in err
+    assert SIM_RANGES.get(flag, "must be finite and positive") in err
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv,what", [
+    (["--t-end", "1e308", "--dx", "0.1", "--length", "10"], "too many steps"),
+    (["--t-end", "1", "--dx", "1e-10", "--length", "1e308"], "too many cells"),
+])
+def test_simulate_rejects_counts_that_overflow(capsys, tmp_path, monkeypatch, argv, what):
+    def no_state(*args, **kwargs):
+        raise AssertionError("state allocated before the count check")
+
+    monkeypatch.setattr(kf.sim.engine, "initial_front_state", no_state)
+    code, out, err = run_cli(capsys, "simulate", "--model", "uniform-1d", "--r", "1", *argv,
+                             "--out", str(tmp_path / "run"))
+    assert code == 2 and what in err
+    assert out == "" and os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("nv", ["0", "-3", "3"])
@@ -388,6 +413,48 @@ def test_simulate_rejects_too_few_velocity_nodes(capsys, tmp_path, nv):
     assert code == 2
     assert "nv must be an integer of at least 4" in err
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("nv", ["5", "47"])
+def test_simulate_rejects_an_odd_node_count(capsys, tmp_path, nv):
+    # sim_nodes puts nv / 2 nodes on each side of v.e = 0: an odd nv would
+    # silently run nv - 1
+    code, _, err = run_cli(capsys, "simulate", "--model", "uniform-1d", "--r", "1",
+                           "--nv", nv, "--out", str(tmp_path / "run"))
+    assert code == 2
+    assert "nv must be even" in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_solver_failure_exits_3(capsys, tmp_path, monkeypatch):
+    def fails(*args, **kwargs):
+        raise kf.SolverNotConverged("Lagrangian Newton solve did not converge")
+
+    monkeypatch.setattr(kf.dispersion, "minimal_speed", fails)
+    code, out, err = run_cli(capsys, "spreading", "--model", "two-speed", "--r", "1",
+                             "--out", str(tmp_path / "out.json"))
+    assert code == 3 and err.startswith("numerical failure: ")
+    assert out == "" and os.listdir(tmp_path) == []
+
+
+def test_unwritable_output_exits_2(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "sweep", "--model", "two-speed", "--r-grid", "0.5:1:2",
+                             "--out", str(tmp_path / "missing" / "sweep.csv"))
+    assert code == 2
+    assert err.startswith("error: ") and out == ""
+
+
+@pytest.mark.parametrize("r", ["0.5", "1", "2"])
+def test_ball_direction_scan_gives_one_value_of_each_result(capsys, r):
+    # H on the ball depends on |p| alone, bit for bit in every direction
+    code, out, _ = run_cli(capsys, "spreading", "--model", "uniform-ball:2", "--r", r,
+                           "--directions", "16")
+    assert code == 0
+    entries = json.loads(out)["directions"]
+    assert len(entries) == 16
+    for key in (lambda e: e["c_star"], lambda e: e["radii"]["planar"]["1"],
+                lambda e: e["radii"]["point"]["1"]):
+        assert len({key(e) for e in entries}) == 1
 
 
 def test_spreading_direction_scan_needs_2d(capsys):

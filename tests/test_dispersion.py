@@ -7,6 +7,7 @@ is exercised through lambda_tilde = (1+r) l with l = 3(2 ln 2 - 1).
 """
 
 import math
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -154,6 +155,33 @@ def test_case_classifier_examples():
                                          (1.0, 0.0)) == "Case2"
     assert kf.case_from_square_criterion(model("quadratic-1d"), 1.0,
                                          1.0) == "Case4"
+
+
+def test_square_criterion_case3_on_its_boundary():
+    # r = j / l^2 - 1 puts c'(lambda_tilde-) at 0: both routes say Case3
+    m = model("quadratic-1d")
+    r = kf.j_integral(m, 1.0) / kf.l_integral(m, 1.0) ** 2 - 1.0
+    assert kf.case_from_square_criterion(m, r, 1.0) == "Case3"
+    assert kf.minimal_speed(m, r, 1.0, sample=False).case_label == "Case3"
+
+
+def test_continuum_profile_densities():
+    m = model("quadratic-1d")
+    v = np.linspace(-0.95, 0.95, 7)
+    res = kf.hamiltonian(m, 0.5)
+    assert res.regular
+    np.testing.assert_allclose(res.profile_density(v), m.density(v) / (1.0 + res.H - 0.5 * v),
+                               rtol=1e-15)
+    r, lam = 1.0, 0.8
+    prof = kf.wave_profile(m, r, 1.0, lam)
+    np.testing.assert_allclose(prof.density(v), (1.0 + r) * m.density(v) / (1.0 + lam * (prof.c - v)),
+                               rtol=1e-15)
+    ball = model("uniform-ball:2")
+    e = np.array([0.6, 0.8])
+    prof = kf.wave_profile(ball, r, e, lam)
+    V = np.array([[0.1, -0.3], [0.5, 0.5], [-0.2, 0.9]])
+    np.testing.assert_allclose(prof.density(V), (1.0 + r) * ball.density(V) / (1.0 + lam * (prof.c - V @ e)),
+                               rtol=1e-15)
 
 
 def test_wave_profile_mass_and_domain():
@@ -543,6 +571,17 @@ def test_edge_root_start_lies_left_of_the_root(name, ps):
         a0 = a0[np.abs(a0.imag) < 1e-12].real.max()
         H = kf.hamiltonian_value(m, p * np.eye(m.dim)[0])
         assert 1.0 + H >= a0 * (1.0 - 1e-14)
+
+
+def test_h_is_finite_at_huge_frequencies():
+    # the moment start overflows past |p| ~ 1e77; the rows start from
+    # 1e-3 (1 + |p|) and end on the eps_min floor, H = |p| (1 + 1.5e-11)
+    ps = np.array([[1e77], [1e78], [1e100], [1e150], [1.3e154]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        H = kf.dispersion.hamiltonian_values(model("uniform-1d"), ps)
+    assert np.all(np.isfinite(H))
+    np.testing.assert_allclose(H, ps[:, 0] - 1.0, rtol=1e-10)
 
 
 def test_two_speed_minimum_past_the_first_window():

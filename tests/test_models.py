@@ -59,6 +59,16 @@ def test_support_validation():
         lambda: kf.Interval(-inf, 1.0),
         lambda: kf.Interval(-1.0, inf),
         lambda: kf.Interval(nan, 1.0),
+        lambda: kf.DiscreteSet(np.zeros((2, 2, 2)), [0.5, 0.5]),  # a 3-D array
+        lambda: kf.DiscreteSet([(1.0, 0, 0, 0), (-1.0, 0, 0, 0)], [0.5, 0.5]),  # 4 components
+        lambda: kf.DiscreteSet([(1.0,), (-1.0,)], [0.5, 0.25, 0.25]),  # a weight too many
+        lambda: kf.DiscreteSet([(1.0,), (-1.0,)], [0.0, 0.0]),  # no weighted point
+        lambda: kf.VelocityModel(kf.DiscreteSet([(1.0,), (-1.0,)], [0.5, 0.5]),
+                                 DensityFamily("uniform")),
+        lambda: kf.VelocityModel(kf.Ball(1.0, 2)),  # a continuum support needs a density
+        lambda: kf.VelocityModel(kf.Interval(-1.0, 2.0), DensityFamily("uniform")),
+        lambda: model("two-speed").density(np.zeros(1)),
+        lambda: model("two-speed").slice_marginal(1.0, np.zeros(1)),
     ):
         with pytest.raises(ValidationError):
             bad()

@@ -762,3 +762,68 @@ def test_a_large_2d_atom_set_allocates_no_square_factor():
         tracemalloc.stop()
     assert np.isfinite(L)
     assert built < 8e6 and peak < 8e6
+
+
+def test_origin_atom_set_has_the_lagrangian_of_h_zero():
+    # every atom at 0: H = 0, so L = -r on the hull {0} (within its
+    # roundoff band) and +inf past it
+    m = kf.VelocityModel(kf.DiscreteSet([[0.0, 0.0]], [1.0]))
+    assert kf.lagrangian(m, 0.8, np.zeros(2)) == -0.8
+    assert kf.lagrangian(m, 0.8, np.array([1e-13, 0.0])) == -0.8
+    assert kf.lagrangian(m, 0.8, np.array([1e-3, 0.0])) == np.inf
+
+
+def test_ballistic_planar_radius_is_c_star_bit_for_bit():
+    # at r = 50 c*(e) is the ballistic vbar(e) on random 2-D atom sets; the
+    # planar radius at t = 1 is vbar(e0) from the same coordinate sums
+    rng = np.random.default_rng(0)
+    ballistic = 0
+    for _ in range(20):
+        k = int(rng.integers(3, 10))
+        pts = rng.normal(size=(k, 2))
+        w = rng.random(k) + 0.1
+        w /= w.sum()
+        m = kf.VelocityModel(kf.DiscreteSet(pts - w @ pts, w))
+        for th in rng.uniform(0.0, 2.0 * math.pi, 20):
+            e = np.array([math.cos(th), math.sin(th)])
+            sc = kf.minimal_speed(m, 50.0, e, sample=False)
+            if np.isinf(sc.lambda_star):
+                ballistic += 1
+                assert kf.nullset_radius(m, 50.0, e, 1.0, init="planar", speed=sc.c_star) == sc.c_star
+    assert ballistic > 300
+
+
+def _asymmetric_line():
+    # atoms -2, 1 and 3 with weights 0.4, 0.5 and 0.1: mean 0, not even
+    return kf.VelocityModel(kf.DiscreteSet([[-2.0], [1.0], [3.0]], [0.4, 0.5, 0.1]))
+
+
+@pytest.mark.parametrize("make", [_asymmetric_line, lambda: model("two-speed"),
+                                  lambda: model("quadratic-1d")])
+def test_1d_lagrangian_is_the_planar_conjugate_along_p(make):
+    # the ray opposite p has its sup below -r, the value of g at 0 on p's own
+    m, r = make(), 0.8
+    vb = {1.0: m.support_max(1.0), -1.0: m.support_max(-1.0)}
+    for q in (-2.5, -0.9, -0.4, -1e-3, 1e-3, 0.3, 0.7, 1.5):
+        sign = math.copysign(1.0, q)
+        L = kf.lagrangian(m, r, np.array([q]))
+        assert L == kf.planar_conjugate(m, r, sign, abs(q))
+        other = P._ray_sups(m, r, np.array([[-sign]]), [-abs(q)])[0]
+        assert other < -r <= L or (L == np.inf and abs(q) > vb[sign])
+    assert P._point_is_planar(m)
+    assert kf.freidlin_gartner_speed(m, r, 1.0) == kf.minimal_speed(m, r, 1.0, sample=False).c_star
+
+
+def test_continuum_rays_depend_on_the_scale_alone():
+    # H on a ball depends on |p| alone, and the ray solves read the scale:
+    # every direction gives the same bits
+    for name, dirs in (("uniform-ball:2", P._circle_dirs(np.linspace(0.0, 6.0, 13))),
+                       ("uniform-ball:3", P._fibonacci_sphere(13))):
+        m = model(name)
+        scales = np.tile([0.05, 0.4, 0.9, 1.7, 3.0], (len(dirs), 1))
+        H, dH = kf.dispersion._h_rays(m, scales, dirs)
+        assert (H == H[0]).all() and (dH == dH[0]).all()
+        sups = P._ray_sups(m, 0.8, dirs, np.full(len(dirs), 0.6))
+        assert (sups == sups[0]).all()
+        cs = P._cstars(m, 0.8, dirs)
+        assert (cs == cs[0]).all()

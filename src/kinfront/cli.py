@@ -300,10 +300,12 @@ def cmd_spreading(args):
     # one speed and one root serve both
     planar_is_point = propagation._point_is_planar(model)
     for e0 in dirs:
-        c_star = dispersion.minimal_speed(model, args.r, e0, sample=False).c_star
+        curve = dispersion.minimal_speed(model, args.r, e0, sample=False)
+        c_star = curve.c_star
         # phi(t, x) = t phi(1, x/t): each radius is t times its value at t = 1;
-        # the speeds only narrow each root's bracket
-        planar = propagation.nullset_radius(model, args.r, e0, 1.0, init="planar", speed=c_star)
+        # the speeds, and lambda* for the planar sups, only narrow brackets
+        planar = propagation.nullset_radius(model, args.r, e0, 1.0, init="planar", speed=c_star,
+                                            rate=curve.lambda_star)
         if planar_is_point:
             w_star, point = c_star, planar
         else:
@@ -322,12 +324,14 @@ def cmd_spreading(args):
 def cmd_simulate(args):
     model = build_model(args)
     e = _default_e(args, model)
+    if args.nv is not None and model.is_discrete:
+        raise ValidationError("--nv sets the nodes of a continuum model; an atom set runs on its atoms")
     config = SimConfig(
         dx=args.dx,
         t_end=args.t_end,
         length=args.length,
         cfl=args.cfl,
-        nv=args.nv,
+        nv=SimConfig.nv if args.nv is None else args.nv,
         threshold=args.threshold,
         fit_fraction=args.fit_fraction,
         gamma=args.gamma,
@@ -447,7 +451,7 @@ def build_parser():
     p.add_argument("--t-end", type=float, default=60.0)
     p.add_argument("--dx", type=float, default=0.005)
     p.add_argument("--length", type=float, default=40.0)
-    p.add_argument("--nv", type=int, default=48)
+    p.add_argument("--nv", type=int, help="velocity nodes of a continuum model (default 48)")
     p.add_argument("--cfl", type=float, default=0.9)
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--threshold", type=float, default=0.5)

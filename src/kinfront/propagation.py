@@ -20,7 +20,9 @@ recovered here by root-finding on phi, not by quoting the speeds, so the
 two routes cross-check each other. A caller that knows the speed may
 pass it to nullset_radius: it only narrows the bracket, and the root is
 still certified by a sign change of the conjugate, so a wrong speed
-falls back to the full bracket instead of becoming the radius.
+falls back to the full bracket instead of becoming the radius. Ray sups
+and c* start in the same way from rates the same call already holds
+(dispersion._start_brackets); nothing is kept between calls.
 
 Along one direction both optima over decay rates are first-order
 points: below the critical decay H is convex, so g' and c' change sign
@@ -33,7 +35,7 @@ The minimum of c*(e)/(e.e0) that gives w* need not be set by a
 first-order condition (it can sit at the kink of c*, or at a corner of
 the ratio), so w* is a search over directions: a scan, then shrinking
 tangent grids about the best direction so far (one tangent axis in 2-D,
-two in 3-D), every row solved in full.
+two in 3-D), every row solved in full, from the best row's rate.
 """
 
 import math
@@ -49,6 +51,7 @@ from .dispersion import (
     _min_speeds,
     _ray_edges,
     _rows,
+    _start_brackets,
 )
 from .errors import SolverNotConverged, ValidationError
 from .models import _atom_dots, _positive, _span, _unit
@@ -58,14 +61,19 @@ ANGLES_FG = 256
 # dimension, and the half-width in rad below which it stops
 _GRID_POINTS = {2: 9, 3: 5}
 _GRID_STOP = 1e-7
+# half-width, in log rate per rad of a level's half-width, of the window of
+# decay rates that a refinement level of _direction_min starts from
+_RATE_SPREAD = 16.0
 _LAM_FLOOR = 1e-8
 # damped Newton of an atom-set Lagrangian: iteration bound, Armijo share of
 # the decrement, and the smallest damping before a step counts as flat
 _NEWTON_ITERS = 100
 _ARMIJO = 1e-4
 _MIN_STEP = 2.0**-30
-# relative half-width of the bracket about a known speed in nullset_radius
+# relative half-width of the bracket about a known speed in nullset_radius,
+# and the half-width in log rate of the window about a known rate
 _SEED_REL = 1e-6
+_RATE_REL = 1e-4
 
 
 def _point_is_planar(model):
@@ -75,10 +83,11 @@ def _point_is_planar(model):
     return model.dim == 1 or not model.is_discrete
 
 
-def _ray_sups(model, r, E, a):
+def _ray_sups(model, r, E, a, window=None):
     """sup over lam >= 0 of g(lam) = lam*a - (1+r)H(lam*e/(1+r)) - r, on k rays.
 
-    The rays are the pairs (E[i], a[i]). +inf where a[i] > vbar(E[i]):
+    The rays are the pairs (E[i], a[i]). Returns the sups and their
+    rates lam. +inf where a[i] > vbar(E[i]):
     past the reachable cone the singular branch grows without bound.
     Otherwise g is concave, and its sup lies in (0, lambda_tilde(e)]
     when that is finite (beyond it the branch is linear with slope
@@ -89,6 +98,9 @@ def _ray_sups(model, r, E, a):
     the floor (the sup is g there) or g' >= 0 at hi (the sup is g(hi)).
     At lambda_tilde g' is taken from the left, a - vbar + l/j: the mean
     of s that dH/dbeta subtracts from vbar tends to l/j as D -> beta s.
+    window, broadcast to (k, 2), is a first bracket per ray that replaces
+    the one above where it certifies the root of g' (_start_brackets);
+    it must end below lambda_tilde, where g' is one-sided.
     Each step is one batched _h_rays solve over the rays it concerns, for
     any velocity set, and a ray's value does not depend on the other
     rays.
@@ -96,10 +108,10 @@ def _ray_sups(model, r, E, a):
     E = np.atleast_2d(E)
     a = np.asarray(a, dtype=float)
     vbar, lval = _ray_edges(model, E)
-    out = np.full(a.shape, np.inf)
+    out, rates = np.full(a.shape, np.inf), np.full(a.shape, np.inf)
     rows = np.flatnonzero(~(a > vbar + 1e-12 * (1.0 + np.abs(vbar))))
     if rows.size == 0:
-        return out
+        return out, rates
     E, a, vbar, lval = E[rows], a[rows], vbar[rows], lval[rows]
     scale = 1.0 / (1.0 + r)
 
@@ -108,18 +120,21 @@ def _ray_sups(model, r, E, a):
         H, dH = _h_rays(model, lams * scale, E[sel])
         return lams * a[sel, None] - (1.0 + r) * H - r, a[sel, None] - dH
 
-    lo, hi = np.full(rows.size, _LAM_FLOOR), (1.0 + r) * lval
-    kinked = np.isfinite(hi)
-    hi[~kinked] = 64.0
-    val, slope = g(np.column_stack([lo, hi]), np.arange(rows.size))
-    if kinked.any():
-        slope[kinked, 1] = a[kinked] - vbar[kinked] + lval[kinked] / model.grid.j
-    grow = np.flatnonzero(~kinked & (slope[:, 1] > 0.0))
+    lam_tilde = (1.0 + r) * lval
+    kinked = np.isfinite(lam_tilde)
+    lo, hi = np.full(rows.size, _LAM_FLOOR), np.where(kinked, lam_tilde, 64.0)
+    win = None if window is None else np.broadcast_to(window, (len(out), 2))[rows]
+    val, slope, rest = _start_brackets(g, lo, hi, win, _LAM_FLOOR, lam_tilde, -1.0)
+    kink = rest[kinked[rest]]
+    if kink.size:
+        slope[kink, 1] = a[kink] - vbar[kink] + lval[kink] / model.grid.j
+    grow = rest[~kinked[rest] & (slope[rest, 1] > 0.0)]
     while grow.size:
         hi[grow] *= 4.0
         val[grow, 1:], slope[grow, 1:] = g(hi[grow, None], grow)
         grow = grow[(slope[grow, 1] > 0.0) & (hi[grow] < _LAM_CEIL)]
-    sups = np.where(slope[:, 0] <= 0.0, val[:, 0], val[:, 1])
+    floor = slope[:, 0] <= 0.0
+    sups, at = np.where(floor, val[:, 0], val[:, 1]), np.where(floor, lo, hi)
     mid = np.flatnonzero((slope[:, 0] > 0.0) & (slope[:, 1] < 0.0))
     if mid.size:
 
@@ -127,9 +142,10 @@ def _ray_sups(model, r, E, a):
             val, slope = g(np.exp(x)[:, None], mid[i])
             return slope[:, 0], val[:, 0]
 
-        sups[mid] = _bracket_roots(root, np.log(lo[mid]), np.log(hi[mid]), slope[mid, 0], slope[mid, 1])[1]
-    out[rows] = sups
-    return out
+        x, sups[mid] = _bracket_roots(root, np.log(lo[mid]), np.log(hi[mid]), slope[mid, 0], slope[mid, 1])
+        at[mid] = np.exp(x)
+    out[rows], rates[rows] = sups, at
+    return out, rates
 
 
 def _circle_dirs(thetas):
@@ -172,10 +188,12 @@ def _direction_min(f, pole, n, extra=None):
     """Smallest value of f over the open hemisphere about the unit pole:
     the direction search of freidlin_gartner_speed.
 
-    f(D, dots) maps unit rows D and their dot products with the pole to
-    values. Each step below is one call, on its rows with dots > 1e-6;
-    the dots are summed coordinate by coordinate (_dots), so a row's dot
-    is the same in any batch.
+    f(D, dots, window) maps unit rows D and their dot products with the
+    pole to values and the decay rates they were solved at, starting from
+    the window of rates (None, or one for every row). Each step below is
+    one call, on its rows with dots > 1e-6; the dots are summed
+    coordinate by coordinate (_dots), so a row's dot is the same in any
+    batch.
 
     The scan takes the cell midpoints of n angles about the pole in 2-D,
     and the pole and a Fibonacci spiral of 2n directions in 3-D. A scan
@@ -185,7 +203,8 @@ def _direction_min(f, pole, n, extra=None):
     the best chart point so far. The first half-width is tan of the
     scan's spacing. Each level multiplies it by 2/(m - 1), which makes it
     the spacing of the level before: a level covers the bracket that the
-    one before left.
+    one before left. Its window is the best row's rate so far, times
+    exp(-+_RATE_SPREAD half-width): the rate moves smoothly with e.
     The refinement stops once the half-width is at most _GRID_STOP. Over
     directions the minimum need not be a first-order point (it can sit
     at the kink of c* or at a corner of the ratio), so the grids compare
@@ -203,14 +222,15 @@ def _direction_min(f, pole, n, extra=None):
         spacing = math.sqrt(4.0 * math.pi / (2 * n))
         scan = np.vstack([pole, _fibonacci_sphere(2 * n)])
 
-    def solve(D):
+    def solve(D, window=None):
         dots = _dots(D, pole)
         rows = np.flatnonzero(dots > 1e-6)
-        return rows, dots[rows], f(D[rows], dots[rows])
+        vals, rates = f(D[rows], dots[rows], window)
+        return rows, dots[rows], vals, rates
 
-    rows, dots, vals = solve(scan)
+    rows, dots, vals, rates = solve(scan)
     k = int(np.argmin(vals))
-    best, best_dot = float(vals[k]), dots[k]
+    best, best_dot, rate = float(vals[k]), dots[k], rates[k]
     if best == -np.inf:
         return best
     scanned, center = scan[rows], scan[rows[k]]
@@ -218,10 +238,10 @@ def _direction_min(f, pole, n, extra=None):
     x, m, rad = np.zeros(len(T)), _GRID_POINTS[pole.size], math.tan(spacing)
     while rad > _GRID_STOP:
         X, D = _cap_dirs(center, T, x, rad, m)
-        rows, dots, vals = solve(D)
+        rows, dots, vals, rates = solve(D, rate * np.exp(_RATE_SPREAD * rad * np.array([-1.0, 1.0])))
         j = int(np.argmin(vals))
         if vals[j] < best:
-            best, best_dot, x = float(vals[j]), dots[j], X[rows[j]]
+            best, best_dot, rate, x = float(vals[j]), dots[j], rates[j], X[rows[j]]
         rad *= 2.0 / (m - 1)
     if best_dot < math.sin(2.0 * spacing):
         warnings.warn(
@@ -234,7 +254,7 @@ def _direction_min(f, pole, n, extra=None):
     if extra is not None:
         extra = extra[~(extra[:, None, :] == scanned[None, :, :]).all(axis=2).any(axis=1)]
         if len(extra):
-            best = min(best, float(np.min(f(extra, _dots(extra, pole)))))
+            best = min(best, float(np.min(f(extra, _dots(extra, pole), None)[0])))
     return best
 
 
@@ -253,7 +273,7 @@ def lagrangian(model, r, p):
     p, nrm = P[0], float(nrm[0])
     if _point_is_planar(model) or nrm == 0.0:
         e = p / nrm if nrm > 0 else np.eye(model.dim)[0]
-        return float(_ray_sups(model, r, e, [nrm])[0])
+        return float(_ray_sups(model, r, e, [nrm])[0][0])
     facets = model.support.facets
     if np.any(_dots(facets[:, :-1], p) + facets[:, -1] > 1e-12 * (1.0 + np.abs(facets[:, -1]))):
         return np.inf
@@ -341,7 +361,7 @@ def planar_conjugate(model, r, e0, q):
     q = float(q)
     if not np.isfinite(q):
         raise ValidationError("q must be finite")
-    return float(_ray_sups(model, r, e0, [q])[0])
+    return float(_ray_sups(model, r, e0, [q])[0][0])
 
 
 def hopf_lax_phi(model, r, t, x, init="point", e0=None):
@@ -365,14 +385,15 @@ def hopf_lax_phi(model, r, t, x, init="point", e0=None):
     return max(val, 0.0)
 
 
-def _cstars(model, r, E):
-    """Minimal speeds c*(e) on the rows of E, solved on every call.
+def _cstars(model, r, E, window=None):
+    """Minimal speeds c*(e) and their rates lambda*(e) on the rows of E,
+    solved on every call.
 
-    One _min_speeds call on the normalised rows, for any velocity set; a
-    row's c* does not depend on the other rows.
+    One _min_speeds call on the normalised rows, for any velocity set,
+    from the window of rates; a row's c* does not depend on the other rows.
     """
     E = np.atleast_2d(E)
-    return _min_speeds(model, r, E / np.linalg.norm(E, axis=1, keepdims=True))[0]
+    return _min_speeds(model, r, E / np.linalg.norm(E, axis=1, keepdims=True), window)[:2]
 
 
 def freidlin_gartner_speed(model, r, e0):
@@ -394,10 +415,14 @@ def freidlin_gartner_speed(model, r, e0):
     _positive(r, "growth rate r")
     e0 = _unit(model, e0)
     if _point_is_planar(model):
-        return float(_cstars(model, r, e0)[0])
+        return float(_cstars(model, r, e0)[0][0])
     normals = model.support.facets[:, :-1]
     normals = np.vstack([e0, normals[_dots(normals, e0) > 1e-12]])
-    ratios = lambda D, cos: _cstars(model, r, D) / cos
+
+    def ratios(D, cos, window):
+        c, lam = _cstars(model, r, D, window)
+        return c / cos, lam
+
     return _direction_min(ratios, e0, ANGLES_FG, extra=normals)
 
 
@@ -413,7 +438,7 @@ def _hull_extent(model, e0):
     return max(0.0, min(vb, float(np.min(-facets[up, -1] / cos[up])))) if up.any() else vb
 
 
-def nullset_radius(model, r, e0, t, init="point", tol=1e-9, speed=None):
+def nullset_radius(model, r, e0, t, init="point", tol=1e-9, speed=None, rate=None):
     """Extent of the null set of phi(t, .) along e0, by root-finding.
 
     Planar data: the largest x.e0 with phi = 0, equal to c*(e0) t.
@@ -442,27 +467,37 @@ def nullset_radius(model, r, e0, t, init="point", tol=1e-9, speed=None):
     root gives the unseeded radius bit for bit, and one that holds it
     still gives the root of phi, not the speed.
 
-    Every call solves its root: a caller that wants the radii at several
-    times can solve once at t = 1 and scale. Within the call each
-    conjugate value is computed once.
+    rate, planar data only and beside a speed, is lambda*(e0). It only
+    narrows the window of the two end sups to rate exp(-+_RATE_REL), where
+    _ray_sups certifies it; else they run as without a rate, bit for bit.
+    g is concave, so its argmax grows with q: the ends' argmax rates
+    bracket that of every later ray sup of the solve, which starts there.
+
+    Every call solves its root, on the one unit e0 it was given: a caller
+    that wants the radii at several times can solve once at t = 1 and
+    scale. Within the call each conjugate value is computed once, and
+    only values of the same call narrow a bracket.
     """
     if init not in ("planar", "point"):
         raise ValidationError("init must be 'planar' or 'point'")
+    if rate is not None and (init != "planar" or speed is None):
+        raise ValidationError("rate narrows planar ray sups about a speed: it needs both")
+    _positive(r, "growth rate r")
     _positive(t, "time t")
     _positive(tol, "tol")
     e0 = _unit(model, e0)
     vb = model.support_max(e0)
     top = _hull_extent(model, e0) if init == "point" and model.is_discrete else vb
 
-    def f(q):
+    def f(q, window=None):
         if init == "planar":
-            return planar_conjugate(model, r, e0, q)
+            return float(_ray_sups(model, r, e0[None, :], [q], window)[0][0])
         return lagrangian(model, r, q * e0)
 
-    def radius(a, b, fa, fb):
+    def radius(a, b, fa, fb, window=None):
         # t times the sign change of f in [a, b], fa < 0 < fb
         def step(x, rows):
-            fx = np.array([f(float(x[0]))])
+            fx = np.array([f(float(x[0]), window)])
             return fx, fx
 
         ends = [np.array([v]) for v in (a, b, fa, fb)]
@@ -471,13 +506,15 @@ def nullset_radius(model, r, e0, t, init="point", tol=1e-9, speed=None):
     if speed is not None:
         a, b = speed * (1.0 - _SEED_REL), speed * (1.0 + _SEED_REL)
         if 0.0 < a < b < top:
+            lams = None
             if init == "planar":
-                fa, fb = _ray_sups(model, r, np.vstack([e0, e0]), [a, b])
+                start = None if rate is None else rate * np.exp(_RATE_REL * np.array([-1.0, 1.0]))
+                (fa, fb), lams = _ray_sups(model, r, np.vstack([e0, e0]), [a, b], start)
             else:
                 fa = f(a)
                 fb = f(b) if fa < 0.0 else fa  # no sign change: skip the call
             if fa < 0.0 < fb:
-                return radius(a, b, fa, fb)
+                return radius(a, b, fa, fb, lams)
     if init == "point":
         # L jumps to +inf past the hull, which can end before vbar(e0):
         # when L <= 0 up to the hull the radius is the hull's extent, where

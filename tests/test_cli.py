@@ -272,7 +272,8 @@ def test_spreading_radii_are_exactly_linear_in_t(capsys, tmp_path):
 
 def test_spreading_radii_equal_library_calls_given_the_speeds(capsys, tmp_path):
     # at r = 0.8 neither radius is ballistic, so both root solves take the
-    # bracket narrowed about c* and w*
+    # bracket narrowed about c* and w*, and the planar ray sups start from
+    # lambda*
     path = tmp_path / "diamond.model"
     path.write_text(DIAMOND)
     e = "%r,%r" % (math.cos(0.46), math.sin(0.46))
@@ -281,10 +282,12 @@ def test_spreading_radii_equal_library_calls_given_the_speeds(capsys, tmp_path):
     assert code == 0
     (entry,) = json.loads(out)["directions"]
     m, e0 = parse_model_file(str(path)), np.array(entry["e0"])
-    c_star = kf.minimal_speed(m, 0.8, e0, sample=False).c_star
+    curve = kf.minimal_speed(m, 0.8, e0, sample=False)
+    c_star = curve.c_star
     w_star = kf.freidlin_gartner_speed(m, 0.8, e0)
     assert (entry["c_star"], entry["w_star"]) == (c_star, w_star)
-    planar = kf.nullset_radius(m, 0.8, e0, 1.0, init="planar", speed=c_star)
+    planar = kf.nullset_radius(m, 0.8, e0, 1.0, init="planar", speed=c_star,
+                               rate=curve.lambda_star)
     point = kf.nullset_radius(m, 0.8, e0, 1.0, init="point", speed=w_star)
     assert entry["radii"]["planar"]["1"] == planar < m.support_max(e0)
     assert entry["radii"]["point"]["1"] == point < 1.0 / (math.cos(0.46) + math.sin(0.46))
@@ -317,6 +320,36 @@ def test_spreading_takes_w_star_from_c_star_on_radial_models(capsys, monkeypatch
         for entry in entries:
             assert entry["w_star"] == entry["c_star"]
             assert entry["radii"]["point"] == entry["radii"]["planar"]
+
+
+def test_spreading_rate_costs_no_solve_at_a_kink(capsys, monkeypatch):
+    # quadratic-1d at r = 0.8 is Case4: lambda* is lambda_tilde, where the
+    # ray sups take g' from the left, so lambda* gives no window and no
+    # _h_rays call beyond those of the same call without it
+    h_rays = kf.dispersion._h_rays
+    solve = kf.propagation.nullset_radius
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return h_rays(*args)
+
+    def unrated(*args, rate=None, **kwargs):
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(kf.dispersion, "_h_rays", counted)
+    monkeypatch.setattr(kf.propagation, "_h_rays", counted)
+    argv = ("spreading", "--model", "quadratic-1d", "--r", "0.8", "--t", "1,2")
+    outs = []
+    for patch in (False, True):
+        if patch:
+            monkeypatch.setattr(kf.propagation, "nullset_radius", unrated)
+        calls.clear()
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        outs.append((out, len(calls)))
+    (rated, rated_calls), (plain, plain_calls) = outs
+    assert rated == plain and rated_calls <= plain_calls
 
 
 def test_spreading_rejects_nonpositive_t_before_solving(capsys, monkeypatch):
@@ -425,6 +458,13 @@ def test_simulate_rejects_an_odd_node_count(capsys, tmp_path, nv):
     assert "nv must be even" in err
     assert os.listdir(tmp_path) == []
 
+
+def test_simulate_rejects_nv_on_an_atom_set(capsys, tmp_path):
+    # an atom set runs on its atoms: --nv would do nothing
+    code, out, err = run_cli(capsys, "simulate", "--model", "two-speed", "--r", "1",
+                             "--nv", "100", "--out", str(tmp_path / "run"))
+    assert code == 2 and "--nv" in err
+    assert out == "" and os.listdir(tmp_path) == []
 
 def test_solver_failure_exits_3(capsys, tmp_path, monkeypatch):
     def fails(*args, **kwargs):

@@ -199,6 +199,119 @@ def test_point_radius_does_not_follow_the_speed():
     assert abs(off - w * (1.0 + 1e-7)) > 2e-8
 
 
+# planar radii at Case1, Case2 and Case4 speeds, on every preset and on the
+# diamond along an axis and off it
+PLANAR_CASES = [(name, None) for name in kf.PRESET_NAMES] + [("diamond", (1.0, 0.0)),
+                                                            ("diamond", GENERIC)]
+
+
+def _planar_model(name, e0):
+    m = diamond() if name == "diamond" else model(name)
+    return m, np.eye(m.dim)[0] if e0 is None else np.array(e0)
+
+
+@pytest.mark.parametrize("name,e0", PLANAR_CASES)
+def test_planar_radius_seeded_by_the_rate_agrees_with_the_plain_one(name, e0):
+    m, e0 = _planar_model(name, e0)
+    for r in (0.3, 0.8):
+        sc = kf.minimal_speed(m, r, e0, sample=False)
+        plain = kf.nullset_radius(m, r, e0, 1.0, init="planar")
+        seeded = kf.nullset_radius(m, r, e0, 1.0, init="planar", speed=sc.c_star,
+                                   rate=sc.lambda_star)
+        assert abs(seeded - plain) <= 1e-9
+        # a rate whose window holds no argmax only costs its check
+        unrated = kf.nullset_radius(m, r, e0, 1.0, init="planar", speed=sc.c_star)
+        for wrong in (10.0 * sc.lambda_star, 0.1 * sc.lambda_star):
+            assert kf.nullset_radius(m, r, e0, 1.0, init="planar", speed=sc.c_star,
+                                     rate=wrong) == unrated
+
+
+def test_rate_needs_planar_data_and_a_speed():
+    m, e0 = diamond(), GENERIC
+    with pytest.raises(ValidationError):
+        kf.nullset_radius(m, 0.8, e0, 1.0, init="point", speed=0.7, rate=8.0)
+    with pytest.raises(ValidationError):
+        kf.nullset_radius(m, 0.8, e0, 1.0, init="planar", rate=8.0)
+
+
+@pytest.mark.parametrize("seeded", [False, True])
+def test_every_planar_step_solves_the_one_e0(monkeypatch, seeded):
+    # (2, 1) normalised twice is not (2, 1) normalised once: every ray of the
+    # radius must be the row the call normalised, bit for bit
+    rows = []
+    sups = P._ray_sups
+
+    def spied(model, r, E, a, window=None):
+        rows.extend(np.atleast_2d(E))
+        return sups(model, r, E, a, window)
+
+    monkeypatch.setattr(P, "_ray_sups", spied)
+    for m, e0 in ((diamond(), (2.0, 1.0)), (model("uniform-ball:2"), (3.0, 1.7))):
+        sc = kf.minimal_speed(m, 0.8, e0, sample=False)
+        kw = {"speed": sc.c_star, "rate": sc.lambda_star} if seeded else {}
+        rows.clear()
+        kf.nullset_radius(m, 0.8, e0, 1.0, init="planar", **kw)
+        assert len(rows) >= 3
+        assert all((row == rows[0]).all() for row in rows)
+
+
+def _bracket_steps(monkeypatch, module):
+    """(solver, steps) of each _bracket_roots call that module makes, in
+    call order; the solver is the function whose root is sought."""
+    steps = []
+    solve = module._bracket_roots
+
+    def counted(f, *args, **kwargs):
+        steps.append([f.__qualname__.split(".")[0], 0])
+
+        def step(x, rows):
+            steps[-1][1] += 1
+            return f(x, rows)
+
+        return solve(step, *args, **kwargs)
+
+    monkeypatch.setattr(module, "_bracket_roots", counted)
+    return steps
+
+
+@pytest.mark.parametrize("name", ["uniform-ball:2", "uniform-ball:3"])
+def test_seeded_planar_ray_sups_take_few_steps(monkeypatch, name):
+    # the pair of end rays starts from lambda* and every later step from the
+    # pair's argmax rates; unseeded, each sup took 10-13 steps
+    m, e0 = model(name), np.eye(model(name).dim)[0]
+    sc = kf.minimal_speed(m, 0.8, e0, sample=False)
+    steps = _bracket_steps(monkeypatch, P)
+    kf.nullset_radius(m, 0.8, e0, 1.0, init="planar", speed=sc.c_star, rate=sc.lambda_star)
+    sups = [n for solver, n in steps if solver == "_ray_sups"]
+    assert len(sups) >= 2 and max(sups) <= 4
+
+
+def test_diamond_wstar_levels_start_from_the_best_rate(monkeypatch):
+    # the scan and the extra candidates start from the default bracket; the
+    # tangent-grid levels from the best row's rate, 9-10 steps each without it
+    steps = _bracket_steps(monkeypatch, kf.dispersion)
+    kf.freidlin_gartner_speed(diamond(), 0.8, GENERIC)
+    levels = [n for solver, n in steps[1:-1]]
+    assert len(levels) == 9 and np.mean(levels) <= 5.0
+
+
+@pytest.mark.parametrize("make", [diamond, octahedron, lambda: model("uniform-ball:2")])
+def test_a_windowed_min_speed_row_keeps_its_cstar(make):
+    m = make()
+    rng = np.random.default_rng(5)
+    E = rng.normal(size=(12, m.dim))
+    E /= np.linalg.norm(E, axis=1, keepdims=True)
+    c, lam = kf.dispersion._min_speeds(m, 0.8, E)[:2]
+    # windows about the rate, beside it, past it, inverted and missing
+    spread = np.array([[-1e-3, 1e-3], [-0.2, 0.1], [0.1, 0.3], [-2.0, -1.0], [1e-3, -1e-3],
+                       [np.nan, np.nan]])
+    window = lam[:, None] * np.exp(spread[np.arange(12) % len(spread)])
+    c_win = kf.dispersion._min_speeds(m, 0.8, E, window)[0]
+    np.testing.assert_allclose(c_win, c, rtol=1e-15, atol=0.0)
+    for i in range(12):
+        assert kf.dispersion._min_speeds(m, 0.8, E[i:i + 1], window[i:i + 1])[0][0] == c_win[i]
+
+
 def test_lagrangian_is_infinite_past_the_hull_without_solving(monkeypatch):
     # the root solve for point radii tries points past the hull; there L is
     # +inf from the hull's facets alone, with no H solve
@@ -251,10 +364,10 @@ def test_batched_scans_equal_one_ray_at_a_time(monkeypatch, rays_per_chunk):
                       kf.direction((1.0, 1.0, 1.0))])
     # rays inside the cone, on its edge and past it (+inf)
     a = dirs @ np.array([0.9, -0.5, 0.4])
-    sups = P._ray_sups(m, 0.8, dirs, a)
+    sups = P._ray_sups(m, 0.8, dirs, a)[0]
     assert np.isinf(sups).any() and np.isfinite(sups).any()
     for i in range(len(dirs)):
-        assert P._ray_sups(m, 0.8, dirs[i:i + 1], a[i:i + 1])[0] == sups[i]
+        assert P._ray_sups(m, 0.8, dirs[i:i + 1], a[i:i + 1])[0][0] == sups[i]
     # at r = 3 the tie directions are ballistic (lambda* = inf), the others not
     for r in (0.8, 3.0):
         c, lam = kf.dispersion._min_speeds(m, r, dirs)[:2]
@@ -458,7 +571,7 @@ def _dense_min(f, pole, n):
     else:
         D = P._fibonacci_sphere(n)
     D = D[D @ pole > 0.0]
-    return float(np.min(f(D, D @ pole)))
+    return float(np.min(f(D, D @ pole, None)[0]))
 
 
 def _direction_case(dim):
@@ -467,10 +580,11 @@ def _direction_case(dim):
     pole = np.array([1.0, 0.3, 0.5][:dim])
     pole /= np.linalg.norm(pole)
 
-    def f(D, cos):
-        # the cosines handed over are those of the rows with the pole
+    def f(D, cos, window):
+        # the cosines handed over are those of the rows with the pole; no
+        # decay rates stand behind these values
         np.testing.assert_allclose(cos, D @ pole, atol=1e-15)
-        return (np.exp(-2.0 * (D @ a)) + 0.3 * D[:, 1] ** 2) / cos
+        return (np.exp(-2.0 * (D @ a)) + 0.3 * D[:, 1] ** 2) / cos, np.full(len(D), np.nan)
 
     return f, pole
 
@@ -492,9 +606,9 @@ def test_3d_freidlin_gartner_solves_e0_in_full_once(monkeypatch):
         unit = kf.direction(e0)
         seen = []
 
-        def counted(model, r, E):
+        def counted(model, r, E, window=None):
             seen.append(int(np.all(np.atleast_2d(E) == unit, axis=1).sum()))
-            return cstars(model, r, E)
+            return cstars(model, r, E, window)
 
         monkeypatch.setattr(P, "_cstars", counted)
         kf.freidlin_gartner_speed(octahedron(), 0.8, e0)
@@ -514,11 +628,11 @@ def test_octahedron_wstar_is_the_point_radius(e0):
 def test_direction_min_returns_minus_inf_from_the_scan():
     calls = []
 
-    def f(D, cos):
+    def f(D, cos, window):
         calls.append(len(D))
         vals = -D[:, 0]
         vals[D[:, 1] > 0.5] = -np.inf
-        return vals
+        return vals, np.full(len(D), np.nan)
 
     for pole in (np.array([1.0, 0.0]), np.array([0.0, 0.0, 1.0])):
         calls.clear()
@@ -554,9 +668,9 @@ def test_direction_search_dots_do_not_depend_on_the_batch():
         extra = rng.normal(size=(37, pole.size))
         seen = []
 
-        def f(D, dots):
+        def f(D, dots, window):
             seen.append((D.copy(), dots.copy()))
-            return np.cos(3.0 * D[:, 0]) + D[:, 1] ** 2
+            return np.cos(3.0 * D[:, 0]) + D[:, 1] ** 2, np.full(len(D), np.nan)
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # f may be least at the equator
@@ -581,10 +695,10 @@ def test_ray_sups_rows_do_not_depend_on_the_batch(make, dirs):
     # sups inside the window, at the floor (a <= 0), at lambda_tilde, and +inf
     m = make()
     a = np.linspace(-0.3, 1.2, len(dirs))
-    sups = P._ray_sups(m, 0.8, dirs, a)
+    sups = P._ray_sups(m, 0.8, dirs, a)[0]
     assert np.isinf(sups).any() and np.isfinite(sups).any()
     for i in range(len(dirs)):
-        assert P._ray_sups(m, 0.8, dirs[i:i + 1], a[i:i + 1])[0] == sups[i]
+        assert P._ray_sups(m, 0.8, dirs[i:i + 1], a[i:i + 1])[0][0] == sups[i]
 
 
 def _ray_g(m, r, e, a, lam):
@@ -599,7 +713,7 @@ def test_ray_sup_at_the_floor_when_a_is_not_positive(make, e):
     # is g at the floor of the window
     m = make()
     for a in (0.0, -0.4):
-        got = P._ray_sups(m, 0.8, np.atleast_2d(e), [a])[0]
+        got = P._ray_sups(m, 0.8, np.atleast_2d(e), [a])[0][0]
         assert got == _ray_g(m, 0.8, e, a, P._LAM_FLOOR)
         assert abs(got + 0.8) < 1e-8
 
@@ -613,14 +727,14 @@ def test_ray_sup_at_lambda_tilde():
     l_over_j = L_QUAD / (6.0 * (1.0 - math.log(2.0)))
     for a in (0.5, 0.9, 1.0):
         assert a - 1.0 + l_over_j > 0.0
-        got = P._ray_sups(m, r, np.ones((1, 1)), [a])[0]
+        got = P._ray_sups(m, r, np.ones((1, 1)), [a])[0][0]
         np.testing.assert_allclose(got, lam_t * (a - 1.0) + 1.0, rtol=1e-12)
         # and nothing below the kink is higher
         lams = np.geomspace(1e-3, lam_t, 200)[:-1]
         assert max(_ray_g(m, r, (1.0,), a, lam) for lam in lams) < got
     # below the threshold the sup is interior, a root of g', and bounded
     # Brent on g finds the same value
-    got = P._ray_sups(m, r, np.ones((1, 1)), [0.3])[0]
+    got = P._ray_sups(m, r, np.ones((1, 1)), [0.3])[0][0]
     res = minimize_scalar(lambda lam: -_ray_g(m, r, (1.0,), 0.3, lam), bounds=(1e-3, lam_t),
                           method="bounded", options={"xatol": 1e-10})
     assert res.x < lam_t * (1.0 - 1e-3)
@@ -808,7 +922,7 @@ def test_1d_lagrangian_is_the_planar_conjugate_along_p(make):
         sign = math.copysign(1.0, q)
         L = kf.lagrangian(m, r, np.array([q]))
         assert L == kf.planar_conjugate(m, r, sign, abs(q))
-        other = P._ray_sups(m, r, np.array([[-sign]]), [-abs(q)])[0]
+        other = P._ray_sups(m, r, np.array([[-sign]]), [-abs(q)])[0][0]
         assert other < -r <= L or (L == np.inf and abs(q) > vb[sign])
     assert P._point_is_planar(m)
     assert kf.freidlin_gartner_speed(m, r, 1.0) == kf.minimal_speed(m, r, 1.0, sample=False).c_star
@@ -823,7 +937,7 @@ def test_continuum_rays_depend_on_the_scale_alone():
         scales = np.tile([0.05, 0.4, 0.9, 1.7, 3.0], (len(dirs), 1))
         H, dH = kf.dispersion._h_rays(m, scales, dirs)
         assert (H == H[0]).all() and (dH == dH[0]).all()
-        sups = P._ray_sups(m, 0.8, dirs, np.full(len(dirs), 0.6))
+        sups = P._ray_sups(m, 0.8, dirs, np.full(len(dirs), 0.6))[0]
         assert (sups == sups[0]).all()
-        cs = P._cstars(m, 0.8, dirs)
+        cs = P._cstars(m, 0.8, dirs)[0]
         assert (cs == cs[0]).all()

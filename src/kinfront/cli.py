@@ -303,14 +303,15 @@ def cmd_spreading(args):
         curve = dispersion.minimal_speed(model, args.r, e0, sample=False)
         c_star = curve.c_star
         # phi(t, x) = t phi(1, x/t): each radius is t times its value at t = 1;
-        # the speeds, and lambda* for the planar sups, only narrow brackets
+        # c*, and lambda* for the planar sups, only narrow the planar brackets
         planar = propagation.nullset_radius(model, args.r, e0, 1.0, init="planar", speed=c_star,
                                             rate=curve.lambda_star)
         if planar_is_point:
             w_star, point = c_star, planar
         else:
-            w_star = propagation.freidlin_gartner_speed(model, args.r, e0)
-            point = propagation.nullset_radius(model, args.r, e0, 1.0, init="point", speed=w_star)
+            # on an atom set one root of L(q e0) gives the point radius and,
+            # with c* on the candidate directions, the w* it certifies
+            w_star, point = propagation._point_speeds(model, args.r, e0, c_star)
         entry = {"e0": _jsonable(e0), "c_star": _jsonable(c_star), "w_star": _jsonable(w_star)}
         entry["radii"] = {
             init: {_fmt(t): _jsonable(t * q) for t in ts}

@@ -503,29 +503,7 @@ def _bracket_roots(f, lo, hi, flo, fhi, tol=1e-12):
     return x1, data
 
 
-def _start_brackets(curve, lo, hi, win, floor, top, sign):
-    """Values and slopes, from curve(lams, sel), of n decay-rate solves at
-    the ends of their first brackets [lo, hi], updated in place: win (n,
-    2), or None, holds a bracket per row that the caller already has. It
-    replaces [lo, hi] where floor <= win[0] < win[1] < top and the slope
-    changes sign across it from -sign to sign, which certifies the root
-    inside it. Returns the values, the slopes and the rows left on [lo, hi].
-    """
-    val, slope = np.empty((lo.size, 2)), np.empty((lo.size, 2))
-    rest = np.arange(lo.size)
-    if win is not None:
-        seed = np.flatnonzero((floor <= win[:, 0]) & (win[:, 0] < win[:, 1]) & (win[:, 1] < top))
-        if seed.size:
-            val[seed], slope[seed] = curve(win[seed], seed)
-            seed = seed[(sign * slope[seed, 0] < 0.0) & (sign * slope[seed, 1] > 0.0)]
-            lo[seed], hi[seed] = win[seed, 0], win[seed, 1]
-            rest = np.setdiff1d(rest, seed)
-    if rest.size:
-        val[rest], slope[rest] = curve(np.column_stack([lo[rest], hi[rest]]), rest)
-    return val, slope, rest
-
-
-def _min_speeds(model, r, E, window=None):
+def _min_speeds(model, r, E):
     """Minimal speeds c*(e) on the unit rows of E, for any velocity set.
 
     r is one growth rate for all rows, or one per row. Returns the arrays
@@ -549,9 +527,7 @@ def _min_speeds(model, r, E, window=None):
       at 1e-3 moves that end down by factors of 1000 until c' < 0 there,
       or to 1e-12, where the minimum is taken;
     - _bracket_roots solves c' = 0 in log lambda on the remaining rows.
-    window, broadcast to (k, 2), is a first bracket per row that replaces
-    the one above where it certifies the root of c' (_start_brackets). A
-    row's values do not depend on the other rows.
+    A row's values do not depend on the other rows.
     """
     vbar, lval = _ray_edges(model, E)
     k = len(E)
@@ -581,12 +557,9 @@ def _min_speeds(model, r, E, window=None):
         return c_star, lam_star, lam_tilde, dleft, case
     capped = np.isinf(lam_tilde[rows])
     lo, hi = np.full(rows.size, 1e-3), np.where(capped, LAMBDA_CAP, lam_tilde[rows])
-    win = None if window is None else np.broadcast_to(window, (k, 2))[rows]
-    c, slope, rest = _start_brackets(lambda lams, i: curve(lams, rows[i]), lo, hi, win, 1e-12,
-                                     lam_tilde[rows], 1.0)
-    side = rest[~capped[rest]]
-    slope[side, 1] = dleft[rows[side]] * hi[side] ** 2
-    grow = rest[capped[rest] & (slope[rest, 1] < 0.0)]
+    c, slope = curve(np.column_stack([lo, hi]), rows)
+    slope[~capped, 1] = dleft[rows[~capped]] * hi[~capped] ** 2
+    grow = np.flatnonzero(capped & (slope[:, 1] < 0.0))
     if model.is_discrete and grow.size:
         # c = vbar + ((1+r) t - 1) / lambda, t = H - (mu - 1) falling to the
         # weight w_tie at vbar(e) and staying above it: where (1+r) w_tie >= 1

@@ -20,9 +20,9 @@ recovered here by root-finding on phi, not by quoting the speeds, so the
 two routes cross-check each other. A caller that knows the speed may
 pass it to nullset_radius: it only narrows the bracket, and the root is
 still certified by a sign change of the conjugate, so a wrong speed
-falls back to the full bracket instead of becoming the radius. Ray sups
-and c* start in the same way from rates the same call already holds
-(dispersion._start_brackets); nothing is kept between calls.
+falls back to the full bracket instead of becoming the radius. The ray
+sups of a planar radius start in the same way from rates the same call
+already holds; nothing is kept between calls.
 
 Along one direction both optima over decay rates are first-order
 points: below the critical decay H is convex, so g' and c' change sign
@@ -31,11 +31,19 @@ once, and each ray's sup and each direction's c* is one bracketed root
 On an atom set H is regular everywhere, smooth and strictly convex, so
 L(p) is a smooth concave sup over q with one first-order point inside
 the hull: one damped Newton solve in q, with no search over directions.
-The minimum of c*(e)/(e.e0) that gives w* need not be set by a
-first-order condition (it can sit at the kink of c*, or at a corner of
-the ratio), so w* is a search over directions: a scan, then shrinking
-tangent grids about the best direction so far (one tangent axis in 2-D,
-two in 3-D), every row solved in full, from the best row's rate.
+
+The paper's point is that w*(e0), the minimum of c*(e)/(e.e0) over
+e.e0 > 0, need not be set by a first-order condition. On an atom set c*
+is smooth wherever lambda*(e) is finite, so a minimum that is not a
+first-order point sits where c* turns ballistic, at a kink of vbar(e):
+on a facet normal of the atoms' hull. w* therefore needs no search over
+directions. The point radius w at t = 1 solves L(w e0) = 0, and the q*
+that maximises that L gives the minimising direction e* = q*/|q*|, with
+lambda*(e*) = |q*|. Weak duality (q = lambda e in the sup) gives
+w <= c*(e)/(e.e0) for every e with e.e0 > 0. So w* is the smallest
+ratio over e0, e* and the facet normals that face e0, and a ratio that
+equals the radius certifies both values at once; a gap beyond the
+root's tolerance raises SolverNotConverged.
 """
 
 import math
@@ -51,19 +59,10 @@ from .dispersion import (
     _min_speeds,
     _ray_edges,
     _rows,
-    _start_brackets,
 )
 from .errors import SolverNotConverged, ValidationError
-from .models import _atom_dots, _positive, _span, _unit
+from .models import _atom_dots, _positive, _unit
 
-ANGLES_FG = 256
-# the refinement of _direction_min: points per tangent axis of a grid, by
-# dimension, and the half-width in rad below which it stops
-_GRID_POINTS = {2: 9, 3: 5}
-_GRID_STOP = 1e-7
-# half-width, in log rate per rad of a level's half-width, of the window of
-# decay rates that a refinement level of _direction_min starts from
-_RATE_SPREAD = 16.0
 _LAM_FLOOR = 1e-8
 # damped Newton of an atom-set Lagrangian: iteration bound, Armijo share of
 # the decrement, and the smallest damping before a step counts as flat
@@ -74,6 +73,13 @@ _MIN_STEP = 2.0**-30
 # and the half-width in log rate of the window about a known rate
 _SEED_REL = 1e-6
 _RATE_REL = 1e-4
+# the cosine e.e0 below which a minimiser of c*(e)/(e.e0) is flagged as
+# near the equator, and the gap between w* and the point radius, relative
+# to 1 + radius, past which the duality certificate fails
+_EQUATOR = math.sin(2.0 * math.pi / 256)
+_GAP = 1e-9
+# the smallest absolute tolerance of a null-set root, in x/t
+_ROOT_TOL = 1e-12
 
 
 def _point_is_planar(model):
@@ -99,8 +105,9 @@ def _ray_sups(model, r, E, a, window=None):
     At lambda_tilde g' is taken from the left, a - vbar + l/j: the mean
     of s that dH/dbeta subtracts from vbar tends to l/j as D -> beta s.
     window, broadcast to (k, 2), is a first bracket per ray that replaces
-    the one above where it certifies the root of g' (_start_brackets);
-    it must end below lambda_tilde, where g' is one-sided.
+    the one above where g' falls from + to - across it, which certifies
+    the root inside it; it must end below lambda_tilde, where g' is
+    one-sided.
     Each step is one batched _h_rays solve over the rays it concerns, for
     any velocity set, and a ray's value does not depend on the other
     rays.
@@ -123,8 +130,18 @@ def _ray_sups(model, r, E, a, window=None):
     lam_tilde = (1.0 + r) * lval
     kinked = np.isfinite(lam_tilde)
     lo, hi = np.full(rows.size, _LAM_FLOOR), np.where(kinked, lam_tilde, 64.0)
-    win = None if window is None else np.broadcast_to(window, (len(out), 2))[rows]
-    val, slope, rest = _start_brackets(g, lo, hi, win, _LAM_FLOOR, lam_tilde, -1.0)
+    val, slope = np.empty((rows.size, 2)), np.empty((rows.size, 2))
+    rest = np.arange(rows.size)
+    if window is not None:
+        win = np.broadcast_to(window, (len(out), 2))[rows]
+        seed = np.flatnonzero((_LAM_FLOOR <= win[:, 0]) & (win[:, 0] < win[:, 1]) & (win[:, 1] < lam_tilde))
+        if seed.size:
+            val[seed], slope[seed] = g(win[seed], seed)
+            seed = seed[(slope[seed, 0] > 0.0) & (slope[seed, 1] < 0.0)]
+            lo[seed], hi[seed] = win[seed, 0], win[seed, 1]
+            rest = np.setdiff1d(rest, seed)
+    if rest.size:
+        val[rest], slope[rest] = g(np.column_stack([lo[rest], hi[rest]]), rest)
     kink = rest[kinked[rest]]
     if kink.size:
         slope[kink, 1] = a[kink] - vbar[kink] + lval[kink] / model.grid.j
@@ -148,114 +165,11 @@ def _ray_sups(model, r, E, a, window=None):
     return out, rates
 
 
-def _circle_dirs(thetas):
-    return np.column_stack([np.cos(thetas), np.sin(thetas)])
-
-
-def _fibonacci_sphere(n):
-    i = np.arange(n)
-    z = 1.0 - (2.0 * i + 1.0) / n
-    rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    phi = i * (math.pi * (3.0 - math.sqrt(5.0)))
-    return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
-
-
-def _cap_dirs(center, T, x, rad, m):
-    """One level of the tangent-grid refinement of _direction_min, in 2-D
-    and 3-D.
-
-    The orthonormal rows T span the tangent space of the unit center, and
-    x is a point of that chart. The grid puts m points on each tangent
-    axis, at x + linspace(-rad, rad, m), and leaves out x itself, whose
-    value the search holds. Returns the grid's chart points X and the
-    unit directions along center + X T.
-    """
-    g = np.linspace(-rad, rad, m)
-    X = x + np.stack(np.meshgrid(*[g] * len(T), indexing="ij"), axis=-1).reshape(-1, len(T))
-    X = np.delete(X, len(X) // 2, axis=0)  # the centre, g = 0 on every axis
-    D = center + X @ T
-    return X, D / np.linalg.norm(D, axis=1, keepdims=True)
-
-
 def _dots(D, pole):
     """D @ pole without a BLAS product, whose rounding can depend on the
     shape of the batch (see models._atom_dots): the one projection rule
     of directions and hull-facet normals."""
     return _atom_dots(pole[None, :], D)[:, 0]
-
-
-def _direction_min(f, pole, n, extra=None):
-    """Smallest value of f over the open hemisphere about the unit pole:
-    the direction search of freidlin_gartner_speed.
-
-    f(D, dots, window) maps unit rows D and their dot products with the
-    pole to values and the decay rates they were solved at, starting from
-    the window of rates (None, or one for every row). Each step below is
-    one call, on its rows with dots > 1e-6; the dots are summed
-    coordinate by coordinate (_dots), so a row's dot is the same in any
-    batch.
-
-    The scan takes the cell midpoints of n angles about the pole in 2-D,
-    and the pole and a Fibonacci spiral of 2n directions in 3-D. A scan
-    whose best value is -inf returns it at once. The refinement then
-    solves tangent grids (_cap_dirs) in the chart center + x T about the
-    scan's best direction, m = _GRID_POINTS points per tangent axis about
-    the best chart point so far. The first half-width is tan of the
-    scan's spacing. Each level multiplies it by 2/(m - 1), which makes it
-    the spacing of the level before: a level covers the bracket that the
-    one before left. Its window is the best row's rate so far, times
-    exp(-+_RATE_SPREAD half-width): the rate moves smoothly with e.
-    The refinement stops once the half-width is at most _GRID_STOP. Over
-    directions the minimum need not be a first-order point (it can sit
-    at the kink of c* or at a corner of the ratio), so the grids compare
-    values.
-
-    A minimizer within two scan spacings of the equator is flagged, as a
-    ratio over e.e0 blows up there and attainment relies on interior
-    directions. The rows of extra are candidates too, taken last, except
-    those the scan already holds.
-    """
-    if pole.size == 2:
-        base, spacing = math.atan2(pole[1], pole[0]), math.pi / n
-        scan = _circle_dirs(base + (-0.5 * math.pi + math.pi * (np.arange(n) + 0.5) / n))
-    else:
-        spacing = math.sqrt(4.0 * math.pi / (2 * n))
-        scan = np.vstack([pole, _fibonacci_sphere(2 * n)])
-
-    def solve(D, window=None):
-        dots = _dots(D, pole)
-        rows = np.flatnonzero(dots > 1e-6)
-        vals, rates = f(D[rows], dots[rows], window)
-        return rows, dots[rows], vals, rates
-
-    rows, dots, vals, rates = solve(scan)
-    k = int(np.argmin(vals))
-    best, best_dot, rate = float(vals[k]), dots[k], rates[k]
-    if best == -np.inf:
-        return best
-    scanned, center = scan[rows], scan[rows[k]]
-    T = _span(center[None, :])[1]
-    x, m, rad = np.zeros(len(T)), _GRID_POINTS[pole.size], math.tan(spacing)
-    while rad > _GRID_STOP:
-        X, D = _cap_dirs(center, T, x, rad, m)
-        rows, dots, vals, rates = solve(D, rate * np.exp(_RATE_SPREAD * rad * np.array([-1.0, 1.0])))
-        j = int(np.argmin(vals))
-        if vals[j] < best:
-            best, best_dot, rate, x = float(vals[j]), dots[j], rates[j], X[rows[j]]
-        rad *= 2.0 / (m - 1)
-    if best_dot < math.sin(2.0 * spacing):
-        warnings.warn(
-            "Freidlin-Gartner minimizer lies near the equator e.e0 = 0, where "
-            "the ratio c*(e)/(e.e0) can hide a smaller value; check w* against "
-            "the point-data radius of nullset_radius (init='point'; the 'point' "
-            "radii of the spreading command), which searches no directions",
-            RuntimeWarning,
-        )
-    if extra is not None:
-        extra = extra[~(extra[:, None, :] == scanned[None, :, :]).all(axis=2).any(axis=1)]
-        if len(extra):
-            best = min(best, float(np.min(f(extra, _dots(extra, pole), None)[0])))
-    return best
 
 
 def lagrangian(model, r, p):
@@ -270,13 +184,18 @@ def lagrangian(model, r, p):
     """
     _positive(r, "growth rate r")
     P, nrm = _rows(model, np.ravel(p))
-    p, nrm = P[0], float(nrm[0])
+    return _lagrangian(model, r, P[0], float(nrm[0]))[0]
+
+
+def _lagrangian(model, r, p, nrm):
+    """L(p) at p of norm nrm, and the q at which _atom_lagrangian ended
+    (None where no Newton solve ran)."""
     if _point_is_planar(model) or nrm == 0.0:
         e = p / nrm if nrm > 0 else np.eye(model.dim)[0]
-        return float(_ray_sups(model, r, e, [nrm])[0][0])
+        return float(_ray_sups(model, r, e, [nrm])[0][0]), None
     facets = model.support.facets
     if np.any(_dots(facets[:, :-1], p) + facets[:, -1] > 1e-12 * (1.0 + np.abs(facets[:, -1]))):
-        return np.inf
+        return np.inf, None
     return _atom_lagrangian(model, r, p)
 
 
@@ -299,15 +218,17 @@ def _atom_lagrangian(model, r, p):
     gain Newton predicts, is below the roundoff of F. On the hull's boundary
     the sup lies at infinity: the solve returns the last F once |q| passes
     _LAM_CEIL, the cap of the ray windows, or when a step is singular or
-    no longer increases F. Running past _NEWTON_ITERS iterations raises
+    no longer increases F. Returns F there and the last iterate q, in
+    the model's coordinates. Running past _NEWTON_ITERS iterations raises
     SolverNotConverged.
     """
     pts, w = model.support.points, model.support.weights
     span = model.support.span
     if not len(span):
-        return -float(r)  # every atom sits at 0: H = 0, so F = -r
+        return -float(r), None  # every atom sits at 0: H = 0, so F = -r
+    lift = np.eye(model.dim)
     if len(span) < model.dim:
-        pts, p = _atom_dots(span, pts), _dots(span, p)
+        pts, p, lift = _atom_dots(span, pts), _dots(span, p), span
     scale = 1.0 + r
 
     def value(q):
@@ -329,12 +250,12 @@ def _atom_lagrangian(model, r, p):
         Y = np.sqrt(2.0 * w / (D**3 * u.sum()))[:, None] * (pts - dh)
         _, sv, vt = np.linalg.svd(Y, full_matrices=False)
         if not sv[-1] > 0.0:
-            return f
+            return f, q @ lift
         z = (vt @ grad) / sv
         step = scale * (vt.T @ (z / sv))
         dec = scale * float(z @ z)
         if not dec > np.finfo(float).eps * (abs(float(p @ q)) + scale * abs(H) + r):
-            return f
+            return f, q @ lift
         t = 1.0
         while True:
             trial = q + t * step
@@ -343,12 +264,12 @@ def _atom_lagrangian(model, r, p):
                 break
             t *= 0.5
             if t < _MIN_STEP:
-                return f
+                return f, q @ lift
         if not f_new > f:
-            return f
+            return f, q @ lift
         q, f, H, dots = trial, f_new, H_new, dots_new
         if np.linalg.norm(q) > _LAM_CEIL:
-            return f
+            return f, q @ lift
     raise SolverNotConverged(
         "Lagrangian Newton solve did not converge in %d iterations" % _NEWTON_ITERS
     )
@@ -385,45 +306,72 @@ def hopf_lax_phi(model, r, t, x, init="point", e0=None):
     return max(val, 0.0)
 
 
-def _cstars(model, r, E, window=None):
-    """Minimal speeds c*(e) and their rates lambda*(e) on the rows of E,
-    solved on every call.
+def _cstars(model, r, E):
+    """Minimal speeds c*(e) and their rates lambda*(e) on the unit rows
+    of E, solved on every call.
 
-    One _min_speeds call on the normalised rows, for any velocity set,
-    from the window of rates; a row's c* does not depend on the other rows.
+    One _min_speeds call, for any velocity set; a row's c* does not
+    depend on the other rows.
     """
-    E = np.atleast_2d(E)
-    return _min_speeds(model, r, E / np.linalg.norm(E, axis=1, keepdims=True), window)[:2]
+    return _min_speeds(model, r, np.atleast_2d(E))[:2]
 
 
 def freidlin_gartner_speed(model, r, e0):
     """Spreading speed of point data: min of c*(e)/(e.e0) over e.e0 > 0.
 
     Where _point_is_planar holds (1-D and continuum models) this is
-    just c*(e0). Otherwise it is one
-    _direction_min over the open hemisphere about e0, with ANGLES_FG
-    angles. e0 itself is a candidate, and for a velocity set of atoms so
-    are the outward facet normals of their convex hull that face e0 (for
-    a flat set, those in its span and the normals of that span): once c*
-    turns ballistic near such a normal the minimum can sit at that corner
-    of the ratio, which the search is not guaranteed to find. A normal
-    within roundoff of the equator e.e0 = 0 is left out: its ratio is
-    roundoff over roundoff. Each candidate is solved once:
-    in 3-D, e0 is also the scan's pole, so the candidate is not solved
-    again.
+    just c*(e0). On a 2-D or 3-D atom set it comes from the point radius,
+    as _point_speeds describes: no search over directions runs, and the
+    value is certified by its agreement with that radius.
     """
     _positive(r, "growth rate r")
+    c0 = float(_cstars(model, r, _unit(model, e0))[0][0])
+    return c0 if _point_is_planar(model) else _point_speeds(model, r, e0, c0)[0]
+
+
+def _point_speeds(model, r, e0, c0):
+    """w*(e0) and the point radius per unit time on a 2-D or 3-D atom
+    set, from one root solve; c0 is c*(e0) on the unit e0.
+
+    The radius is the root of L(q e0) on [0, min(c0, hull extent)]
+    (_point_root): c0 bounds it, e0 being one of the directions of the
+    minimum. Its last Newton iterate q gives the direction e* = q/|q|
+    where c*(e)/(e.e0) is least when that minimum is a first-order
+    point. Where it is not, c* turns ballistic at a kink of vbar(e), and
+    q runs off along a facet normal of the atoms' hull. So one _cstars
+    call solves c* on e* and on the facet normals that face e0 (for a
+    flat set, those in its span and the normals of that span), leaving
+    out e0, whose c0 the caller holds, and rows within roundoff of the
+    equator e.e0 = 0, whose ratio is roundoff over roundoff. w* is the
+    smallest ratio, c0 included. By weak duality no ratio lies below the
+    radius, so w* above the radius by more than _GAP (1 + radius) means
+    that no candidate reached the minimum, and raises
+    SolverNotConverged. A minimiser with e.e0 below _EQUATOR is flagged.
+    """
     e0 = _unit(model, e0)
-    if _point_is_planar(model):
-        return float(_cstars(model, r, e0)[0][0])
-    normals = model.support.facets[:, :-1]
-    normals = np.vstack([e0, normals[_dots(normals, e0) > 1e-12]])
-
-    def ratios(D, cos, window):
-        c, lam = _cstars(model, r, D, window)
-        return c / cos, lam
-
-    return _direction_min(ratios, e0, ANGLES_FG, extra=normals)
+    radius, q = _point_root(model, r, e0, min(c0, _hull_extent(model, e0)), _ROOT_TOL)
+    E = model.support.facets[:, :-1]
+    if q is not None:
+        E = np.vstack([E, q / np.linalg.norm(q)])
+    cos = _dots(E, e0)
+    keep = (cos > 1e-12) & ~(E == e0).all(axis=1)
+    E, cos = E[keep], np.concatenate([[1.0], cos[keep]])
+    ratios = np.concatenate([[c0], _cstars(model, r, E)[0]]) / cos
+    k = int(np.argmin(ratios))
+    w = float(ratios[k])
+    if not abs(w - radius) <= _GAP * (1.0 + radius):
+        raise SolverNotConverged(
+            "w* = %r is not certified by the point radius %r: no candidate direction "
+            "reached the minimum of c*(e)/(e.e0)" % (w, radius)
+        )
+    if cos[k] < _EQUATOR:
+        warnings.warn(
+            "Freidlin-Gartner minimizer lies near the equator e.e0 = 0, where the "
+            "ratio c*(e)/(e.e0) divides by a small cosine; w* holds as far as it "
+            "agrees with the point-data radius of nullset_radius (init='point')",
+            RuntimeWarning,
+        )
+    return w, radius
 
 
 def _hull_extent(model, e0):
@@ -443,17 +391,17 @@ def nullset_radius(model, r, e0, t, init="point", tol=1e-9, speed=None, rate=Non
 
     Planar data: the largest x.e0 with phi = 0, equal to c*(e0) t.
     Point data: the largest |x| along e0 with phi = 0, equal to w*(e0) t.
-    Both come out of a bracketed root solve on the conjugate along the
+    Where _point_is_planar holds the two are one root, the planar one.
+    Each comes out of a bracketed root solve on the conjugate along the
     ray (phi is t times a function of x/t, so the radius is exactly
     linear in t): dispersion._bracket_roots on one row, with an absolute
     term of min(tol, 1e-12), which costs no more steps than a looser one
-    as the steps converge superlinearly. When the conjugate never turns
-    positive inside the velocity hull the front is ballistic and the
-    radius is the hull's extent along e0 times t: vbar(e0) t for planar
-    data, and for point data on a full-dimensional hull of atoms the
-    distance to its boundary, found from the hull's facets, where L
-    jumps to +inf. tol, the root's absolute tolerance in x/t, must be
-    positive.
+    as the steps converge superlinearly. The bracket ends at the hull's
+    extent along e0: vbar(e0) for planar data, and for point data on an
+    atom set the distance to the hull's boundary, from its facets
+    (_point_root). When the conjugate is not positive there the front is
+    ballistic and the radius is that extent times t. tol, the root's
+    absolute tolerance in x/t, must be positive.
 
     speed, when given, is the expected radius per unit time (c*(e0) for
     planar data, w*(e0) for point data). It only narrows the bracket to
@@ -462,10 +410,10 @@ def nullset_radius(model, r, e0, t, init="point", tol=1e-9, speed=None, rate=Non
     and nondecreasing along e0 for q >= 0 and negative at 0, so such a
     sign change holds its one positive root, which the same solve then
     finds to the same tolerance. Planar data takes the conjugate at both
-    ends in one 2-ray _ray_sups call. Otherwise the full bracket [0,
-    vbar(e0)] runs as without a speed: a speed whose bracket misses the
-    root gives the unseeded radius bit for bit, and one that holds it
-    still gives the root of phi, not the speed.
+    ends in one 2-ray _ray_sups call. Otherwise the full bracket runs as
+    without a speed: a speed whose bracket misses the root gives the
+    unseeded radius bit for bit, and one that holds it still gives the
+    root of phi, not the speed.
 
     rate, planar data only and beside a speed, is lambda*(e0). It only
     narrows the window of the two end sups to rate exp(-+_RATE_REL), where
@@ -486,45 +434,60 @@ def nullset_radius(model, r, e0, t, init="point", tol=1e-9, speed=None, rate=Non
     _positive(t, "time t")
     _positive(tol, "tol")
     e0 = _unit(model, e0)
+    tol = min(tol, _ROOT_TOL)
+    if init == "point" and not _point_is_planar(model):
+        return t * _point_root(model, r, e0, _hull_extent(model, e0), tol, speed)[0]
     vb = model.support_max(e0)
-    top = _hull_extent(model, e0) if init == "point" and model.is_discrete else vb
 
     def f(q, window=None):
-        if init == "planar":
-            return float(_ray_sups(model, r, e0[None, :], [q], window)[0][0])
-        return lagrangian(model, r, q * e0)
+        return float(_ray_sups(model, r, e0[None, :], [q], window)[0][0])
 
-    def radius(a, b, fa, fb, window=None):
-        # t times the sign change of f in [a, b], fa < 0 < fb
-        def step(x, rows):
-            fx = np.array([f(float(x[0]), window)])
-            return fx, fx
+    if speed is not None:
+        a, b = speed * (1.0 - _SEED_REL), speed * (1.0 + _SEED_REL)
+        if 0.0 < a < b < vb:
+            start = None if rate is None else rate * np.exp(_RATE_REL * np.array([-1.0, 1.0]))
+            (fa, fb), lams = _ray_sups(model, r, np.vstack([e0, e0]), [a, b], start)
+            if fa < 0.0 < fb:
+                return t * _sign_change(lambda q: f(q, lams), a, b, fa, fb, tol)
+    f_vb = f(vb)
+    if f_vb <= 0.0:
+        return t * vb
+    return t * _sign_change(f, 0.0, vb, f(0.0), f_vb, tol)
 
-        ends = [np.array([v]) for v in (a, b, fa, fb)]
-        return t * float(_bracket_roots(step, *ends, tol=min(tol, 1e-12))[0][0])
+
+def _sign_change(f, a, b, fa, fb, tol):
+    """The root of f in [a, b], fa < 0 < fb: one _bracket_roots row."""
+
+    def step(x, rows):
+        fx = np.array([f(float(x[0]))])
+        return fx, fx
+
+    return float(_bracket_roots(step, *[np.array([v]) for v in (a, b, fa, fb)], tol=tol)[0][0])
+
+
+def _point_root(model, r, e0, top, tol, speed=None):
+    """Point radius per unit time along the unit e0 on a 2-D or 3-D atom
+    set, and the last q at which a Newton solve of L ended (None if none
+    ran): the radius is top when L(top e0) <= 0, else the root of L(q e0)
+    on [0, top], where L(0) = -r. speed narrows the bracket first, as in
+    nullset_radius."""
+    last = None
+
+    def f(x):
+        nonlocal last
+        val, q = _lagrangian(model, r, x * e0, x)
+        if q is not None:
+            last = q
+        return val
 
     if speed is not None:
         a, b = speed * (1.0 - _SEED_REL), speed * (1.0 + _SEED_REL)
         if 0.0 < a < b < top:
-            lams = None
-            if init == "planar":
-                start = None if rate is None else rate * np.exp(_RATE_REL * np.array([-1.0, 1.0]))
-                (fa, fb), lams = _ray_sups(model, r, np.vstack([e0, e0]), [a, b], start)
-            else:
-                fa = f(a)
-                fb = f(b) if fa < 0.0 else fa  # no sign change: skip the call
+            fa = f(a)
+            fb = f(b) if fa < 0.0 else fa  # no sign change: skip the call
             if fa < 0.0 < fb:
-                return radius(a, b, fa, fb, lams)
-    if init == "point":
-        # L jumps to +inf past the hull, which can end before vbar(e0):
-        # when L <= 0 up to the hull the radius is the hull's extent, where
-        # a root solve on [0, vbar] would bisect onto the jump. Otherwise
-        # the bracket stays [0, vbar]: its points past the hull cost
-        # nothing, L being +inf there from the facets alone, and the step
-        # bisects off them
-        if top < vb * (1.0 - 1e-12) and f(top) <= 0.0:
-            return t * top
-    f_vb = f(vb)
-    if f_vb <= 0.0:
-        return t * vb
-    return radius(0.0, vb, f(0.0), f_vb)
+                return _sign_change(f, a, b, fa, fb, tol), last
+    f_top = f(top)
+    if f_top <= 0.0:
+        return top, last
+    return _sign_change(f, 0.0, top, -float(r), f_top, tol), last

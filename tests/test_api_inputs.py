@@ -225,9 +225,10 @@ def test_every_t_flag_exits_2(capsys, tmp_path):
 
 # -- the public API has no test-only members ---------------------------
 
-# the paper's Hopf-Lax phase and travelling-wave profile, kept as public
-# results although no library code calls them
-KEPT_UNCALLED = {"hopf_lax_phi", "wave_profile"}
+# the paper's Hopf-Lax phase, travelling-wave profile and point spreading
+# speed, kept as public results although no library code calls them (the
+# spreading command takes w* from the root that also gives its point radius)
+KEPT_UNCALLED = {"freidlin_gartner_speed", "hopf_lax_phi", "wave_profile"}
 
 
 def _loaded_names(path):

@@ -62,10 +62,15 @@ def test_tracer_counts_spreading_root_solves(tmp_path, capsys):
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    calls = tracer.per_layer(tracer.take())["calls"]
-    # one planar and one point radius; the point root is bracketed about w*
-    assert calls["propagation.nullset_radius"] == 2
-    assert 1 <= calls["propagation.lagrangian"] <= 5
+    layer = tracer.per_layer(tracer.take())
+    calls = layer["calls"]
+    # one planar radius; the point radius and w* come from one root of L
+    # and one batch of candidate c*, inside the command, with no public
+    # lagrangian or freidlin_gartner_speed call
+    assert calls["propagation.nullset_radius"] == 1
+    assert "propagation.lagrangian" not in calls
+    assert "propagation.freidlin_gartner_speed" not in calls
+    assert layer["h_solves"] == 211
 
 
 def test_tracer_counts_sweep_solves(tmp_path, capsys):
@@ -98,22 +103,22 @@ def test_tracer_counts_sweep_solves(tmp_path, capsys):
 
 
 def test_tracer_counts_direction_search_solves():
-    # the direction search behind w* solves every row in full, each c* one
-    # bracketed root over decay rates: a few thousand H solves, most of them
-    # in the tangent grids (9 levels of 8 rows in 2-D, 21 of 24 in 3-D), each
-    # level from the best row's rate so far (3,689 and 8,182 from the
-    # default bracket; w* moved by an ulp, 1.5e-16 and 1.9e-16). L on an
-    # atom set is one Newton solve in q, one H solve per iterate, where the
-    # direction search over ray sups took 2,629 (2-D) and 5,237 (3-D)
+    # w* on an atom set is one root of the point radius, each step one
+    # Newton solve of L with one H solve per iterate, and one batched c*
+    # solve over e0, e* = q*/|q*| and the facet normals that face e0. A
+    # direction search over c* took 3,298 (2-D) and 5,959 (3-D) H solves,
+    # and put the octahedron's w* 4.4e-15 higher. L itself is one Newton
+    # solve in q, where a direction search over ray sups took 2,629 (2-D)
+    # and 5,237 (3-D)
     pts = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
     diamond = VelocityModel(DiscreteSet(pts, [0.25] * 4))
     octahedron = VelocityModel(DiscreteSet(np.vstack([np.eye(3), -np.eye(3)]), [1.0 / 6.0] * 6))
     calls = (
         (lambda: propagation.freidlin_gartner_speed(diamond, 0.8, [math.cos(0.46), math.sin(0.46)]),
-         3_298, 0.7387021058641873),
+         193, 0.7387021058641873),
         (lambda: propagation.lagrangian(diamond, 0.8, [0.3, 0.2]), 5, -0.6754429719040477),
         (lambda: propagation.freidlin_gartner_speed(octahedron, 0.8, [1.0, 2.0, 2.0]),
-         5_959, 0.594492341484273),
+         208, 0.5944923414842704),
         (lambda: propagation.lagrangian(octahedron, 0.8, [0.31, 0.17, 0.12]),
          5, -0.5989499192664304),
     )

@@ -271,9 +271,9 @@ def test_spreading_radii_are_exactly_linear_in_t(capsys, tmp_path):
 
 
 def test_spreading_radii_equal_library_calls_given_the_speeds(capsys, tmp_path):
-    # at r = 0.8 neither radius is ballistic, so both root solves take the
-    # bracket narrowed about c* and w*, and the planar ray sups start from
-    # lambda*
+    # at r = 0.8 neither radius is ballistic: the planar root takes the
+    # bracket narrowed about c* and its ray sups start from lambda*; the
+    # point root runs on [0, c*], and w* is certified by it
     path = tmp_path / "diamond.model"
     path.write_text(DIAMOND)
     e = "%r,%r" % (math.cos(0.46), math.sin(0.46))
@@ -288,9 +288,12 @@ def test_spreading_radii_equal_library_calls_given_the_speeds(capsys, tmp_path):
     assert (entry["c_star"], entry["w_star"]) == (c_star, w_star)
     planar = kf.nullset_radius(m, 0.8, e0, 1.0, init="planar", speed=c_star,
                                rate=curve.lambda_star)
-    point = kf.nullset_radius(m, 0.8, e0, 1.0, init="point", speed=w_star)
+    point = kf.propagation._point_speeds(m, 0.8, e0, c_star)
     assert entry["radii"]["planar"]["1"] == planar < m.support_max(e0)
-    assert entry["radii"]["point"]["1"] == point < 1.0 / (math.cos(0.46) + math.sin(0.46))
+    assert (entry["w_star"], entry["radii"]["point"]["1"]) == point
+    assert point[1] < 1.0 / (math.cos(0.46) + math.sin(0.46))
+    # the same root as nullset_radius's on [0, hull extent], to its tolerance
+    assert abs(point[1] - kf.nullset_radius(m, 0.8, e0, 1.0, init="point")) <= 2e-12
 
 
 def test_spreading_takes_w_star_from_c_star_on_radial_models(capsys, monkeypatch):

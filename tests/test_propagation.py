@@ -28,6 +28,20 @@ def octahedron():
     return kf.VelocityModel(kf.DiscreteSet(pts, [1.0 / 6.0] * 6), name="octahedron")
 
 
+def _circle(thetas):
+    """Directions at the angles thetas in the plane."""
+    return np.column_stack([np.cos(thetas), np.sin(thetas)])
+
+
+def _spiral(n):
+    """n directions on a Fibonacci spiral over the sphere."""
+    i = np.arange(n)
+    z = 1.0 - (2.0 * i + 1.0) / n
+    rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+    phi = i * (math.pi * (3.0 - math.sqrt(5.0)))
+    return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
+
+
 def test_lagrangian_at_rest_and_at_cstar():
     m = model("uniform-1d")
     r = 1.0
@@ -123,7 +137,7 @@ def test_diamond_anisotropy():
                               sample=False).c_star
     # along the diagonal the support function drops to 1/sqrt(2)
     assert c_diag < c_axis < 1.0
-    # the direction scan bottoms out at e0 itself
+    # the ratio is least at e0 itself
     w = kf.freidlin_gartner_speed(m, r, (1.0, 0.0))
     np.testing.assert_allclose(w, c_axis, atol=1e-8)
 
@@ -139,20 +153,21 @@ def test_diamond_spreading_at_ballistic_corner():
 
 
 def _count_lagrangian_calls(monkeypatch):
+    # every value of L, from lagrangian or from a point-radius root solve
     calls = []
-    lagrangian = P.lagrangian
+    lagrangian = P._lagrangian
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(args)
-        return lagrangian(*args, **kwargs)
+        return lagrangian(*args)
 
-    monkeypatch.setattr(P, "lagrangian", counted)
+    monkeypatch.setattr(P, "_lagrangian", counted)
     return calls
 
 
 def test_point_radius_at_ballistic_corner_stops_at_the_hull(monkeypatch):
     # L <= 0 up to the hull along e0: the radius is the hull's extent, found
-    # without root-finding onto the jump of L to +inf past the hull
+    # from one L at the hull, with no root solve
     calls = _count_lagrangian_calls(monkeypatch)
     theta = 0.46
     e0 = (math.cos(theta), math.sin(theta))
@@ -286,32 +301,6 @@ def test_seeded_planar_ray_sups_take_few_steps(monkeypatch, name):
     assert len(sups) >= 2 and max(sups) <= 4
 
 
-def test_diamond_wstar_levels_start_from_the_best_rate(monkeypatch):
-    # the scan and the extra candidates start from the default bracket; the
-    # tangent-grid levels from the best row's rate, 9-10 steps each without it
-    steps = _bracket_steps(monkeypatch, kf.dispersion)
-    kf.freidlin_gartner_speed(diamond(), 0.8, GENERIC)
-    levels = [n for solver, n in steps[1:-1]]
-    assert len(levels) == 9 and np.mean(levels) <= 5.0
-
-
-@pytest.mark.parametrize("make", [diamond, octahedron, lambda: model("uniform-ball:2")])
-def test_a_windowed_min_speed_row_keeps_its_cstar(make):
-    m = make()
-    rng = np.random.default_rng(5)
-    E = rng.normal(size=(12, m.dim))
-    E /= np.linalg.norm(E, axis=1, keepdims=True)
-    c, lam = kf.dispersion._min_speeds(m, 0.8, E)[:2]
-    # windows about the rate, beside it, past it, inverted and missing
-    spread = np.array([[-1e-3, 1e-3], [-0.2, 0.1], [0.1, 0.3], [-2.0, -1.0], [1e-3, -1e-3],
-                       [np.nan, np.nan]])
-    window = lam[:, None] * np.exp(spread[np.arange(12) % len(spread)])
-    c_win = kf.dispersion._min_speeds(m, 0.8, E, window)[0]
-    np.testing.assert_allclose(c_win, c, rtol=1e-15, atol=0.0)
-    for i in range(12):
-        assert kf.dispersion._min_speeds(m, 0.8, E[i:i + 1], window[i:i + 1])[0][0] == c_win[i]
-
-
 def test_lagrangian_is_infinite_past_the_hull_without_solving(monkeypatch):
     # the root solve for point radii tries points past the hull; there L is
     # +inf from the hull's facets alone, with no H solve
@@ -360,7 +349,7 @@ def test_batched_scans_equal_one_ray_at_a_time(monkeypatch, rays_per_chunk):
         # split the batches into several _discrete_h calls
         monkeypatch.setattr(kf.dispersion, "_H_CHUNK", 65 * 6 * rays_per_chunk)
     # generic directions, and two where atoms tie for the largest projection
-    dirs = np.vstack([P._fibonacci_sphere(40), kf.direction((1.0, 1.0, 0.0)),
+    dirs = np.vstack([_spiral(40), kf.direction((1.0, 1.0, 0.0)),
                       kf.direction((1.0, 1.0, 1.0))])
     # rays inside the cone, on its edge and past it (+inf)
     a = dirs @ np.array([0.9, -0.5, 0.4])
@@ -380,7 +369,7 @@ def test_batched_scans_equal_one_ray_at_a_time(monkeypatch, rays_per_chunk):
 
 def test_collinear_atoms_spread_like_their_line():
     # atoms on the first axis have no 2-D hull; c*(e) = |e_1| c*_line, so
-    # every direction of the scan gives the ratio c*_line
+    # every direction of the half plane gives the ratio c*_line
     flat = kf.VelocityModel(kf.DiscreteSet([(1.0, 0.0), (-1.0, 0.0)], [0.5, 0.5]))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # flat ratio: any minimizer
@@ -563,52 +552,18 @@ def test_hopf_lax_layer_rejects_non_finite_inputs(call):
         call()
 
 
-def _dense_min(f, pole, n):
-    # brute force: every direction of a fine circle or spiral about the
-    # pole's hemisphere, in one batch
-    if pole.size == 2:
-        D = P._circle_dirs(2.0 * math.pi * np.arange(n) / n)
-    else:
-        D = P._fibonacci_sphere(n)
-    D = D[D @ pole > 0.0]
-    return float(np.min(f(D, D @ pole, None)[0]))
-
-
-def _direction_case(dim):
-    a = np.array([0.6, -0.8, 0.0][:dim])
-    a /= np.linalg.norm(a)
-    pole = np.array([1.0, 0.3, 0.5][:dim])
-    pole /= np.linalg.norm(pole)
-
-    def f(D, cos, window):
-        # the cosines handed over are those of the rows with the pole; no
-        # decay rates stand behind these values
-        np.testing.assert_allclose(cos, D @ pole, atol=1e-15)
-        return (np.exp(-2.0 * (D @ a)) + 0.3 * D[:, 1] ** 2) / cos, np.full(len(D), np.nan)
-
-    return f, pole
-
-
-@pytest.mark.parametrize("dim,n_dense,atol", [(2, 1_000_000, 2e-10), (3, 400_000, 1e-5)])
-def test_direction_min_matches_a_dense_scan(dim, n_dense, atol):
-    f, pole = _direction_case(dim)
-    got = P._direction_min(f, pole, 64)
-    dense = _dense_min(f, pole, n_dense)
-    # the search refines past the dense grid, so it may only come out lower
-    assert dense - atol <= got <= dense + 1e-12
-
-
 def test_3d_freidlin_gartner_solves_e0_in_full_once(monkeypatch):
-    # e0 is the pole of the scan and an extra candidate; the scan already
-    # holds it, so it is solved exactly once, on an axis and off the axes
+    # c*(e0) bounds the point-radius bracket and is a candidate of w*; the
+    # candidate call leaves e0 out, so it is solved exactly once, on an
+    # axis (where e* = q*/|q*| is e0 itself) and off the axes
     cstars = P._cstars
     for e0 in ((1.0, 2.0, 2.0), (1.0, 0.0, 0.0)):
         unit = kf.direction(e0)
         seen = []
 
-        def counted(model, r, E, window=None):
+        def counted(model, r, E):
             seen.append(int(np.all(np.atleast_2d(E) == unit, axis=1).sum()))
-            return cstars(model, r, E, window)
+            return cstars(model, r, E)
 
         monkeypatch.setattr(P, "_cstars", counted)
         kf.freidlin_gartner_speed(octahedron(), 0.8, e0)
@@ -617,27 +572,107 @@ def test_3d_freidlin_gartner_solves_e0_in_full_once(monkeypatch):
 
 @pytest.mark.parametrize("e0", [(0.2, 0.75, 0.65), (1.0, 4.0, 3.5)])
 def test_octahedron_wstar_is_the_point_radius(e0):
-    # w* is the point radius per unit time, a root of the Lagrangian that
-    # no direction search enters. At r = 1.1 the minimizer lies between the
-    # points of a 5 x 5 cap grid and the next grid must still reach it
+    # w* is the point radius per unit time, a root of the Lagrangian on
+    # [0, hull extent] that knows nothing of c*. At r = 1.1 the minimizer
+    # lies off the axes and off the facet normals
     m, r = octahedron(), 1.1
     radius = kf.nullset_radius(m, r, e0, 1.0, init="point", tol=1e-13)
     np.testing.assert_allclose(kf.freidlin_gartner_speed(m, r, e0), radius, rtol=1e-12)
 
 
-def test_direction_min_returns_minus_inf_from_the_scan():
-    calls = []
+@pytest.mark.parametrize("dim,n_dense,atol", [(2, 100_000, 1e-8), (3, 50_000, 5e-3)])
+def test_freidlin_gartner_speed_matches_a_dense_scan(dim, n_dense, atol):
+    # c*(e)/(e.e0) on a fine circle or spiral over the half sphere about e0,
+    # in one batch, at an interior minimum (r = 0.8) and at a ballistic
+    # corner (r = 1.1); w* is the minimum, so no scanned ratio lies below it
+    m, e0 = (diamond(), np.array(GENERIC)) if dim == 2 else (octahedron(), kf.direction((1.0, 2.0, 2.0)))
+    D = _circle(2.0 * math.pi * np.arange(n_dense) / n_dense) if dim == 2 else _spiral(n_dense)
+    D = D[D @ e0 > 0.0]
+    for r in (0.8, 1.1):
+        dense = float(np.min(P._cstars(m, r, D)[0] / (D @ e0)))
+        assert dense - atol <= kf.freidlin_gartner_speed(m, r, e0) <= dense + 1e-12
 
-    def f(D, cos, window):
-        calls.append(len(D))
-        vals = -D[:, 0]
-        vals[D[:, 1] > 0.5] = -np.inf
-        return vals, np.full(len(D), np.nan)
 
-    for pole in (np.array([1.0, 0.0]), np.array([0.0, 0.0, 1.0])):
-        calls.clear()
-        assert P._direction_min(f, pole, 16, extra=np.array([pole])) == -np.inf
-        assert len(calls) == 1
+@pytest.mark.parametrize("make,e0", [(diamond, GENERIC), (octahedron, (1.0, 2.0, 2.0)),
+                                     (_flat_cross, (1.0, 0.5, 0.0))])
+def test_point_root_maximiser_gives_the_minimising_direction(make, e0):
+    # at the root L(w e0) = 0 the maximiser q* of L gives e* = q*/|q*|,
+    # where c*(e*)/(e*.e0) = w and lambda*(e*) = |q*|; on the flat cross q*
+    # is lifted from the plane of its atoms
+    m, e0 = make(), kf.direction(e0)
+    radius, q = P._point_root(m, 0.8, e0, P._hull_extent(m, e0), 1e-12)
+    e = q / np.linalg.norm(q)
+    c, lam = P._cstars(m, 0.8, e)
+    np.testing.assert_allclose(c[0] / (e @ e0), radius, rtol=1e-10)
+    np.testing.assert_allclose(lam[0], np.linalg.norm(q), rtol=1e-5)
+    if make is _flat_cross:
+        assert q[2] == 0.0
+
+
+def _random_battery():
+    """(dim, model, r, e0) of 25 random atom sets per dimension, 2 then 3,
+    each at r = 0.3, 1 and 3 with a random e0 per rate; 2-D sets are
+    drawn but not built (model None)."""
+    rng = np.random.default_rng(1)
+    cases = []
+    for dim in (2, 3):
+        for _ in range(25):
+            k = int(rng.integers(dim + 2, 12))
+            pts = rng.normal(size=(k, dim))
+            w = rng.uniform(0.2, 1.0, k)
+            w /= w.sum()
+            m = kf.VelocityModel(kf.DiscreteSet(pts - w @ pts, w)) if dim == 3 else None
+            for r in (0.3, 1.0, 3.0):
+                e0 = rng.normal(size=dim)
+                cases.append((dim, m, r, e0 / np.linalg.norm(e0)))
+    return cases
+
+
+def test_wstar_is_the_point_radius_on_random_3d_atom_sets():
+    # a direction search over c*(e)/(e.e0) stopped 2.0e-6 to 2.9e-4 above
+    # the minimum in 4 of these 75 cases, with no warning
+    cases = [case for case in _random_battery() if case[0] == 3]
+    assert len(cases) == 75
+    for _, m, r, e0 in cases:
+        radius = kf.nullset_radius(m, r, e0, 1.0, init="point", tol=1e-13)
+        assert abs(kf.freidlin_gartner_speed(m, r, e0) - radius) <= 1e-9 * radius
+
+
+def test_an_uncertified_wstar_is_a_typed_error(monkeypatch, tmp_path, capsys):
+    # inflate the least ratio of the candidate directions: the next one is
+    # not the point radius, and w* must fail loudly, not report it
+    from kinfront.cli import main
+
+    e0, cstars = kf.direction(GENERIC), P._cstars
+
+    def inflated(model, r, E):
+        c, lam = cstars(model, r, E)
+        if len(E) > 1 or not (E == e0).all():
+            c = c.copy()
+            c[np.argmin(c / (E @ e0))] *= 1.01
+        return c, lam
+
+    monkeypatch.setattr(P, "_cstars", inflated)
+    with pytest.raises(kf.SolverNotConverged, match="not certified"):
+        kf.freidlin_gartner_speed(diamond(), 0.8, GENERIC)
+    path = tmp_path / "diamond.model"
+    path.write_text("support = discrete\npoint = 1,0 : 0.25\npoint = -1,0 : 0.25\n"
+                    "point = 0,1 : 0.25\npoint = 0,-1 : 0.25\n")
+    assert main(["spreading", "--model-file", str(path), "--r", "0.8", "--e", "%r,%r" % GENERIC]) == 3
+    assert "not certified" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["uniform-ball:2", "uniform-ball:3", "quadratic-1d"])
+def test_point_radius_is_the_planar_radius_where_point_data_is_planar(name):
+    # L(q e0) is the planar conjugate along e0: both radii are one root on
+    # the e0 the call normalised, bit for bit, in any direction
+    m = model(name)
+    rng = np.random.default_rng(4)
+    dirs = [(1.0,), (-1.0,)] if m.dim == 1 else rng.normal(size=(6, m.dim))
+    for e0 in dirs:
+        for t in (1.0, 2.5):
+            assert (kf.nullset_radius(m, 0.8, e0, t, init="point")
+                    == kf.nullset_radius(m, 0.8, e0, t, init="planar"))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -659,36 +694,9 @@ def test_lagrangian_rejects_bad_rate():
         kf.freidlin_gartner_speed(model("uniform-1d"), -2.0, 1.0)
 
 
-def test_direction_search_dots_do_not_depend_on_the_batch():
-    # every row that reaches f carries the dot that the same row gets alone,
-    # summed coordinate by coordinate in the pole's order
-    rng = np.random.default_rng(11)
-    for pole in (rng.normal(size=2), rng.normal(size=3), rng.normal(size=3)):
-        pole = pole / np.linalg.norm(pole)
-        extra = rng.normal(size=(37, pole.size))
-        seen = []
-
-        def f(D, dots, window):
-            seen.append((D.copy(), dots.copy()))
-            return np.cos(3.0 * D[:, 0]) + D[:, 1] ** 2, np.full(len(D), np.nan)
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # f may be least at the equator
-            P._direction_min(f, pole, 64, extra=extra)
-        rows = 0
-        for D, dots in seen:
-            for row, dot in zip(D, dots):
-                alone = row[0] * pole[0]
-                for j in range(1, pole.size):
-                    alone += row[j] * pole[j]
-                assert dot == alone
-                rows += 1
-        assert rows > (500 if pole.size == 3 else 150)
-
-
 @pytest.mark.parametrize("make,dirs", [
-    (diamond, P._circle_dirs(np.linspace(0.1, 6.0, 9))),
-    (lambda: model("uniform-ball:2"), P._circle_dirs(np.linspace(0.1, 6.0, 5))),
+    (diamond, _circle(np.linspace(0.1, 6.0, 9))),
+    (lambda: model("uniform-ball:2"), _circle(np.linspace(0.1, 6.0, 5))),
     (lambda: model("quadratic-1d"), np.array([[1.0], [-1.0], [1.0], [1.0], [-1.0]])),
 ])
 def test_ray_sups_rows_do_not_depend_on_the_batch(make, dirs):
@@ -818,7 +826,7 @@ def test_a_3d_atom_set_past_the_facet_bound_fails_at_construction(capsys, tmp_pa
 
 def test_an_atom_set_builds_its_span_and_hull_once(monkeypatch, tmp_path, capsys):
     # one spreading call parses the diamond, builds its geometry there, and
-    # then only reads it; the one other span is w*'s tangent basis
+    # then only reads it
     from kinfront.cli import main
 
     calls = []
@@ -829,22 +837,20 @@ def test_an_atom_set_builds_its_span_and_hull_once(monkeypatch, tmp_path, capsys
 
     spy("_hull_planes", M)
     spy("_span", M)
-    spy("_span", P)
     path = tmp_path / "diamond.model"
     path.write_text("support = discrete\npoint = 1,0 : 0.25\npoint = -1,0 : 0.25\n"
                     "point = 0,1 : 0.25\npoint = 0,-1 : 0.25\n")
     argv = ["spreading", "--model-file", str(path), "--r", "0.8", "--e", "%r,%r" % GENERIC]
     assert main(argv + ["--t", "1,2"]) == 0
     capsys.readouterr()
-    assert sorted(calls) == ["_hull_planes", "_span", "_span"]
+    assert sorted(calls) == ["_hull_planes", "_span"]
     m = diamond()
     calls.clear()
     kf.lagrangian(m, 0.8, np.array([0.3, 0.2]))
     kf.lagrangian(m, 0.8, np.array([0.9, 0.9]))
     kf.nullset_radius(m, 0.8, GENERIC, 1.0, init="point")
-    assert calls == []
     kf.freidlin_gartner_speed(m, 0.8, GENERIC)
-    assert calls == ["_span"]
+    assert calls == []
 
 
 def test_atom_sets_with_fewer_atoms_than_dimensions():
@@ -931,8 +937,8 @@ def test_1d_lagrangian_is_the_planar_conjugate_along_p(make):
 def test_continuum_rays_depend_on_the_scale_alone():
     # H on a ball depends on |p| alone, and the ray solves read the scale:
     # every direction gives the same bits
-    for name, dirs in (("uniform-ball:2", P._circle_dirs(np.linspace(0.0, 6.0, 13))),
-                       ("uniform-ball:3", P._fibonacci_sphere(13))):
+    for name, dirs in (("uniform-ball:2", _circle(np.linspace(0.0, 6.0, 13))),
+                       ("uniform-ball:3", _spiral(13))):
         m = model(name)
         scales = np.tile([0.05, 0.4, 0.9, 1.7, 3.0], (len(dirs), 1))
         H, dH = kf.dispersion._h_rays(m, scales, dirs)

@@ -181,12 +181,15 @@ def _newton_rows(t, evaluate, floor=None):
     on those rows. A row stops once its own step is below roundoff, so
     its root does not depend on which other rows share the batch.
 
-    With floor, a row may start right of its root (I < 1). There the
-    Newton step in t lands left of the root, by concavity, but far left
-    where I grows like log(1/t); the Newton step in log t is exact there.
-    Such a row steps down by the larger of the two, by at most a factor
-    1000, and to no lower than its floor. A row on its floor with I <= 1
-    ends there: its root lies below the floor.
+    With floor, a row may start right of its root (I < 1), from the
+    continuum start of _edge_roots or from one its caller predicted.
+    There the Newton step in t lands left of the root, by concavity, but
+    far left where I grows like log(1/t); the Newton step in log t is
+    exact there. Such a row steps down by the larger of the two, by at
+    most a factor 1000, and to no lower than its floor. A row on its
+    floor with I <= 1 ends there: its root lies below the floor. Every
+    row ends on the same stop rule from any start, so two starts give
+    roots within that rule of each other.
     """
     live = np.arange(t.size)
     for _ in range(100):
@@ -239,8 +242,8 @@ def _discrete_h(weights, dots):
 _H_CHUNK = 2**18
 
 
-def _h_rays(model, scales, E):
-    """H and dH/dbeta at the frequencies scales[i, j] * E[i] on k rays.
+def _h_rays(model, scales, E, start=None):
+    """H, dH/dbeta and the offsets t at the frequencies scales[i, j] * E[i] on k rays.
 
     E holds the k unit directions and scales (k, n) the frequency
     magnitudes beta along each; both arrays are shaped like scales. On
@@ -252,21 +255,24 @@ def _h_rays(model, scales, E):
     On an atom set the (k n, atoms) matrix of scales times the atoms'
     projections on E goes to _discrete_h in row chunks of about _H_CHUNK
     entries, so sets with many atoms keep their temporaries small, and
-    <s> is a sum over the atoms. H on a continuum model depends on |p|
-    alone, so its k n frequencies go along the first axis, where |p| is
-    the scale bit for bit, to one _h_value call (E is not read), with <s>
-    from _edge_mean. A ray's values do not depend on the other rays or the
+    <s> is a sum over the atoms; start is not read and t is None. H on a
+    continuum model depends on |p| alone, so its k n frequencies go along
+    the first axis, where |p| is the scale bit for bit, to one _h_value
+    call (E is not read), with <s> from _edge_mean. There start, shaped
+    like scales or None, is a first offset per entry for _edge_roots,
+    and t holds the offsets t = H - (mu - 1) solved (0 on singular
+    entries). A ray's values do not depend on the other rays or the
     chunking.
     """
     k, n = scales.shape
     if not model.is_discrete:
         Q = np.column_stack([scales.ravel(), np.zeros((k * n, model.dim - 1))])
-        H, regular, _, nrm, t = _h_value(model, Q)
+        H, regular, _, nrm, t = _h_value(model, Q, None if start is None else start.ravel())
         dH = np.full(H.size, model.grid.vbar)
         reg = np.flatnonzero(regular & (nrm > 0.0))
         if reg.size:
             dH[reg] -= _edge_mean(model.grid, t[reg], nrm[reg])
-        return H.reshape(k, n), dH.reshape(k, n)
+        return H.reshape(k, n), dH.reshape(k, n), t.reshape(k, n)
     dots = _atom_dots(model.support.points, E)
     vbar = dots.max(axis=1)
     s = vbar[:, None] - dots
@@ -280,7 +286,44 @@ def _h_rays(model, scales, E):
         q = w / (1.0 + h[:, :, None] - X) ** 2
         H[i : i + rays] = h
         dH[i : i + rays] = vbar[i : i + rays, None] - (q * s[i : i + rays, None, :]).sum(axis=2) / q.sum(axis=2)
-    return H, dH
+    return H, dH, None
+
+
+class _RowStarts:
+    """The last (beta, t, dt/dbeta) that one solve held on each of its k
+    continuum rows, and the first-order start it predicts for the next
+    frequency of the row.
+
+    A closure that walks rows along a bracket (curve in _min_speeds, g in
+    _ray_sups) builds one per call and passes start() to _h_rays, then
+    keep() with what it solved. The prediction is
+    t_prev + (beta - beta_prev) (dH_prev - vbar): t = H - (beta vbar - 1)
+    is convex in beta on the regular branch, so the tangent lies left of
+    the root, or within roundoff of it. It is nan on a row with nothing
+    held and 0 after a singular entry (t = 0, dH = vbar), and _edge_roots
+    starts such rows from its moment bound, as after drop(). Atom-set rows
+    keep their tie-weight start, so on an atom set start() is None and
+    keep() holds nothing. A row's starts come from its own values alone.
+    """
+
+    def __init__(self, model, k):
+        self.held = None if model.is_discrete else np.full((3, k), np.nan)
+        self.vbar = None if model.is_discrete else model.grid.vbar
+
+    def start(self, rows, beta):
+        if self.held is None:
+            return None
+        b, t, slope = self.held[:, rows, None]
+        return t + (beta - b) * slope
+
+    def keep(self, rows, beta, t, dH):
+        # the last column is the newest frequency of the row
+        if self.held is not None:
+            self.held[:, rows] = beta[:, -1], t[:, -1], dH[:, -1] - self.vbar
+
+    def drop(self, rows):
+        if self.held is not None:
+            self.held[:, rows] = np.nan
 
 
 def _ray_edges(model, E):
@@ -295,21 +338,26 @@ def _ray_edges(model, E):
     return np.full(len(E), model.grid.vbar), np.full(len(E), model.grid.l)
 
 
-def _edge_roots(grid, beta):
+def _edge_roots(grid, beta, start=None):
     """Roots t = H - (mu - 1) of I(t) = 1 on one continuum grid, per |p| in beta.
 
     I(t) = integral of mbar(s) / (t + beta s) over s = vbar - v.e: the
     grid's nodes and weights are a weighted atom set in s, and I and I'
     come from one (rows, nodes) reciprocal array per pass.
 
-    Every row starts from a bound that depends only on |p|. The slice
+    start, None or one value per row, is a first offset that the caller
+    predicts (see _RowStarts). A row with a positive finite start starts
+    at the larger of it and eps_min (below). Every other row starts from a
+    bound that depends only on |p|. The slice
     marginal is symmetric, so pairing v.p with -v.p gives
     I >= (1 + sigma^2 beta^2 / a^2) / a at a = 1 + H, with sigma^2 the
     grid's second moment m2. At the root I = 1, so 1 + H is at least the
     root a0 of a^3 - a^2 - sigma^2 beta^2 = 0, and
     t0 = a0 - beta vbar lies left of the root (close to it for small
     |p|). Where t0 is nan or below 1e-3 (1 + beta), the row starts there
-    instead, possibly right of its root, and _newton_rows steps it down.
+    instead, possibly right of its root. A start right of the root is
+    stepped down by _newton_rows, so every root ends on the same stop
+    rule, whatever its start.
 
     The graded grid cannot separate offsets t below a few powers of two
     above its innermost panel width, so eps_min is the floor of
@@ -336,7 +384,11 @@ def _edge_roots(grid, beta):
         root = np.sqrt(c / 27.0 + 0.25 * c * c)
         a0 = 1.0 / 3.0 + np.cbrt(half + root) + np.cbrt(half - root)
     eps_min = beta * grid.edge_tail * 2.0**13
-    return _newton_rows(np.fmax(a0 - beta * grid.vbar, 1e-3 * (1.0 + beta)), evaluate, eps_min)
+    t0 = np.fmax(a0 - beta * grid.vbar, 1e-3 * (1.0 + beta))
+    if start is not None:
+        warm = (start > 0.0) & (start < np.inf)
+        t0[warm] = np.maximum(start[warm], eps_min[warm])
+    return _newton_rows(t0, evaluate, eps_min)
 
 
 def _edge_mean(grid, t, beta):
@@ -356,14 +408,15 @@ def _edge_mean(grid, t, beta):
     return total[t.size :] / total[: t.size]
 
 
-def _h_value(model, P):
+def _h_value(model, P, start=None):
     """H at the rows of P (shape (m, dim)): the one H solver for every model.
 
     Returns the arrays (H, regular, lval, nrm, t) over the rows. Atom
     sets go to _discrete_h. On a continuum model every row p != 0 is
     solved on the model's one grid, which gives vbar(e) and l(e): a
     singular row, l(e) <= |p|, gets mu - 1, the others
-    mu - 1 + t with t from _edge_roots. t is 0 on the other rows and on
+    mu - 1 + t with t from _edge_roots, started from start (one value
+    per row, or None) where it allows. t is 0 on the other rows and on
     atom sets. A row's H does not depend on the batch.
     """
     P, nrm = _rows(model, P)
@@ -384,7 +437,7 @@ def _h_value(model, P):
         H[live] = nrm[live] * grid.vbar - 1.0  # mu - 1
         reg = live[regular[live]]
         if reg.size:
-            t[reg] = _edge_roots(grid, nrm[reg])
+            t[reg] = _edge_roots(grid, nrm[reg], None if start is None else start[reg])
             H[reg] += t[reg]
     return H, regular, lval, nrm, t
 
@@ -527,7 +580,10 @@ def _min_speeds(model, r, E):
       at 1e-3 moves that end down by factors of 1000 until c' < 0 there,
       or to 1e-12, where the minimum is taken;
     - _bracket_roots solves c' = 0 in log lambda on the remaining rows.
-    A row's values do not depend on the other rows.
+    Every step after a continuum row's first starts that row's H solve
+    from the tangent at the last rate the call solved on it (_RowStarts),
+    which the call holds and then drops. A row's values do not depend on
+    the other rows or on earlier calls.
     """
     vbar, lval = _ray_edges(model, E)
     k = len(E)
@@ -536,10 +592,15 @@ def _min_speeds(model, r, E):
     c_star, lam_star, dleft = np.empty(k), np.full(k, np.inf), np.full(k, np.nan)
     case = np.where(np.isinf(lam_tilde), "Case1", "Case2")
 
+    held = _RowStarts(model, k)
+
     def curve(lams, rows):
-        # c and lambda^2 c' at the rates lams, shaped like lams
+        # c and lambda^2 c' at the rates lams, shaped like lams; a continuum
+        # row starts its H solve from the last one it held
         rr = r[rows, None]
-        H, dH = _h_rays(model, lams / (1.0 + rr), E[rows])
+        beta = lams / (1.0 + rr)
+        H, dH, t = _h_rays(model, beta, E[rows], held.start(rows, beta))
+        held.keep(rows, beta, t, dH)
         c = ((1.0 + rr) * H + rr) / lams
         return c, lams * (dH - c)
 

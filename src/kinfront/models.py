@@ -36,6 +36,10 @@ _MARGINAL_LEVELS = 16
 _MARGINAL_ORDER = 12
 # unit graded ladder on (0, 1] toward 0 for the 2-ball marginal, level-major
 _MARGINAL_LADDER = _Ladder(0.0, 1.0, "down", _MARGINAL_LEVELS, _MARGINAL_ORDER)
+# nodes per block of a ball's slice marginal: its (nodes, rule) temporaries
+# then take about 200 kB each, where one array over a 3,072-node grid takes
+# 4.7 MB each
+_MARGINAL_BLOCK = 128
 
 
 def direction(x):
@@ -416,12 +420,20 @@ class VelocityModel:
     # -- directional machinery ------------------------------------------
 
     def _edge_marginal(self, s):
-        """Slice marginal at t = R - s, R = v_max: the same along every direction."""
+        """Slice marginal at t = R - s, R = v_max: the same along every direction.
+
+        A ball's marginal is a quadrature per node, summed along each node's
+        row of a (nodes, rule) array: it runs on blocks of _MARGINAL_BLOCK
+        nodes, which gives the same bits as one array, as every row is
+        reduced alone.
+        """
         if self.dim == 1:
             return self.density(self.v_max - s)
-        if self.dim == 2:
-            return self._ball2_marginal(s)
-        return self._ball3_marginal(s)
+        marginal = self._ball2_marginal if self.dim == 2 else self._ball3_marginal
+        s = np.asarray(s, dtype=float)
+        flat = s.ravel()
+        blocks = [marginal(flat[i : i + _MARGINAL_BLOCK]) for i in range(0, flat.size, _MARGINAL_BLOCK)]
+        return np.concatenate(blocks or [np.empty(0)]).reshape(s.shape)
 
     def slice_marginal(self, e, t):
         """Density of the projected speed v.e at value t (continuum only).

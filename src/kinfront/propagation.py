@@ -17,12 +17,17 @@ initial conditions, planar fronts and compactly supported (point) data,
 whose null sets propagate at the minimal speed c*(e0) and at the
 directional spreading speed w*(e0) respectively. Those radii are
 recovered here by root-finding on phi, not by quoting the speeds, so the
-two routes cross-check each other. A caller that knows the speed may
-pass it to nullset_radius: it only narrows the bracket, and the root is
-still certified by a sign change of the conjugate, so a wrong speed
-falls back to the full bracket instead of becoming the radius. The ray
-sups of a planar radius start in the same way from rates the same call
-already holds; nothing is kept between calls.
+two routes cross-check each other. A caller that knows the speed of a
+planar root may pass it to nullset_radius: it only narrows the bracket,
+and the root is still certified by a sign change of the conjugate, so a
+wrong speed falls back to the full bracket instead of becoming the
+radius. The ray sups of a planar radius start in the same way from
+rates the same call already holds. Inside one solve, values it already
+holds also start the next step: a continuum H row starts from the
+tangent at the last rate the ray sup solved on it, and each Lagrangian
+of an atom set's point root starts its Newton solve from the maximiser
+of the last one that ended inside the hull. Nothing is kept between
+calls.
 
 Along one direction both optima over decay rates are first-order
 points: below the critical decay H is convex, so g' and c' change sign
@@ -53,6 +58,7 @@ import numpy as np
 
 from .dispersion import (
     _LAM_CEIL,
+    _RowStarts,
     _bracket_roots,
     _discrete_h,
     _h_rays,
@@ -109,8 +115,10 @@ def _ray_sups(model, r, E, a, window=None):
     the root inside it; it must end below lambda_tilde, where g' is
     one-sided.
     Each step is one batched _h_rays solve over the rays it concerns, for
-    any velocity set, and a ray's value does not depend on the other
-    rays.
+    any velocity set. On a continuum model each step after a ray's first
+    starts the ray's H solve from the tangent at the last rate this call
+    solved on it (dispersion._RowStarts). A ray's value does not depend
+    on the other rays or on earlier calls.
     """
     E = np.atleast_2d(E)
     a = np.asarray(a, dtype=float)
@@ -122,9 +130,14 @@ def _ray_sups(model, r, E, a, window=None):
     E, a, vbar, lval = E[rows], a[rows], vbar[rows], lval[rows]
     scale = 1.0 / (1.0 + r)
 
+    held = _RowStarts(model, rows.size)
+
     def g(lams, sel):
-        # g and g' at the rates lams, shaped like lams
-        H, dH = _h_rays(model, lams * scale, E[sel])
+        # g and g' at the rates lams, shaped like lams; a continuum ray
+        # starts its H solve from the last one it held
+        beta = lams * scale
+        H, dH, t = _h_rays(model, beta, E[sel], held.start(sel, beta))
+        held.keep(sel, beta, t, dH)
         return lams * a[sel, None] - (1.0 + r) * H - r, a[sel, None] - dH
 
     lam_tilde = (1.0 + r) * lval
@@ -137,7 +150,11 @@ def _ray_sups(model, r, E, a, window=None):
         seed = np.flatnonzero((_LAM_FLOOR <= win[:, 0]) & (win[:, 0] < win[:, 1]) & (win[:, 1] < lam_tilde))
         if seed.size:
             val[seed], slope[seed] = g(win[seed], seed)
-            seed = seed[(slope[seed, 0] > 0.0) & (slope[seed, 1] < 0.0)]
+            fits = (slope[seed, 0] > 0.0) & (slope[seed, 1] < 0.0)
+            # a window that does not fit leaves no start behind: its ray
+            # runs as without a window, bit for bit
+            held.drop(seed[~fits])
+            seed = seed[fits]
             lo[seed], hi[seed] = win[seed, 0], win[seed, 1]
             rest = np.setdiff1d(rest, seed)
     if rest.size:
@@ -187,22 +204,25 @@ def lagrangian(model, r, p):
     return _lagrangian(model, r, P[0], float(nrm[0]))[0]
 
 
-def _lagrangian(model, r, p, nrm):
-    """L(p) at p of norm nrm, and the q at which _atom_lagrangian ended
-    (None where no Newton solve ran)."""
+def _lagrangian(model, r, p, nrm, start=None):
+    """L(p) at p of norm nrm, the q at which _atom_lagrangian ended (None
+    where no Newton solve ran), and whether it ended on its decrement test,
+    at an interior sup; start is the q that solve starts from (None: 0)."""
     if _point_is_planar(model) or nrm == 0.0:
         e = p / nrm if nrm > 0 else np.eye(model.dim)[0]
-        return float(_ray_sups(model, r, e, [nrm])[0][0]), None
+        return float(_ray_sups(model, r, e, [nrm])[0][0]), None, False
     facets = model.support.facets
     if np.any(_dots(facets[:, :-1], p) + facets[:, -1] > 1e-12 * (1.0 + np.abs(facets[:, -1]))):
-        return np.inf, None
-    return _atom_lagrangian(model, r, p)
+        return np.inf, None, False
+    return _atom_lagrangian(model, r, p, start)
 
 
-def _atom_lagrangian(model, r, p):
+def _atom_lagrangian(model, r, p, start=None):
     """sup over q of F(q) = p.q - (1+r) H(q/(1+r)) - r on an atom set, p in its hull.
 
-    Damped Newton from q = 0. At beta = q/(1+r), with D_i = 1 + H - v_i.beta
+    Damped Newton from q = start, in the model's coordinates, or from
+    q = 0 when start is None. F is concave, so the damped steps reach its
+    one first-order point from any start. At beta = q/(1+r), with D_i = 1 + H - v_i.beta
     and u_i = w_i/D_i^2 (differentiating sum w_i/D_i = 1),
 
         grad H = sum u_i v_i / sum u_i,
@@ -218,17 +238,20 @@ def _atom_lagrangian(model, r, p):
     gain Newton predicts, is below the roundoff of F. On the hull's boundary
     the sup lies at infinity: the solve returns the last F once |q| passes
     _LAM_CEIL, the cap of the ray windows, or when a step is singular or
-    no longer increases F. Returns F there and the last iterate q, in
-    the model's coordinates. Running past _NEWTON_ITERS iterations raises
+    no longer increases F. Returns F there, the last iterate q, in the
+    model's coordinates, and whether the solve ended on the decrement
+    test (an interior sup). Running past _NEWTON_ITERS iterations raises
     SolverNotConverged.
     """
     pts, w = model.support.points, model.support.weights
     span = model.support.span
     if not len(span):
-        return -float(r), None  # every atom sits at 0: H = 0, so F = -r
+        return -float(r), None, False  # every atom sits at 0: H = 0, so F = -r
     lift = np.eye(model.dim)
     if len(span) < model.dim:
         pts, p, lift = _atom_dots(span, pts), _dots(span, p), span
+        start = None if start is None else _dots(span, start)
+    q = np.zeros(p.size) if start is None else start
     scale = 1.0 + r
 
     def value(q):
@@ -236,7 +259,6 @@ def _atom_lagrangian(model, r, p):
         H = float(_discrete_h(w, dots)[0])
         return float(p @ q) - scale * H - r, H, dots[0]
 
-    q = np.zeros(p.size)
     f, H, dots = value(q)
     for _ in range(_NEWTON_ITERS):
         D = 1.0 + H - dots
@@ -250,12 +272,12 @@ def _atom_lagrangian(model, r, p):
         Y = np.sqrt(2.0 * w / (D**3 * u.sum()))[:, None] * (pts - dh)
         _, sv, vt = np.linalg.svd(Y, full_matrices=False)
         if not sv[-1] > 0.0:
-            return f, q @ lift
+            return f, q @ lift, False
         z = (vt @ grad) / sv
         step = scale * (vt.T @ (z / sv))
         dec = scale * float(z @ z)
         if not dec > np.finfo(float).eps * (abs(float(p @ q)) + scale * abs(H) + r):
-            return f, q @ lift
+            return f, q @ lift, True
         t = 1.0
         while True:
             trial = q + t * step
@@ -264,12 +286,12 @@ def _atom_lagrangian(model, r, p):
                 break
             t *= 0.5
             if t < _MIN_STEP:
-                return f, q @ lift
+                return f, q @ lift, False
         if not f_new > f:
-            return f, q @ lift
+            return f, q @ lift, False
         q, f, H, dots = trial, f_new, H_new, dots_new
         if np.linalg.norm(q) > _LAM_CEIL:
-            return f, q @ lift
+            return f, q @ lift, False
     raise SolverNotConverged(
         "Lagrangian Newton solve did not converge in %d iterations" % _NEWTON_ITERS
     )
@@ -403,17 +425,21 @@ def nullset_radius(model, r, e0, t, init="point", tol=1e-9, speed=None, rate=Non
     ballistic and the radius is that extent times t. tol, the root's
     absolute tolerance in x/t, must be positive.
 
-    speed, when given, is the expected radius per unit time (c*(e0) for
-    planar data, w*(e0) for point data). It only narrows the bracket to
+    speed, when given, is the expected radius per unit time of a planar
+    root: c*(e0), for planar data and for point data where
+    _point_is_planar holds. It only narrows the bracket to
     speed (1 -+ 1e-6), and only when that bracket lies inside the hull
     and the conjugate changes sign across it. The conjugate is convex
     and nondecreasing along e0 for q >= 0 and negative at 0, so such a
     sign change holds its one positive root, which the same solve then
-    finds to the same tolerance. Planar data takes the conjugate at both
-    ends in one 2-ray _ray_sups call. Otherwise the full bracket runs as
+    finds to the same tolerance. The conjugate at both ends comes from
+    one 2-ray _ray_sups call. Otherwise the full bracket runs as
     without a speed: a speed whose bracket misses the root gives the
     unseeded radius bit for bit, and one that holds it still gives the
-    root of phi, not the speed.
+    root of phi, not the speed. Point data on a 2-D or 3-D atom set
+    takes no speed (ValidationError): its root starts each L's Newton
+    solve from the maximiser of the last one, so a failed narrowing
+    would leave its traces in the radius.
 
     rate, planar data only and beside a speed, is lambda*(e0). It only
     narrows the window of the two end sups to rate exp(-+_RATE_REL), where
@@ -424,19 +450,23 @@ def nullset_radius(model, r, e0, t, init="point", tol=1e-9, speed=None, rate=Non
     Every call solves its root, on the one unit e0 it was given: a caller
     that wants the radii at several times can solve once at t = 1 and
     scale. Within the call each conjugate value is computed once, and
-    only values of the same call narrow a bracket.
+    only values of the same call narrow a bracket or start a solve: the
+    H rows of one ray sup, and the Lagrangians of one point root.
     """
     if init not in ("planar", "point"):
         raise ValidationError("init must be 'planar' or 'point'")
     if rate is not None and (init != "planar" or speed is None):
         raise ValidationError("rate narrows planar ray sups about a speed: it needs both")
+    if init == "point" and speed is not None and not _point_is_planar(model):
+        raise ValidationError("speed narrows a planar root: point data on a 2-D or 3-D atom set "
+                              "takes none")
     _positive(r, "growth rate r")
     _positive(t, "time t")
     _positive(tol, "tol")
     e0 = _unit(model, e0)
     tol = min(tol, _ROOT_TOL)
     if init == "point" and not _point_is_planar(model):
-        return t * _point_root(model, r, e0, _hull_extent(model, e0), tol, speed)[0]
+        return t * _point_root(model, r, e0, _hull_extent(model, e0), tol)[0]
     vb = model.support_max(e0)
 
     def f(q, window=None):
@@ -465,28 +495,27 @@ def _sign_change(f, a, b, fa, fb, tol):
     return float(_bracket_roots(step, *[np.array([v]) for v in (a, b, fa, fb)], tol=tol)[0][0])
 
 
-def _point_root(model, r, e0, top, tol, speed=None):
+def _point_root(model, r, e0, top, tol):
     """Point radius per unit time along the unit e0 on a 2-D or 3-D atom
     set, and the last q at which a Newton solve of L ended (None if none
     ran): the radius is top when L(top e0) <= 0, else the root of L(q e0)
-    on [0, top], where L(0) = -r. speed narrows the bracket first, as in
-    nullset_radius."""
-    last = None
+    on [0, top], where L(0) = -r.
+
+    Each L after the first starts its Newton solve from the q of the last
+    L of this root solve that ended at an interior sup: the maximiser
+    moves little between the root's steps. A q that ran off toward the
+    hull, past _LAM_CEIL, starts nothing."""
+    last = start = None
 
     def f(x):
-        nonlocal last
-        val, q = _lagrangian(model, r, x * e0, x)
+        nonlocal last, start
+        val, q, interior = _lagrangian(model, r, x * e0, x, start)
         if q is not None:
             last = q
+        if interior:
+            start = q
         return val
 
-    if speed is not None:
-        a, b = speed * (1.0 - _SEED_REL), speed * (1.0 + _SEED_REL)
-        if 0.0 < a < b < top:
-            fa = f(a)
-            fb = f(b) if fa < 0.0 else fa  # no sign change: skip the call
-            if fa < 0.0 < fb:
-                return _sign_change(f, a, b, fa, fb, tol), last
     f_top = f(top)
     if f_top <= 0.0:
         return top, last

@@ -355,6 +355,25 @@ def test_spreading_rate_costs_no_solve_at_a_kink(capsys, monkeypatch):
     assert rated == plain and rated_calls <= plain_calls
 
 
+def test_spreading_continuum_rows_start_from_the_rows_they_held(capsys, monkeypatch):
+    # within one c* or ray-sup solve, each continuum H row starts from the
+    # tangent at the last frequency it solved: one uniform-ball:2 spreading
+    # call, model build included, makes 94 GradedGrid.integrals passes
+    # (Newton passes and dH/dbeta means), where cold starts made 131
+    integrals = kf.quadrature.GradedGrid.integrals
+    passes = []
+
+    def counted(self, y):
+        passes.append(len(y))
+        return integrals(self, y)
+
+    monkeypatch.setattr(kf.quadrature.GradedGrid, "integrals", counted)
+    code, _, _ = run_cli(capsys, "spreading", "--model", "uniform-ball:2", "--r", "0.8",
+                         "--t", "0.5,1,2,4")
+    assert code == 0
+    assert len(passes) == 94
+
+
 def test_spreading_rejects_nonpositive_t_before_solving(capsys, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("minimal_speed called before the time check")

@@ -573,6 +573,77 @@ def test_edge_root_start_lies_left_of_the_root(name, ps):
         assert 1.0 + H >= a0 * (1.0 - 1e-14)
 
 
+# |p| below l on every preset, and on the slab past 1/vbar = 1 up to rows
+# whose root lies below the eps_min floor (|p| = 20)
+START_BETAS = {
+    "uniform-1d": (1e-3, 0.05, 0.4, 0.9, 1.3, 2.5, 6.0, 20.0),
+    "quadratic-1d": (1e-3, 0.05, 0.4, 0.9, 1.15),
+    "uniform-ball:2": (1e-3, 0.05, 0.4, 0.9, 1.3, 1.9),
+    "uniform-ball:3": (1e-3, 0.05, 0.4, 0.9, 1.3, 1.45),
+}
+
+
+def _starts(grid, beta, cold):
+    """Starts left of each root, right of it, below the floor, non-positive and nan."""
+    floor = beta * grid.edge_tail * 2.0**13
+    return [0.3 * cold, cold * (1.0 - 1e-6), 3.0 * cold + 0.2, cold * (1.0 + 1e-6),
+            0.5 * floor, np.zeros_like(cold), -cold, np.full_like(cold, np.nan),
+            np.full_like(cold, np.inf)]
+
+
+@pytest.mark.parametrize("name", sorted(START_BETAS))
+def test_edge_roots_from_any_start_end_on_the_cold_root(name):
+    # a start left of the root rises by Newton, one right of it (or below the
+    # floor, raised to it) steps down, and a start that is not positive and
+    # finite is the moment bound: every row ends within the Newton stop of
+    # the cold root, and in any batch with the same bits
+    grid = model(name).grid
+    beta = np.array(START_BETAS[name])
+    cold = kf.dispersion._edge_roots(grid, beta)
+    for start in _starts(grid, beta, cold):
+        t = kf.dispersion._edge_roots(grid, beta, start)
+        assert np.all(np.abs(t - cold) <= 4e-16 * (1.0 + cold))
+        for i in range(beta.size):
+            one = kf.dispersion._edge_roots(grid, beta[i:i + 1], start[i:i + 1])
+            assert one[0] == t[i]
+    for start in _starts(grid, beta, cold)[5:]:
+        np.testing.assert_array_equal(kf.dispersion._edge_roots(grid, beta, start), cold)
+
+
+@pytest.mark.parametrize("name", sorted(START_BETAS))
+def test_h_rays_from_any_start_agree_with_the_cold_rays(name):
+    # one ray per kind of start, on a few directions: H, dH/dbeta and t
+    # agree with the cold solve to within its Newton stop, and a ray's bits
+    # do not depend on the other rays
+    m = model(name)
+    beta = np.array(START_BETAS[name])
+    cold = kf.dispersion._edge_roots(m.grid, beta)
+    starts = np.array(_starts(m.grid, beta, cold))
+    scales = np.tile(beta, (len(starts), 1))
+    E = np.tile(np.eye(m.dim)[-1], (len(starts), 1))
+    H0, dH0, t0 = kf.dispersion._h_rays(m, scales, E)
+    H, dH, t = kf.dispersion._h_rays(m, scales, E, starts)
+    assert np.all(np.abs(t - t0) <= 4e-16 * (1.0 + t0))
+    np.testing.assert_allclose(H, H0, rtol=1e-15, atol=1e-15)
+    np.testing.assert_allclose(dH, dH0, rtol=1e-12, atol=1e-14)
+    for i in range(len(starts)):
+        one = kf.dispersion._h_rays(m, scales[i:i + 1], E[i:i + 1], starts[i:i + 1])
+        for got, want in zip(one, (H, dH, t)):
+            np.testing.assert_array_equal(got[0], want[i])
+
+
+def test_atom_set_h_rays_do_not_read_the_start():
+    # an atom-set row keeps its tie-weight start, whatever the caller holds
+    m = model("two-speed")
+    scales = np.array([[0.1, 0.9, 3.0], [0.5, 2.0, 9.0]])
+    E = np.array([[1.0], [-1.0]])
+    H0, dH0, t0 = kf.dispersion._h_rays(m, scales, E)
+    H, dH, t = kf.dispersion._h_rays(m, scales, E, np.full(scales.shape, 0.37))
+    assert t0 is None and t is None
+    np.testing.assert_array_equal(H, H0)
+    np.testing.assert_array_equal(dH, dH0)
+
+
 def test_h_is_finite_at_huge_frequencies():
     # the moment start overflows past |p| ~ 1e77; the rows start from
     # 1e-3 (1 + |p|) and end on the eps_min floor, H = |p| (1 + 1.5e-11)

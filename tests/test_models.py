@@ -6,6 +6,8 @@ import pytest
 from scipy.integrate import quad
 
 import kinfront as kf
+from kinfront import models
+from kinfront.cli import parse_model_file
 from kinfront.errors import ValidationError
 from kinfront.models import DensityFamily, edge_kernel_integral, j_integral, l_integral
 
@@ -147,6 +149,35 @@ def test_ball3_slice_marginal_is_parabolic():
     t = np.array([-0.8, 0.0, 0.4])
     np.testing.assert_allclose(m.slice_marginal(e, t), 0.75 * (1.0 - t**2),
                                rtol=1e-10)
+
+
+@pytest.mark.parametrize("source", ["uniform-ball:2", "uniform-ball:3",
+                                    "support = ball\nradius = 1.5\ndim = 2\ndensity = power\nk = 1.5\n"])
+def test_blocked_ball_marginal_gives_the_unblocked_grid_weights(source, tmp_path):
+    # the marginal runs on blocks of _MARGINAL_BLOCK nodes; one (nodes, rule)
+    # array over every node gives the same bits, so the grid built from the
+    # blocks is the grid of the unblocked evaluation
+    if source.startswith("support"):
+        path = tmp_path / "ball.model"
+        path.write_text(source)
+        m = parse_model_file(str(path))
+    else:
+        m = kf.preset(source)
+    unblocked = m._ball2_marginal if m.dim == 2 else m._ball3_marginal
+    grid = m.grid
+    const = m._norm_const
+    m._norm_const = 1.0  # the grid is built at norm constant 1, then rescaled
+    try:
+        raw = unblocked(grid.s)
+    finally:
+        m._norm_const = const
+    weights = np.concatenate([lad.w for lad in grid.ladders])
+    np.testing.assert_array_equal(weights * raw * const, grid.w)
+    assert grid.s.size > 20 * models._MARGINAL_BLOCK
+    # sizes about one block, and a velocity grid of the planar simulation
+    for n in (1, models._MARGINAL_BLOCK - 1, models._MARGINAL_BLOCK, models._MARGINAL_BLOCK + 1, 301):
+        s = np.linspace(0.0, 2.0 * m.v_max, n)
+        np.testing.assert_array_equal(m._edge_marginal(s), unblocked(s))
 
 
 def test_quadratic_marginal_equals_density_in_1d():

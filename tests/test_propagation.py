@@ -175,13 +175,13 @@ def test_point_radius_at_ballistic_corner_stops_at_the_hull(monkeypatch):
     hull = 1.0 / (abs(math.cos(theta)) + abs(math.sin(theta)))
     np.testing.assert_allclose(rad, 2.0 * hull, rtol=1e-12)
     assert len(calls) <= 2
-    # w* is that hull extent, so the speed cannot narrow the bracket: it
-    # adds no Lagrangian call
-    plain_calls = len(calls)
+    # w* is that hull extent; the point root takes no speed, and refuses
+    # one before it evaluates any L
     w = kf.freidlin_gartner_speed(diamond(), 1.1, e0)
     del calls[:]
-    assert kf.nullset_radius(diamond(), 1.1, e0, 2.0, speed=w) == rad
-    assert len(calls) == plain_calls
+    with pytest.raises(ValidationError):
+        kf.nullset_radius(diamond(), 1.1, e0, 2.0, speed=w)
+    assert calls == []
 
 
 GENERIC = (math.cos(0.46), math.sin(0.46))
@@ -195,23 +195,58 @@ def _generic_point_radius():
 
 
 def test_seeded_point_radius_is_few_lagrangian_calls(monkeypatch):
+    # a point root on an atom set starts each L from the last one's
+    # maximiser, so a narrowing that failed would change the radius: the
+    # speed is refused, in 2-D and 3-D, before any L is evaluated
     w, plain = _generic_point_radius()
     calls = _count_lagrangian_calls(monkeypatch)
-    seeded = kf.nullset_radius(diamond(), 0.8, GENERIC, 1.0, speed=w)
-    # the two bracket ends and a step or two of the bracketed root solve
-    # (dispersion._bracket_roots), against 16-17
-    assert len(calls) <= 4
-    assert abs(seeded - plain) <= 2e-9
+    for m, e0, speed in ((diamond(), GENERIC, w), (octahedron(), (1.0, 2.0, 2.0), 0.59)):
+        with pytest.raises(ValidationError):
+            kf.nullset_radius(m, 0.8, e0, 1.0, speed=speed)
+    assert calls == []
+    assert kf.nullset_radius(diamond(), 0.8, GENERIC, 1.0) == plain
 
 
 def test_point_radius_does_not_follow_the_speed():
     w, plain = _generic_point_radius()
-    # no sign change across the narrow bracket: the full solve, bit for bit
-    assert kf.nullset_radius(diamond(), 0.8, GENERIC, 1.0, speed=0.5 * w) == plain
-    # a speed off by 1e-7 still brackets the root, which stays where phi puts it
-    off = kf.nullset_radius(diamond(), 0.8, GENERIC, 1.0, speed=w * (1.0 + 1e-7))
-    assert abs(off - plain) <= 2e-9
-    assert abs(off - w * (1.0 + 1e-7)) > 2e-8
+    # a speed whose bracket misses the root, or holds it: both are refused
+    for speed in (0.5 * w, w * (1.0 + 1e-7)):
+        with pytest.raises(ValidationError):
+            kf.nullset_radius(diamond(), 0.8, GENERIC, 1.0, speed=speed)
+    # point data on 1-D and continuum models runs the planar root, which
+    # keeps its speed: one off by 1e-7 still gives the root of phi
+    for name in ("quadratic-1d", "uniform-ball:2"):
+        m = model(name)
+        e0 = np.eye(m.dim)[0]
+        c = kf.minimal_speed(m, 0.8, e0, sample=False).c_star
+        unseeded = kf.nullset_radius(m, 0.8, e0, 1.0)
+        off = kf.nullset_radius(m, 0.8, e0, 1.0, speed=c * (1.0 + 1e-7))
+        assert abs(off - unseeded) <= 2e-9
+        assert abs(off - c * (1.0 + 1e-7)) > 2e-8
+
+
+def test_point_root_lagrangians_start_from_the_last_maximiser(monkeypatch):
+    # diamond at 0.46 rad, r = 0.8: each L after the first interior one
+    # starts its damped Newton from that L's q. One-row H solves (Newton
+    # iterates and damped trials) of the point root: 147 from q = 0
+    calls = _count_lagrangian_calls(monkeypatch)
+    solves = []
+    discrete_h = P._discrete_h
+
+    def counted(*args):
+        solves.append(1)
+        return discrete_h(*args)
+
+    monkeypatch.setattr(P, "_discrete_h", counted)
+    radius = kf.nullset_radius(diamond(), 0.8, GENERIC, 1.0)
+    assert len(solves) == 96
+    # the first L, at the hull, runs off past _LAM_CEIL and starts nothing;
+    # every later L after the first interior sup starts from a maximiser
+    starts = [args[4] for args in calls]
+    assert starts[0] is None and starts[1] is None
+    assert all(q is not None for q in starts[2:])
+    w = kf.freidlin_gartner_speed(diamond(), 0.8, GENERIC)
+    assert abs(radius - w) <= 2e-12
 
 
 # planar radii at Case1, Case2 and Case4 speeds, on every preset and on the
@@ -941,7 +976,7 @@ def test_continuum_rays_depend_on_the_scale_alone():
                        ("uniform-ball:3", _spiral(13))):
         m = model(name)
         scales = np.tile([0.05, 0.4, 0.9, 1.7, 3.0], (len(dirs), 1))
-        H, dH = kf.dispersion._h_rays(m, scales, dirs)
+        H, dH, _ = kf.dispersion._h_rays(m, scales, dirs)
         assert (H == H[0]).all() and (dH == dH[0]).all()
         sups = P._ray_sups(m, 0.8, dirs, np.full(len(dirs), 0.6))[0]
         assert (sups == sups[0]).all()

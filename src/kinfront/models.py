@@ -14,8 +14,9 @@ l and j integrals and the dispersion-relation kernels) run on a
 `GradedGrid`; see the `quadrature` module. M is radial on a ball or a
 symmetric interval, so its slice marginal is the same along every
 direction: a continuum model builds that one grid at construction and
-keeps nothing else between calls. An atom set builds, once, the span and
-the convex-hull facets of its atoms, which L, the point radii and w* read.
+keeps nothing else between calls. An atom set builds, once, the span,
+the convex-hull facets of its atoms and the weight on each facet, which
+L, the point radii and w* read.
 """
 
 import math
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .quadrature import GradedGrid, _Ladder, gl_rule
+from .quadrature import LADDER_LEVELS, LADDER_ORDER, GradedGrid, _Ladder, gl_rule
 
 MASS_TOL = 1e-8
 MEAN_TOL = 1e-8
@@ -115,8 +116,15 @@ class DiscreteSet:
 
     n is 1, 2 or 3; zero weights are dropped, then a 3-D set has at most
     MAX_ATOMS_3D points. Built once, at construction: span, orthonormal rows
-    (k, n) spanning the points, and facets, the rows (n, c) of their convex
-    hull n.x + c <= 0 (see _hull_facets).
+    (k, n) spanning the points; facets, the rows (n, c) of their convex
+    hull n.x + c <= 0 (see _hull_facets); and facet_weights, the weight of
+    the atoms on each facet, those within 1e-12 |v|max of its plane. A flat
+    set's span normals carry every atom, weight 1.
+
+    The weight W of a facet bounds L at its points p from below. Along
+    q = lam n, the atoms on the facet have the largest v.n = vbar(n) = n.p,
+    and D_i = 1 + H - v_i.beta falls to W on them while it grows without
+    bound on the others, so F(lam n) = 1 - (1+r) D rises to 1 - (1+r) W.
     """
 
     def __init__(self, points, weights):
@@ -155,6 +163,8 @@ class DiscreteSet:
         self.weights = w
         self.span, normals = _span(pts)
         self.facets = _hull_facets(pts, self.span, normals)
+        on = _atom_dots(pts, self.facets[:, :-1]) + self.facets[:, -1:] >= -1e-12 * self.v_max
+        self.facet_weights = (on * w).sum(axis=1)
 
     @property
     def dim(self):
@@ -318,7 +328,9 @@ class VelocityModel:
     grid is the GradedGrid over s = vbar(e) - v.e of a continuum model,
     built once at construction, at norm constant 1 for the raw mass, and
     then rescaled to the normalized M; it is the same for every direction
-    e. None on a DiscreteSet.
+    e. M is radial, so its slice marginal is even in t = R - s, and the
+    build evaluates it once per distinct |t| of the grid's nodes, half of
+    them (_radial_marginal). None on a DiscreteSet.
     """
 
     def __init__(self, support, density=None, name=None):
@@ -343,7 +355,14 @@ class VelocityModel:
             # (robust to root-type endpoint behavior of non-integer exponents)
             self._norm_const = 1.0
             R = self.v_max
-            grid = GradedGrid(np.array([0.0, R, 2.0 * R]), self._edge_marginal, R)
+            # the grid's four ladders over s in [0, R, 2R] share one set of
+            # offsets o from their ends, so |t| = |R - s| is R - o on the
+            # outer two and o on the inner two: the marginal is even in t,
+            # so each distinct |t| is evaluated once and serves a mirrored
+            # pair of ladders, in the grid's ladder order
+            o = _Ladder(0.0, 0.5 * R, "down", LADDER_LEVELS, LADDER_ORDER).s
+            outer, inner = np.split(self._radial_marginal(np.concatenate([R - o, o])), 2)
+            grid = GradedGrid(np.array([0.0, R, 2.0 * R]), np.concatenate([outer, inner, inner, outer]), R)
             raw_mass = grid.kernel_integral(np.ones_like)
             if not np.isfinite(raw_mass) or raw_mass <= 0:
                 raise ValidationError("density has non-finite or zero mass")
@@ -422,18 +441,25 @@ class VelocityModel:
     def _edge_marginal(self, s):
         """Slice marginal at t = R - s, R = v_max: the same along every direction.
 
+        It is _radial_marginal at |t| = |R - s|, for any s.
+        """
+        return self._radial_marginal(np.abs(self.v_max - np.asarray(s, dtype=float)))
+
+    def _radial_marginal(self, a):
+        """Slice marginal at |t| = a >= 0: M is radial, so the marginal is even in t.
+
         A ball's marginal is a quadrature per node, summed along each node's
         row of a (nodes, rule) array: it runs on blocks of _MARGINAL_BLOCK
         nodes, which gives the same bits as one array, as every row is
         reduced alone.
         """
         if self.dim == 1:
-            return self.density(self.v_max - s)
+            return self._density_of_speed(a)
         marginal = self._ball2_marginal if self.dim == 2 else self._ball3_marginal
-        s = np.asarray(s, dtype=float)
-        flat = s.ravel()
+        a = np.asarray(a, dtype=float)
+        flat = a.ravel()
         blocks = [marginal(flat[i : i + _MARGINAL_BLOCK]) for i in range(0, flat.size, _MARGINAL_BLOCK)]
-        return np.concatenate(blocks or [np.empty(0)]).reshape(s.shape)
+        return np.concatenate(blocks or [np.empty(0)]).reshape(a.shape)
 
     def slice_marginal(self, e, t):
         """Density of the projected speed v.e at value t (continuum only).
@@ -449,18 +475,17 @@ class VelocityModel:
         # which rounds
         return self.density(t) if self.dim == 1 else self._edge_marginal(self.v_max - t)
 
-    def _ball3_marginal(self, s):
-        """Slice marginal for the 3-ball: 2*pi*int_|t|^R m(rho) rho drho."""
+    def _ball3_marginal(self, t):
+        """Slice marginal for the 3-ball at |t| = t: 2*pi*int_|t|^R m(rho) rho drho."""
         R = self.v_max
-        t = np.abs(R - np.asarray(s, dtype=float))  # |t| for t = vbar - s, vbar = R
         x, w = gl_rule(8 * _MARGINAL_ORDER)
         rho = t[:, None] + (R - t)[:, None] * x[None, :]
         wgt = (R - t)[:, None] * w[None, :]
         vals = self._density_of_speed(rho) * rho
         return 2.0 * np.pi * np.sum(wgt * vals, axis=1)
 
-    def _ball2_marginal(self, s):
-        """Slice marginal for the 2-ball.
+    def _ball2_marginal(self, t):
+        """Slice marginal for the 2-ball at |t| = t.
 
         mbar(t) = 2 int_|t|^R m(rho) rho / sqrt(rho^2 - t^2) drho; the
         substitution rho = |t| + xi^2 removes the inverse-square-root
@@ -468,7 +493,6 @@ class VelocityModel:
         near-origin scale sqrt(2|t|) when |t| is small.
         """
         R = self.v_max
-        t = np.abs(R - np.asarray(s, dtype=float))
         xi_max = np.sqrt(np.maximum(R - t, 0.0))
         x, w = _MARGINAL_LADDER.s, _MARGINAL_LADDER.w
         xi = xi_max[:, None] * x[None, :]

@@ -27,7 +27,9 @@ holds also start the next step: a continuum H row starts from the
 tangent at the last rate the ray sup solved on it, and each Lagrangian
 of an atom set's point root starts its Newton solve from the maximiser
 of the last one that ended inside the hull. Nothing is kept between
-calls.
+calls. A point root needs only the sign of L at the hull, where its sup
+lies at infinity, and a facet's weight often gives it without a solve
+(_point_root).
 
 Along one direction both optima over decay rates are first-order
 points: below the critical decay H is convex, so g' and c' change sign
@@ -238,9 +240,11 @@ def _atom_lagrangian(model, r, p, start=None):
     gain Newton predicts, is below the roundoff of F. On the hull's boundary
     the sup lies at infinity: the solve returns the last F once |q| passes
     _LAM_CEIL, the cap of the ray windows, or when a step is singular or
-    no longer increases F. Returns F there, the last iterate q, in the
-    model's coordinates, and whether the solve ended on the decrement
-    test (an interior sup). Running past _NEWTON_ITERS iterations raises
+    no longer increases F; the decrement test may also end it there, at
+    a |q| just short of _LAM_CEIL. Returns F there, the last iterate q,
+    in the model's coordinates, and whether the solve ended on the
+    decrement test, which marks an interior sup only for p inside the
+    hull. Running past _NEWTON_ITERS iterations raises
     SolverNotConverged.
     """
     pts, w = model.support.points, model.support.weights
@@ -357,10 +361,13 @@ def _point_speeds(model, r, e0, c0):
 
     The radius is the root of L(q e0) on [0, min(c0, hull extent)]
     (_point_root): c0 bounds it, e0 being one of the directions of the
-    minimum. Its last Newton iterate q gives the direction e* = q/|q|
-    where c*(e)/(e.e0) is least when that minimum is a first-order
-    point. Where it is not, c* turns ballistic at a kink of vbar(e), and
-    q runs off along a facet normal of the atoms' hull. So one _cstars
+    minimum. Where the bracket ends at the hull, a facet of weight W
+    through its end may certify L > 0 there without a solve: L is at
+    least 1 - (1+r) W on it. The root's last Newton iterate q gives the
+    direction e* = q/|q| where c*(e)/(e.e0) is least when that minimum
+    is a first-order point. Where it is not, c* turns ballistic at a kink
+    of vbar(e), and q runs off along a facet normal of the atoms' hull.
+    So one _cstars
     call solves c* on e* and on the facet normals that face e0 (for a
     flat set, those in its span and the normals of that span), leaving
     out e0, whose c0 the caller holds, and rows within roundoff of the
@@ -422,8 +429,12 @@ def nullset_radius(model, r, e0, t, init="point", tol=1e-9, speed=None, rate=Non
     extent along e0: vbar(e0) for planar data, and for point data on an
     atom set the distance to the hull's boundary, from its facets
     (_point_root). When the conjugate is not positive there the front is
-    ballistic and the radius is that extent times t. tol, the root's
-    absolute tolerance in x/t, must be positive.
+    ballistic and the radius is that extent times t. On an atom set the
+    sign at the hull may come without a solve: along the normal n of a
+    facet of weight W through that end, F(lam n) rises to 1 - (1+r) W,
+    which bounds L there from below, and a positive bound starts the
+    root from +inf. tol, the root's absolute tolerance in x/t, must be
+    positive.
 
     speed, when given, is the expected radius per unit time of a planar
     root: c*(e0), for planar data and for point data where
@@ -501,22 +512,36 @@ def _point_root(model, r, e0, top, tol):
     ran): the radius is top when L(top e0) <= 0, else the root of L(q e0)
     on [0, top], where L(0) = -r.
 
+    Where top e0 lies on facets of the hull, the sup of L there lies at
+    infinity, and its sign alone is used: L(top e0) >= 1 - (1+r) W on
+    each such facet of weight W (models.DiscreteSet). When that bound is
+    positive on one of them, L(top e0) is not solved and the root runs
+    from the value +inf there. A flat set's span normals carry every
+    atom, and a ballistic corner has every bound <= 0, so L is solved.
+
     Each L after the first starts its Newton solve from the q of the last
     L of this root solve that ended at an interior sup: the maximiser
-    moves little between the root's steps. A q that ran off toward the
-    hull, past _LAM_CEIL, starts nothing."""
+    moves little between the root's steps. An L on the hull's boundary
+    starts nothing, as its q runs off toward infinity, nor does a q that
+    ran off past _LAM_CEIL."""
+    facets, weights = model.support.facets, model.support.facet_weights
+    gap = _dots(facets[:, :-1], top * e0) + facets[:, -1]
+    through = np.abs(gap) <= 1e-12 * (1.0 + np.abs(facets[:, -1]))
     last = start = None
 
-    def f(x):
+    def f(x, seeds=True):
         nonlocal last, start
         val, q, interior = _lagrangian(model, r, x * e0, x, start)
         if q is not None:
             last = q
-        if interior:
+        if interior and seeds:
             start = q
         return val
 
-    f_top = f(top)
+    if through.any() and (1.0 + r) * weights[through].min() < 1.0:
+        f_top = np.inf
+    else:
+        f_top = f(top, seeds=not through.any())
     if f_top <= 0.0:
         return top, last
     return _sign_change(f, 0.0, top, -float(r), f_top, tol), last

@@ -67,12 +67,13 @@ def test_tracer_counts_spreading_root_solves(tmp_path, capsys):
     # one planar radius; the point radius and w* come from one root of L
     # and one batch of candidate c*, inside the command, with no public
     # lagrangian or freidlin_gartner_speed call. Each L of the root after
-    # the first interior one starts its Newton solve from that L's q: 211
-    # H solves when every L started from q = 0
+    # the first interior one starts its Newton solve from that L's q (211
+    # H solves when every L started from q = 0), and the L at the hull is
+    # certified positive by its facet's weight, not solved (160 with it)
     assert calls["propagation.nullset_radius"] == 1
     assert "propagation.lagrangian" not in calls
     assert "propagation.freidlin_gartner_speed" not in calls
-    assert layer["h_solves"] == 160
+    assert layer["h_solves"] == 118
 
 
 def test_tracer_counts_sweep_solves(tmp_path, capsys):
@@ -112,16 +113,18 @@ def test_tracer_counts_direction_search_solves():
     # and put the octahedron's w* 4.4e-15 higher. L itself is one Newton
     # solve in q, where a direction search over ray sups took 2,629 (2-D)
     # and 5,237 (3-D). The root's L solves start from the last interior
-    # maximiser: from q = 0 they took 193 (2-D) and 208 (3-D)
+    # maximiser: from q = 0 they took 193 (2-D) and 208 (3-D). The L at the
+    # hull is certified positive by its facet's weight, not solved: solving
+    # it took 142 (2-D) and 158 (3-D)
     pts = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
     diamond = VelocityModel(DiscreteSet(pts, [0.25] * 4))
     octahedron = VelocityModel(DiscreteSet(np.vstack([np.eye(3), -np.eye(3)]), [1.0 / 6.0] * 6))
     calls = (
         (lambda: propagation.freidlin_gartner_speed(diamond, 0.8, [math.cos(0.46), math.sin(0.46)]),
-         142, 0.7387021058641874),
+         100, 0.7387021058641874),
         (lambda: propagation.lagrangian(diamond, 0.8, [0.3, 0.2]), 5, -0.6754429719040477),
         (lambda: propagation.freidlin_gartner_speed(octahedron, 0.8, [1.0, 2.0, 2.0]),
-         158, 0.5944923414842704),
+         116, 0.5944923414842704),
         (lambda: propagation.lagrangian(octahedron, 0.8, [0.31, 0.17, 0.12]),
          5, -0.5989499192664304),
     )

@@ -153,31 +153,52 @@ def test_ball3_slice_marginal_is_parabolic():
 
 @pytest.mark.parametrize("source", ["uniform-ball:2", "uniform-ball:3",
                                     "support = ball\nradius = 1.5\ndim = 2\ndensity = power\nk = 1.5\n"])
-def test_blocked_ball_marginal_gives_the_unblocked_grid_weights(source, tmp_path):
-    # the marginal runs on blocks of _MARGINAL_BLOCK nodes; one (nodes, rule)
-    # array over every node gives the same bits, so the grid built from the
-    # blocks is the grid of the unblocked evaluation
+def test_blocked_ball_marginal_gives_the_unblocked_grid_weights(source, tmp_path, monkeypatch):
+    # the grid's four ladders share their offsets o from their ends, so
+    # |t| = |R - s| is R - o on the outer two and o on the inner two: a
+    # build evaluates the marginal once per distinct |t|, 1,536 of the
+    # 3,072 nodes, and gives each value to a mirrored pair of ladders
+    sizes = []
+    radial = models.VelocityModel._radial_marginal
+
+    def counted(self, a):
+        sizes.append(np.size(a))
+        return radial(self, a)
+
+    monkeypatch.setattr(models.VelocityModel, "_radial_marginal", counted)
     if source.startswith("support"):
         path = tmp_path / "ball.model"
         path.write_text(source)
         m = parse_model_file(str(path))
     else:
         m = kf.preset(source)
+    monkeypatch.undo()
+    assert sizes == [1536]
+    grid, R = m.grid, m.v_max
+    o = grid.ladders[0].s
+    for lad, s in zip(grid.ladders, (o, R - o, R + o, 2.0 * R - o)):
+        np.testing.assert_array_equal(lad.s, s)
+    # the marginal runs on blocks of _MARGINAL_BLOCK nodes; one (nodes, rule)
+    # array over the distinct |t| gives the same bits, so the grid weights
+    # are the ladder weights times the unblocked marginal there
     unblocked = m._ball2_marginal if m.dim == 2 else m._ball3_marginal
-    grid = m.grid
     const = m._norm_const
     m._norm_const = 1.0  # the grid is built at norm constant 1, then rescaled
     try:
-        raw = unblocked(grid.s)
+        outer, inner = unblocked(R - o), unblocked(o)
     finally:
         m._norm_const = const
     weights = np.concatenate([lad.w for lad in grid.ladders])
-    np.testing.assert_array_equal(weights * raw * const, grid.w)
-    assert grid.s.size > 20 * models._MARGINAL_BLOCK
-    # sizes about one block, and a velocity grid of the planar simulation
+    np.testing.assert_array_equal(weights * np.concatenate([outer, inner, inner, outer]) * const, grid.w)
+    # mirrored ladders hold identical values
+    w = grid.w.reshape(4, -1)
+    np.testing.assert_array_equal(w[0], w[3])
+    np.testing.assert_array_equal(w[1], w[2])
+    # arbitrary s keeps its marginal at |t| = |R - s|: sizes about one
+    # block, and a velocity grid of the planar simulation
     for n in (1, models._MARGINAL_BLOCK - 1, models._MARGINAL_BLOCK, models._MARGINAL_BLOCK + 1, 301):
-        s = np.linspace(0.0, 2.0 * m.v_max, n)
-        np.testing.assert_array_equal(m._edge_marginal(s), unblocked(s))
+        s = np.linspace(0.0, 2.0 * R, n)
+        np.testing.assert_array_equal(m._edge_marginal(s), unblocked(np.abs(R - s)))
 
 
 def test_quadratic_marginal_equals_density_in_1d():

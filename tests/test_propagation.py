@@ -228,7 +228,8 @@ def test_point_radius_does_not_follow_the_speed():
 def test_point_root_lagrangians_start_from_the_last_maximiser(monkeypatch):
     # diamond at 0.46 rad, r = 0.8: each L after the first interior one
     # starts its damped Newton from that L's q. One-row H solves (Newton
-    # iterates and damped trials) of the point root: 147 from q = 0
+    # iterates and damped trials) of the point root: 147 from q = 0, and
+    # 96 with the L at the hull solved
     calls = _count_lagrangian_calls(monkeypatch)
     solves = []
     discrete_h = P._discrete_h
@@ -239,12 +240,15 @@ def test_point_root_lagrangians_start_from_the_last_maximiser(monkeypatch):
 
     monkeypatch.setattr(P, "_discrete_h", counted)
     radius = kf.nullset_radius(diamond(), 0.8, GENERIC, 1.0)
-    assert len(solves) == 96
-    # the first L, at the hull, runs off past _LAM_CEIL and starts nothing;
-    # every later L after the first interior sup starts from a maximiser
+    assert len(solves) == 54
+    # the L at the hull is certified positive by the weight 1/2 of its
+    # facet, 1 - 1.8/2 > 0, and not solved; every L after the first, an
+    # interior sup, starts from a maximiser
+    top = P._hull_extent(diamond(), kf.direction(GENERIC))
+    assert all(args[3] < top for args in calls)
     starts = [args[4] for args in calls]
-    assert starts[0] is None and starts[1] is None
-    assert all(q is not None for q in starts[2:])
+    assert starts[0] is None
+    assert all(q is not None for q in starts[1:])
     w = kf.freidlin_gartner_speed(diamond(), 0.8, GENERIC)
     assert abs(radius - w) <= 2e-12
 
@@ -644,10 +648,10 @@ def test_point_root_maximiser_gives_the_minimising_direction(make, e0):
         assert q[2] == 0.0
 
 
+@lru_cache(maxsize=None)
 def _random_battery():
     """(dim, model, r, e0) of 25 random atom sets per dimension, 2 then 3,
-    each at r = 0.3, 1 and 3 with a random e0 per rate; 2-D sets are
-    drawn but not built (model None)."""
+    each at r = 0.3, 1 and 3 with a random e0 per rate."""
     rng = np.random.default_rng(1)
     cases = []
     for dim in (2, 3):
@@ -656,11 +660,11 @@ def _random_battery():
             pts = rng.normal(size=(k, dim))
             w = rng.uniform(0.2, 1.0, k)
             w /= w.sum()
-            m = kf.VelocityModel(kf.DiscreteSet(pts - w @ pts, w)) if dim == 3 else None
+            m = kf.VelocityModel(kf.DiscreteSet(pts - w @ pts, w))
             for r in (0.3, 1.0, 3.0):
                 e0 = rng.normal(size=dim)
                 cases.append((dim, m, r, e0 / np.linalg.norm(e0)))
-    return cases
+    return tuple(cases)
 
 
 def test_wstar_is_the_point_radius_on_random_3d_atom_sets():
@@ -673,6 +677,86 @@ def test_wstar_is_the_point_radius_on_random_3d_atom_sets():
         assert abs(kf.freidlin_gartner_speed(m, r, e0) - radius) <= 1e-9 * radius
 
 
+def test_wstar_is_the_point_radius_on_random_2d_atom_sets():
+    # the 2-D half of the battery: in 2 of these 75 cases (r = 0.3) the
+    # point radius was 1.0555 and 0.8182 where w* is 0.6750 and 0.6251, as
+    # the L at the hull, flagged interior at |q| ~ 1.6e7, started the next
+    # L's Newton solve
+    cases = [case for case in _random_battery() if case[0] == 2]
+    assert len(cases) == 75
+    for _, m, r, e0 in cases:
+        radius = kf.nullset_radius(m, r, e0, 1.0, init="point", tol=1e-13)
+        assert abs(kf.freidlin_gartner_speed(m, r, e0) - radius) <= 1e-9 * radius
+
+
+def test_hull_lagrangian_starts_no_later_lagrangian(monkeypatch):
+    # the first of those 2 cases, with every facet given the weight 1, so
+    # that no facet bound is positive and L is solved at the hull: its
+    # Newton solve ends on its decrement test at |q| ~ 1.6e7, and no later
+    # L of the root may start from that q
+    dim, m, r, e0 = _random_battery()[18]
+    assert dim == 2 and r == 0.3
+    monkeypatch.setattr(m.support, "facet_weights", np.ones(len(m.support.facets)))
+    ends = []
+    lagrangian = P._lagrangian
+
+    def spied(*args):
+        out = lagrangian(*args)
+        ends.append((args[3], args[4], out[1], out[2]))
+        return out
+
+    monkeypatch.setattr(P, "_lagrangian", spied)
+    radius = kf.nullset_radius(m, r, e0, 1.0, init="point", tol=1e-13)
+    x, _, q, interior = ends[0]
+    assert x == P._hull_extent(m, kf.direction(e0)) and interior and np.linalg.norm(q) > 1e7
+    assert len(ends) > 1 and all(start is not q for _, start, _, _ in ends[1:])
+    monkeypatch.undo()
+    assert abs(kf.freidlin_gartner_speed(m, r, e0) - radius) <= 1e-9 * radius
+
+
+def _through(m, e0, x):
+    """The rows of the facets of m's hull through x e0."""
+    facets = m.support.facets
+    gap = P._dots(facets[:, :-1], x * e0) + facets[:, -1]
+    return np.abs(gap) <= 1e-12 * (1.0 + np.abs(facets[:, -1]))
+
+
+def test_hull_lagrangian_is_at_least_its_facet_bound():
+    # along q = lam n, n the normal of a facet of weight W through p, F
+    # rises to 1 - (1+r) W, so L(p) is at least that. The Newton solve
+    # stops once |q| passes _LAM_CEIL, where F still lies below its limit
+    # by O((1+r)^2 / |q|): 6.1e-9 at most here
+    for dim, m, r, e0 in _random_battery():
+        top = P._hull_extent(m, e0)
+        through = _through(m, e0, top)
+        assert through.any()
+        bound = 1.0 - (1.0 + r) * m.support.facet_weights[through]
+        assert kf.lagrangian(m, r, top * e0) >= bound.max() - 1e-7 * (1.0 + r)
+
+
+@pytest.mark.parametrize("make,r,e0,skipped", [
+    (diamond, 0.8, GENERIC, True),  # edge weight 1/2: 1 - 1.8/2 > 0
+    (octahedron, 0.8, (1.0, 2.0, 2.0), True),  # face weight 1/2
+    (diamond, 1.1, GENERIC, False),  # ballistic corner: 1 - 2.1/2 < 0
+    (_flat_cross, 0.8, (math.cos(0.46), math.sin(0.46), 0.0), True),  # its edge, in the plane
+    (_flat_cross, 0.8, (1.0, 0.5, 0.3), False),  # off the plane: only the span normals, weight 1
+], ids=["diamond", "octahedron", "diamond ballistic corner", "flat diamond in its plane",
+        "flat diamond span normals"])
+def test_hull_lagrangian_is_skipped_where_its_facet_bound_is_positive(monkeypatch, make, r, e0, skipped):
+    m, unit = make(), kf.direction(e0)
+    top = P._hull_extent(m, unit)
+    calls = _count_lagrangian_calls(monkeypatch)
+    radius = kf.nullset_radius(m, r, e0, 1.0, init="point")
+    assert any(args[3] == top for args in calls) != skipped
+    bounds = 1.0 - (1.0 + r) * m.support.facet_weights[_through(m, unit, top)]
+    assert (bounds.max() > 0.0) == skipped
+    if skipped:
+        assert radius < top
+    if make is _flat_cross:
+        # its span normals carry every atom, and pass through every point
+        # of its plane
+        normals = m.support.facets[:, 2] != 0.0
+        assert (m.support.facet_weights[normals] == 1.0).all()
 def test_an_uncertified_wstar_is_a_typed_error(monkeypatch, tmp_path, capsys):
     # inflate the least ratio of the candidate directions: the next one is
     # not the point radius, and w* must fail loudly, not report it

@@ -757,6 +757,8 @@ def test_hull_lagrangian_is_skipped_where_its_facet_bound_is_positive(monkeypatc
         # of its plane
         normals = m.support.facets[:, 2] != 0.0
         assert (m.support.facet_weights[normals] == 1.0).all()
+
+
 def test_an_uncertified_wstar_is_a_typed_error(monkeypatch, tmp_path, capsys):
     # inflate the least ratio of the candidate directions: the next one is
     # not the point radius, and w* must fail loudly, not report it

@@ -624,7 +624,9 @@ def _min_speeds(model, r, E):
     if model.is_discrete and grow.size:
         # c = vbar + ((1+r) t - 1) / lambda, t = H - (mu - 1) falling to the
         # weight w_tie at vbar(e) and staying above it: where (1+r) w_tie >= 1
-        # c stays above vbar, so the row is ballistic with no wider window
+        # c stays above vbar, so the row is ballistic with no wider window;
+        # only exact ties count (models.DiscreteSet: why its facet weights
+        # count within a tolerance instead)
         dots = _atom_dots(model.support.points, E[rows[grow]])
         tie = (model.support.weights * (dots >= dots.max(axis=1, keepdims=True))).sum(axis=1)
         grow = grow[(1.0 + r[rows[grow]]) * tie < 1.0]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .quadrature import LADDER_LEVELS, LADDER_ORDER, GradedGrid, _Ladder, gl_rule
+from .quadrature import GradedGrid, _Ladder, gl_rule
 
 MASS_TOL = 1e-8
 MEAN_TOL = 1e-8
@@ -125,6 +125,13 @@ class DiscreteSet:
     q = lam n, the atoms on the facet have the largest v.n = vbar(n) = n.p,
     and D_i = 1 + H - v_i.beta falls to W on them while it grows without
     bound on the others, so F(lam n) = 1 - (1+r) D rises to 1 - (1+r) W.
+    W counts the atoms within the hull's own tolerance of the plane, where
+    the tie weight of dispersion._min_speeds counts only those at the
+    floating-point max: the two rules err on opposite sides. An atom on a
+    facet that rounds just inside it, left out of W, would raise the
+    bound by (1+r) times its weight and could skip an L <= 0 at a
+    ballistic corner; an atom just below the max, counted in that tie,
+    would make a row ballistic unchecked.
     """
 
     def __init__(self, points, weights):
@@ -355,14 +362,18 @@ class VelocityModel:
             # (robust to root-type endpoint behavior of non-integer exponents)
             self._norm_const = 1.0
             R = self.v_max
-            # the grid's four ladders over s in [0, R, 2R] share one set of
-            # offsets o from their ends, so |t| = |R - s| is R - o on the
-            # outer two and o on the inner two: the marginal is even in t,
-            # so each distinct |t| is evaluated once and serves a mirrored
-            # pair of ladders, in the grid's ladder order
-            o = _Ladder(0.0, 0.5 * R, "down", LADDER_LEVELS, LADDER_ORDER).s
-            outer, inner = np.split(self._radial_marginal(np.concatenate([R - o, o])), 2)
-            grid = GradedGrid(np.array([0.0, R, 2.0 * R]), np.concatenate([outer, inner, inner, outer]), R)
+
+            def marginal(s):
+                # the grid's four ladders over s in [0, R, 2R] share one set
+                # of offsets o, the first ladder's nodes, so |t| = |R - s| is
+                # R - o on the outer two and o on the inner two: the marginal
+                # is even in t, so each distinct |t| is evaluated once and
+                # serves a mirrored pair of ladders
+                o = s[: s.size // 4]
+                outer, inner = np.split(self._radial_marginal(np.concatenate([R - o, o])), 2)
+                return np.concatenate([outer, inner, inner, outer])
+
+            grid = GradedGrid(np.array([0.0, R, 2.0 * R]), marginal, R)
             raw_mass = grid.kernel_integral(np.ones_like)
             if not np.isfinite(raw_mass) or raw_mass <= 0:
                 raise ValidationError("density has non-finite or zero mass")

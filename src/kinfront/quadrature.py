@@ -145,9 +145,7 @@ class GradedGrid:
     ----------
     s_break : increasing array of segment edges in s, starting at 0.0
         (the singular end) and ending at s_max = vbar - t_min.
-    marginal : vectorized callable s -> mbar(vbar - s) >= 0, or its values
-        at the grid's nodes s: ladder by ladder, each segment's ladder from
-        its low end before the one from its high end, each level-major.
+    marginal : vectorized callable s -> mbar(vbar - s) >= 0.
     vbar : support function value in the grid's direction.
     """
 
@@ -165,9 +163,9 @@ class GradedGrid:
         # ~2^7 of this are indistinguishable from 0 on the grid
         self.edge_tail = self.ladders[0].tail_width
         self.s = np.concatenate([lad.s for lad in self.ladders])
-        m = np.asarray(marginal(self.s) if callable(marginal) else marginal, dtype=float)
+        m = np.asarray(marginal(self.s), dtype=float)
         if m.shape != self.s.shape:
-            raise ValueError("marginal must give one value per node s")
+            raise ValueError("marginal must map s-array to same-shape array")
         self.w = np.concatenate([lad.w for lad in self.ladders]) * m
         # every ladder has the same levels x order nodes, level-major
         self._shape = (len(self.ladders), LADDER_LEVELS, LADDER_ORDER)

@@ -521,10 +521,8 @@ def _bracket_roots(f, lo, hi, flo, fhi, tol=1e-12):
     values allow it and bisects otherwise, keeping half the tolerance
     4 eps |x| + tol inside the bracket. A row stops at a zero value or
     once its bracket is narrower than the tolerance, so its root does not
-    depend on the other rows. Values may be +-inf (a function that jumps
-    to +inf past a hull, say): no interpolation runs through them, and
-    the step bisects. Returns each row's last abscissa, which is within
-    the tolerance of the sign change, and the data f gave there.
+    depend on the other rows. Returns each row's last abscissa, which is
+    within the tolerance of the sign change, and the data f gave there.
     """
     x1, f1, x2, f2 = lo.copy(), flo.copy(), hi.copy(), fhi.copy()
     x3, f3 = x2.copy(), f2.copy()

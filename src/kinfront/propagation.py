@@ -31,6 +31,14 @@ calls. A point root needs only the sign of L at the hull, where its sup
 lies at infinity, and a facet's weight often gives it without a solve
 (_point_root).
 
+Both radii are roots of a conjugate that is convex and nondecreasing
+along e0, and every value of it comes with a line below it: the ray sup
+g at its rate lam gives y -> g + lam (y - q), and the Newton solve of L
+at its last q gives y -> F + (q.e0)(y - x), converged or not. So one
+root serves both (_convex_root): the lines bound the radius from above,
+the chord between the newest values of either sign bounds it from below,
+and each step uses the newest slope.
+
 Along one direction both optima over decay rates are first-order
 points: below the critical decay H is convex, so g' and c' change sign
 once, and each ray's sup and each direction's c* is one bracketed root
@@ -77,6 +85,9 @@ _LAM_FLOOR = 1e-8
 _NEWTON_ITERS = 100
 _ARMIJO = 1e-4
 _MIN_STEP = 2.0**-30
+# a decrement within this many ulps of F whose full step fails the Armijo
+# test, or gains nothing, ends the solve at an interior sup
+_ROUNDOFF_DEC = 16.0
 # relative half-width of the bracket about a known speed in nullset_radius,
 # and the half-width in log rate of the window about a known rate
 _SEED_REL = 1e-6
@@ -208,7 +219,7 @@ def lagrangian(model, r, p):
 
 def _lagrangian(model, r, p, nrm, start=None):
     """L(p) at p of norm nrm, the q at which _atom_lagrangian ended (None
-    where no Newton solve ran), and whether it ended on its decrement test,
+    where no Newton solve ran), and whether it ended on a decrement test,
     at an interior sup; start is the q that solve starts from (None: 0)."""
     if _point_is_planar(model) or nrm == 0.0:
         e = p / nrm if nrm > 0 else np.eye(model.dim)[0]
@@ -237,15 +248,17 @@ def _atom_lagrangian(model, r, p, start=None):
     Armijo share of the Newton decrement. On a flat set q lives in the
     span of the atoms (hess H is singular across it), so the solve runs
     in its coordinates. The solve stops when the decrement, twice the
-    gain Newton predicts, is below the roundoff of F. On the hull's boundary
-    the sup lies at infinity: the solve returns the last F once |q| passes
-    _LAM_CEIL, the cap of the ray windows, or when a step is singular or
-    no longer increases F; the decrement test may also end it there, at
-    a |q| just short of _LAM_CEIL. Returns F there, the last iterate q,
-    in the model's coordinates, and whether the solve ended on the
-    decrement test, which marks an interior sup only for p inside the
-    hull. Running past _NEWTON_ITERS iterations raises
-    SolverNotConverged.
+    gain Newton predicts, is below the roundoff of F, or when the full
+    step fails the Armijo test or gains nothing with a decrement within
+    _ROUNDOFF_DEC times that roundoff, a gain F cannot resolve. On the
+    hull's boundary the sup lies at infinity: the solve returns the last
+    F once |q| passes _LAM_CEIL, the cap of the ray windows, or when a
+    step is singular or no longer increases F; a decrement test may also
+    end it there, at a |q| just short of _LAM_CEIL. Returns F there, the
+    last iterate q, in the model's coordinates, and whether the solve
+    ended on one of the two decrement tests, which marks an interior sup
+    only for p inside the hull. Running past _NEWTON_ITERS iterations
+    raises SolverNotConverged.
     """
     pts, w = model.support.points, model.support.weights
     span = model.support.span
@@ -280,19 +293,24 @@ def _atom_lagrangian(model, r, p, start=None):
         z = (vt @ grad) / sv
         step = scale * (vt.T @ (z / sv))
         dec = scale * float(z @ z)
-        if not dec > np.finfo(float).eps * (abs(float(p @ q)) + scale * abs(H) + r):
+        ulp = np.finfo(float).eps * (abs(float(p @ q)) + scale * abs(H) + r)
+        if not dec > ulp:
             return f, q @ lift, True
+        # a full step whose gain F cannot resolve ends the solve at the sup
+        roundoff = dec <= _ROUNDOFF_DEC * ulp
         t = 1.0
         while True:
             trial = q + t * step
             f_new, H_new, dots_new = value(trial)
             if f_new >= f + _ARMIJO * t * dec:
                 break
+            if roundoff:
+                return f, q @ lift, True
             t *= 0.5
             if t < _MIN_STEP:
                 return f, q @ lift, False
         if not f_new > f:
-            return f, q @ lift, False
+            return f, q @ lift, roundoff
         q, f, H, dots = trial, f_new, H_new, dots_new
         if np.linalg.norm(q) > _LAM_CEIL:
             return f, q @ lift, False
@@ -421,20 +439,22 @@ def nullset_radius(model, r, e0, t, init="point", tol=1e-9, speed=None, rate=Non
     Planar data: the largest x.e0 with phi = 0, equal to c*(e0) t.
     Point data: the largest |x| along e0 with phi = 0, equal to w*(e0) t.
     Where _point_is_planar holds the two are one root, the planar one.
-    Each comes out of a bracketed root solve on the conjugate along the
-    ray (phi is t times a function of x/t, so the radius is exactly
-    linear in t): dispersion._bracket_roots on one row, with an absolute
-    term of min(tol, 1e-12), which costs no more steps than a looser one
-    as the steps converge superlinearly. The bracket ends at the hull's
-    extent along e0: vbar(e0) for planar data, and for point data on an
-    atom set the distance to the hull's boundary, from its facets
-    (_point_root). When the conjugate is not positive there the front is
-    ballistic and the radius is that extent times t. On an atom set the
-    sign at the hull may come without a solve: along the normal n of a
-    facet of weight W through that end, F(lam n) rises to 1 - (1+r) W,
-    which bounds L there from below, and a positive bound starts the
-    root from +inf. tol, the root's absolute tolerance in x/t, must be
-    positive.
+    Each comes out of one root solve on the conjugate along the ray (phi
+    is t times a function of x/t, so the radius is exactly linear in t):
+    _convex_root, with an absolute term of min(tol, 1e-12). The conjugate
+    is convex, and each of its values comes with the slope of a line
+    below it, the rate of its ray sup or q*.e0 of its Newton solve; so the
+    steps converge quadratically, and the tight tolerance costs few more
+    solves than a loose one. The bracket ends at the hull's extent along
+    e0: vbar(e0) for planar data, and for point data on an atom set the
+    distance to the hull's boundary, from its facets (_point_root). When
+    the conjugate is not positive there the front is ballistic and the
+    radius is that extent times t. On an atom set the sign at the hull
+    may come without a solve: along the normal n of a facet of weight W
+    through that end, F(lam n) rises to 1 - (1+r) W, which bounds L there
+    from below. A positive bound stands in for L there: it picks the
+    root's first point, and never stops the root. tol, the root's
+    absolute tolerance in x/t, must be positive.
 
     speed, when given, is the expected radius per unit time of a planar
     root: c*(e0), for planar data and for point data where
@@ -443,14 +463,16 @@ def nullset_radius(model, r, e0, t, init="point", tol=1e-9, speed=None, rate=Non
     and the conjugate changes sign across it. The conjugate is convex
     and nondecreasing along e0 for q >= 0 and negative at 0, so such a
     sign change holds its one positive root, which the same solve then
-    finds to the same tolerance. The conjugate at both ends comes from
-    one 2-ray _ray_sups call. Otherwise the full bracket runs as
-    without a speed: a speed whose bracket misses the root gives the
-    unseeded radius bit for bit, and one that holds it still gives the
-    root of phi, not the speed. Point data on a 2-D or 3-D atom set
-    takes no speed (ValidationError): its root starts each L's Newton
-    solve from the maximiser of the last one, so a failed narrowing
-    would leave its traces in the radius.
+    finds to the same tolerance. The conjugate at both ends, with its
+    slopes, comes from one 2-ray _ray_sups call. Where their lines and
+    chord meet within the tolerance, the root needs no other value; else
+    its first step evaluates the speed itself. Without such a sign
+    change the full bracket runs as without a speed: a speed whose
+    bracket misses the root gives the unseeded radius bit for bit, and
+    one that holds it still gives the root of phi, not the speed. Point
+    data on a 2-D or 3-D atom set takes no speed (ValidationError): its
+    root starts each L's Newton solve from the maximiser of the last one,
+    so a failed narrowing would leave its traces in the radius.
 
     rate, planar data only and beside a speed, is lambda*(e0). It only
     narrows the window of the two end sups to rate exp(-+_RATE_REL), where
@@ -480,8 +502,13 @@ def nullset_radius(model, r, e0, t, init="point", tol=1e-9, speed=None, rate=Non
         return t * _point_root(model, r, e0, _hull_extent(model, e0), tol)[0]
     vb = model.support_max(e0)
 
+    def slope(lam):
+        # a sup that ran off to the window's cap lies at infinity
+        return float(lam) if lam < _LAM_CEIL else math.nan
+
     def f(q, window=None):
-        return float(_ray_sups(model, r, e0[None, :], [q], window)[0][0])
+        (val,), (lam,) = _ray_sups(model, r, e0[None, :], [q], window)
+        return float(val), slope(lam)
 
     if speed is not None:
         a, b = speed * (1.0 - _SEED_REL), speed * (1.0 + _SEED_REL)
@@ -489,34 +516,101 @@ def nullset_radius(model, r, e0, t, init="point", tol=1e-9, speed=None, rate=Non
             start = None if rate is None else rate * np.exp(_RATE_REL * np.array([-1.0, 1.0]))
             (fa, fb), lams = _ray_sups(model, r, np.vstack([e0, e0]), [a, b], start)
             if fa < 0.0 < fb:
-                return t * _sign_change(lambda q: f(q, lams), a, b, fa, fb, tol)
-    f_vb = f(vb)
+                return t * _convex_root(lambda q: f(q, lams), a, b, float(fa), float(fb),
+                                        slope(lams[0]), slope(lams[1]), tol, guess=speed)
+    f_vb, s_vb = f(vb)
     if f_vb <= 0.0:
         return t * vb
-    return t * _sign_change(f, 0.0, vb, f(0.0), f_vb, tol)
+    f_0, s_0 = f(0.0)
+    return t * _convex_root(f, 0.0, vb, f_0, f_vb, s_0, s_vb, tol)
 
 
-def _sign_change(f, a, b, fa, fb, tol):
-    """The root of f in [a, b], fa < 0 < fb: one _bracket_roots row."""
+def _convex_root(f, lo, hi, flo, fhi, slo, shi, tol, guess=None):
+    """The root of a convex, nondecreasing f on [lo, hi], flo < 0 < fhi.
 
-    def step(x, rows):
-        fx = np.array([f(float(x[0]))])
-        return fx, fx
+    f(x) returns the value of f at x and the slope s of a line through
+    it that lies below f, y -> f(x) + s (y - x); (flo, slo) and (fhi, shi)
+    are those of the ends. A slope of nan marks a value good only for its
+    sign, a lower estimate of f: it gives no line and no chord bound.
+    Two bounds hold for any such lines, converged or not. A line with
+    s > 0 has its root at or above the root of f; and by convexity f lies
+    below its chord between the newest point where f < 0 and the newest
+    where f > 0, whose root is at or below the root of f.
 
-    return float(_bracket_roots(step, *[np.array([v]) for v in (a, b, fa, fb)], tol=tol)[0][0])
+    The next point is guess, when given, on the first step. Otherwise it
+    is the root of the quadratic that takes the value and slope of f at
+    the newest point and the value at the newest point on the other side
+    of the root; by convexity it lies between the chord's root and the
+    line's. Where the newest point has no slope, the chord's root is the
+    next point. A step bisects the bracket instead when the two steps
+    before it did not halve it, or when a bisection would end the solve.
+    The solve stops at a zero value, or once the bracket is within
+    4 eps |x| + tol (the band of dispersion._bracket_roots). It then
+    returns its upper end, the least line root, which lies within that
+    band above the root.
+    """
+    neg, pos = (lo, flo, slo), (hi, fhi, shi)
+    # the newest point is the one the step starts from
+    newest_neg = math.isnan(shi)
+    lower, upper, widths = lo, hi, []
+    for x, fx, s in (neg, pos):
+        if s > 0.0:
+            upper = min(upper, x - fx / s)
+    for _ in range(100):
+        (xn, fn, sn), (xp, fp, sp) = neg, pos
+        chord = xn - fn * (xp - xn) / (fp - fn)
+        if not (math.isnan(sn) or math.isnan(sp)):
+            lower = max(lower, chord)
+        widths.append(upper - lower)
+        band = 4.0 * np.finfo(float).eps * abs(upper) + tol
+        if upper - lower <= band:
+            return upper
+        (x0, f0, s0), (x1, f1, _) = (neg, pos) if newest_neg else (pos, neg)
+        if guess is not None:
+            x, guess = guess, None
+        elif upper - lower <= 2.0 * band or len(widths) > 2 and widths[-1] > 0.5 * widths[-3]:
+            x = 0.5 * (lower + upper)
+        elif math.isnan(s0):
+            x = chord
+        else:
+            # f0 + s0 d + c d^2 = 0 on the side of x1, in the form that
+            # keeps its digits as c -> 0 (the line's root)
+            c = max((f1 - f0 - s0 * (x1 - x0)) / (x1 - x0) ** 2, 0.0)
+            x = x0 - 2.0 * f0 / (s0 + math.sqrt(max(s0 * s0 - 4.0 * c * f0, 0.0)))
+        x = min(max(x, lower), upper)
+        if x in (xn, xp):
+            x = 0.5 * (lower + upper)
+        fx, s = f(x)
+        if fx == 0.0:
+            return x
+        newest_neg = fx < 0.0
+        if newest_neg:
+            neg, lower = (x, fx, s), max(lower, x)
+        else:
+            pos, upper = (x, fx, s), min(upper, x)
+        if s > 0.0:
+            upper = min(upper, x - fx / s)
+    return upper
 
 
 def _point_root(model, r, e0, top, tol):
     """Point radius per unit time along the unit e0 on a 2-D or 3-D atom
     set, and the last q at which a Newton solve of L ended (None if none
     ran): the radius is top when L(top e0) <= 0, else the root of L(q e0)
-    on [0, top], where L(0) = -r.
+    on [0, top], where L(0) = -r, by _convex_root. L(q e0) is convex in
+    q and least at 0, and each L comes with a line below it for free: at
+    the q* where its Newton solve ended, y -> F(q*) + (q*.e0)(y - x) is F
+    at that same q* for p = y e0, at most L(y e0). A solve that did not
+    end at an interior sup gives its value but no slope: on the hull's
+    boundary |q*| runs off toward _LAM_CEIL, and a step along that line
+    would crawl.
 
     Where top e0 lies on facets of the hull, the sup of L there lies at
     infinity, and its sign alone is used: L(top e0) >= 1 - (1+r) W on
     each such facet of weight W (models.DiscreteSet). When that bound is
-    positive on one of them, L(top e0) is not solved and the root runs
-    from the value +inf there. A flat set's span normals carry every
+    positive on one of them, L(top e0) is not solved. The bound then
+    stands in for it, without a slope: it picks the root's first point,
+    but never bounds the root. A flat set's span normals carry every
     atom, and a ballistic corner has every bound <= 0, so L is solved.
 
     Each L after the first starts its Newton solve from the q of the last
@@ -536,12 +630,13 @@ def _point_root(model, r, e0, top, tol):
             last = q
         if interior and seeds:
             start = q
-        return val
+        return val, float(q @ e0) if interior else math.nan
 
-    if through.any() and (1.0 + r) * weights[through].min() < 1.0:
-        f_top = np.inf
+    bound = 1.0 - (1.0 + r) * weights[through].min() if through.any() else 0.0
+    if bound > 0.0:
+        f_top, s_top = bound, math.nan
     else:
-        f_top = f(top, seeds=not through.any())
+        f_top, s_top = f(top, seeds=not through.any())
     if f_top <= 0.0:
         return top, last
-    return _sign_change(f, 0.0, top, -float(r), f_top, tol), last
+    return _convex_root(f, 0.0, top, -float(r), f_top, 0.0, s_top, tol), last

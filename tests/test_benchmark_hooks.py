@@ -69,11 +69,13 @@ def test_tracer_counts_spreading_root_solves(tmp_path, capsys):
     # lagrangian or freidlin_gartner_speed call. Each L of the root after
     # the first interior one starts its Newton solve from that L's q (211
     # H solves when every L started from q = 0), and the L at the hull is
-    # certified positive by its facet's weight, not solved (160 with it)
+    # certified positive by its facet's weight, not solved (160 with it).
+    # Both roots step on the slopes their values come with, the rate of a
+    # ray sup and q*.e0 of an L (118 when they used values alone)
     assert calls["propagation.nullset_radius"] == 1
     assert "propagation.lagrangian" not in calls
     assert "propagation.freidlin_gartner_speed" not in calls
-    assert layer["h_solves"] == 118
+    assert layer["h_solves"] == 88
 
 
 def test_tracer_counts_sweep_solves(tmp_path, capsys):
@@ -115,16 +117,18 @@ def test_tracer_counts_direction_search_solves():
     # and 5,237 (3-D). The root's L solves start from the last interior
     # maximiser: from q = 0 they took 193 (2-D) and 208 (3-D). The L at the
     # hull is certified positive by its facet's weight, not solved: solving
-    # it took 142 (2-D) and 158 (3-D)
+    # it took 142 (2-D) and 158 (3-D). The root steps on the slope q*.e0
+    # of each L: a root on the values of L alone took 100 (2-D) and 116
+    # (3-D), and put the diamond's w* one ulp lower
     pts = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
     diamond = VelocityModel(DiscreteSet(pts, [0.25] * 4))
     octahedron = VelocityModel(DiscreteSet(np.vstack([np.eye(3), -np.eye(3)]), [1.0 / 6.0] * 6))
     calls = (
         (lambda: propagation.freidlin_gartner_speed(diamond, 0.8, [math.cos(0.46), math.sin(0.46)]),
-         100, 0.7387021058641874),
+         74, 0.7387021058641875),
         (lambda: propagation.lagrangian(diamond, 0.8, [0.3, 0.2]), 5, -0.6754429719040477),
         (lambda: propagation.freidlin_gartner_speed(octahedron, 0.8, [1.0, 2.0, 2.0]),
-         116, 0.5944923414842704),
+         90, 0.5944923414842704),
         (lambda: propagation.lagrangian(octahedron, 0.8, [0.31, 0.17, 0.12]),
          5, -0.5989499192664304),
     )

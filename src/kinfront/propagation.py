@@ -17,12 +17,13 @@ initial conditions, planar fronts and compactly supported (point) data,
 whose null sets propagate at the minimal speed c*(e0) and at the
 directional spreading speed w*(e0) respectively. Those radii are
 recovered here by root-finding on phi, not by quoting the speeds, so the
-two routes cross-check each other. A caller that knows the speed of a
-planar root may pass it to nullset_radius: it only narrows the bracket,
-and the root is still certified by a sign change of the conjugate, so a
-wrong speed falls back to the full bracket instead of becoming the
-radius. The ray sups of a planar radius start in the same way from
-rates the same call already holds. Inside one solve, values it already
+two routes cross-check each other. Both roots start from c*(e0), which
+the caller passes to nullset_radius or the call solves. The planar root
+runs on a bracket 1e-6 wide about it and is certified by a sign change
+of the conjugate, so a wrong speed raises SolverNotConverged instead of
+becoming the radius; c*(e0) caps the bracket of the point root. The ray
+sups of a planar radius start in the same way from lambda*(e0), where
+_ray_sups certifies it. Inside one solve, values it already
 holds also start the next step: a continuum H row starts from the
 tangent at the last rate the ray sup solved on it, and each Lagrangian
 of an atom set's point root starts its Newton solve from the maximiser
@@ -396,7 +397,7 @@ def _point_speeds(model, r, e0, c0):
     SolverNotConverged. A minimiser with e.e0 below _EQUATOR is flagged.
     """
     e0 = _unit(model, e0)
-    radius, q = _point_root(model, r, e0, min(c0, _hull_extent(model, e0)), _ROOT_TOL)
+    radius, q = _point_root(model, r, e0, c0, _ROOT_TOL)
     E = model.support.facets[:, :-1]
     if q is not None:
         E = np.vstack([E, q / np.linalg.norm(q)])
@@ -433,7 +434,7 @@ def _hull_extent(model, e0):
     return max(0.0, min(vb, float(np.min(-facets[up, -1] / cos[up])))) if up.any() else vb
 
 
-def nullset_radius(model, r, e0, t, init="point", tol=1e-9, speed=None, rate=None):
+def nullset_radius(model, r, e0, t, init="point", tol=_ROOT_TOL, speed=None, rate=None):
     """Extent of the null set of phi(t, .) along e0, by root-finding.
 
     Planar data: the largest x.e0 with phi = 0, equal to c*(e0) t.
@@ -441,44 +442,39 @@ def nullset_radius(model, r, e0, t, init="point", tol=1e-9, speed=None, rate=Non
     Where _point_is_planar holds the two are one root, the planar one.
     Each comes out of one root solve on the conjugate along the ray (phi
     is t times a function of x/t, so the radius is exactly linear in t):
-    _convex_root, with an absolute term of min(tol, 1e-12). The conjugate
-    is convex, and each of its values comes with the slope of a line
-    below it, the rate of its ray sup or q*.e0 of its Newton solve; so the
-    steps converge quadratically, and the tight tolerance costs few more
-    solves than a loose one. The bracket ends at the hull's extent along
-    e0: vbar(e0) for planar data, and for point data on an atom set the
-    distance to the hull's boundary, from its facets (_point_root). When
-    the conjugate is not positive there the front is ballistic and the
-    radius is that extent times t. On an atom set the sign at the hull
-    may come without a solve: along the normal n of a facet of weight W
-    through that end, F(lam n) rises to 1 - (1+r) W, which bounds L there
-    from below. A positive bound stands in for L there: it picks the
-    root's first point, and never stops the root. tol, the root's
-    absolute tolerance in x/t, must be positive.
+    _convex_root, with an absolute term of min(tol, _ROOT_TOL). The
+    conjugate is convex, and each of its values comes with the slope of a
+    line below it, the rate of its ray sup or q*.e0 of its Newton solve;
+    so the steps converge quadratically, and the tight tolerance costs few
+    more solves than a loose one. tol, the root's absolute tolerance in
+    x/t, must be positive.
 
-    speed, when given, is the expected radius per unit time of a planar
-    root: c*(e0), for planar data and for point data where
-    _point_is_planar holds. It only narrows the bracket to
-    speed (1 -+ 1e-6), and only when that bracket lies inside the hull
-    and the conjugate changes sign across it. The conjugate is convex
-    and nondecreasing along e0 for q >= 0 and negative at 0, so such a
-    sign change holds its one positive root, which the same solve then
-    finds to the same tolerance. The conjugate at both ends, with its
-    slopes, comes from one 2-ray _ray_sups call. Where their lines and
-    chord meet within the tolerance, the root needs no other value; else
-    its first step evaluates the speed itself. Without such a sign
-    change the full bracket runs as without a speed: a speed whose
-    bracket misses the root gives the unseeded radius bit for bit, and
-    one that holds it still gives the root of phi, not the speed. Point
-    data on a 2-D or 3-D atom set takes no speed (ValidationError): its
-    root starts each L's Newton solve from the maximiser of the last one,
-    so a failed narrowing would leave its traces in the radius.
+    Both roots start from c*(e0) and lambda*(e0): speed and rate, where
+    the caller holds them (the spreading command does), else one _cstars
+    row solved here. speed must be finite and not negative, and rate
+    positive: c* is 0 where vbar(e0) is, and lambda* is +inf where c* is
+    ballistic. A rate needs a speed, and planar data.
 
-    rate, planar data only and beside a speed, is lambda*(e0). It only
-    narrows the window of the two end sups to rate exp(-+_RATE_REL), where
-    _ray_sups certifies it; else they run as without a rate, bit for bit.
-    g is concave, so its argmax grows with q: the ends' argmax rates
-    bracket that of every later ray sup of the solve, which starts there.
+    The planar root runs on [speed (1 - 1e-6), min(speed (1 + 1e-6),
+    vbar(e0))], with the conjugate at both ends, and their slopes, from
+    one 2-ray _ray_sups call whose sups start from the window rate
+    exp(-+_RATE_REL), where _ray_sups certifies it. g is concave, so its
+    argmax grows with q: the ends' argmax rates bracket that of every
+    later ray sup of the solve, which starts there. Where the bracket ends
+    at vbar(e0) and the conjugate is not positive there, the front is
+    ballistic and the radius is vbar(e0) t. Else the conjugate, convex and
+    nondecreasing along e0 for q >= 0 and negative at 0, must change sign
+    across the bracket, which then holds its one positive root; where it
+    does not, the speed is not c*(e0) of this phi, and SolverNotConverged
+    is raised. No radius comes from any other bracket. Where the ends'
+    lines and chord meet within the tolerance, the root needs no other
+    value; else its first step evaluates the speed itself.
+
+    Point data on a 2-D or 3-D atom set runs _point_root on [0,
+    min(c*(e0), hull extent)], the bracket of _point_speeds, so its radius
+    is the spreading command's bit for bit. It takes no speed
+    (ValidationError): its top would stand as the radius wherever L is not
+    positive there, which no sign change certifies.
 
     Every call solves its root, on the one unit e0 it was given: a caller
     that wants the radii at several times can solve once at t = 1 and
@@ -490,39 +486,46 @@ def nullset_radius(model, r, e0, t, init="point", tol=1e-9, speed=None, rate=Non
         raise ValidationError("init must be 'planar' or 'point'")
     if rate is not None and (init != "planar" or speed is None):
         raise ValidationError("rate narrows planar ray sups about a speed: it needs both")
-    if init == "point" and speed is not None and not _point_is_planar(model):
+    point = init == "point" and not _point_is_planar(model)
+    if point and speed is not None:
         raise ValidationError("speed narrows a planar root: point data on a 2-D or 3-D atom set "
                               "takes none")
     _positive(r, "growth rate r")
     _positive(t, "time t")
     _positive(tol, "tol")
+    if speed is not None and not 0.0 <= speed < np.inf:
+        raise ValidationError("speed must be finite and not negative")
+    if rate is not None and not 0.0 < rate <= np.inf:
+        raise ValidationError("rate must be positive")
     e0 = _unit(model, e0)
     tol = min(tol, _ROOT_TOL)
-    if init == "point" and not _point_is_planar(model):
-        return t * _point_root(model, r, e0, _hull_extent(model, e0), tol)[0]
+    if speed is None:
+        c, lam = _cstars(model, r, e0)
+        speed, rate = float(c[0]), float(lam[0])
+    if point:
+        return t * _point_root(model, r, e0, speed, tol)[0]
     vb = model.support_max(e0)
+    a, b = speed * (1.0 - _SEED_REL), min(speed * (1.0 + _SEED_REL), vb)
+    window = None if rate is None else rate * np.exp(_RATE_REL * np.array([-1.0, 1.0]))
+    (fa, fb), lams = _ray_sups(model, r, np.vstack([e0, e0]), [a, b], window)
+    if b == vb and fb <= 0.0:
+        return t * vb
+    if not fa < 0.0 < fb:
+        raise SolverNotConverged(
+            "the planar conjugate along e0 does not change sign across [%r, %r]: the speed %r "
+            "is not c*(e0)" % (a, b, speed)
+        )
 
     def slope(lam):
         # a sup that ran off to the window's cap lies at infinity
         return float(lam) if lam < _LAM_CEIL else math.nan
 
-    def f(q, window=None):
-        (val,), (lam,) = _ray_sups(model, r, e0[None, :], [q], window)
+    def f(q):
+        (val,), (lam,) = _ray_sups(model, r, e0[None, :], [q], lams)
         return float(val), slope(lam)
 
-    if speed is not None:
-        a, b = speed * (1.0 - _SEED_REL), speed * (1.0 + _SEED_REL)
-        if 0.0 < a < b < vb:
-            start = None if rate is None else rate * np.exp(_RATE_REL * np.array([-1.0, 1.0]))
-            (fa, fb), lams = _ray_sups(model, r, np.vstack([e0, e0]), [a, b], start)
-            if fa < 0.0 < fb:
-                return t * _convex_root(lambda q: f(q, lams), a, b, float(fa), float(fb),
-                                        slope(lams[0]), slope(lams[1]), tol, guess=speed)
-    f_vb, s_vb = f(vb)
-    if f_vb <= 0.0:
-        return t * vb
-    f_0, s_0 = f(0.0)
-    return t * _convex_root(f, 0.0, vb, f_0, f_vb, s_0, s_vb, tol)
+    return t * _convex_root(f, a, b, float(fa), float(fb), slope(lams[0]), slope(lams[1]), tol,
+                            guess=speed)
 
 
 def _convex_root(f, lo, hi, flo, fhi, slo, shi, tol, guess=None):
@@ -593,10 +596,13 @@ def _convex_root(f, lo, hi, flo, fhi, slo, shi, tol, guess=None):
     return upper
 
 
-def _point_root(model, r, e0, top, tol):
+def _point_root(model, r, e0, c0, tol):
     """Point radius per unit time along the unit e0 on a 2-D or 3-D atom
     set, and the last q at which a Newton solve of L ended (None if none
-    ran): the radius is top when L(top e0) <= 0, else the root of L(q e0)
+    ran). c0 is c*(e0), which bounds the radius, e0 being one of the
+    directions of w*; so is the hull's extent along e0 (_hull_extent).
+    The bracket's top is the smaller of the two, computed here for every
+    caller. The radius is top when L(top e0) <= 0, else the root of L(q e0)
     on [0, top], where L(0) = -r, by _convex_root. L(q e0) is convex in
     q and least at 0, and each L comes with a line below it for free: at
     the q* where its Newton solve ended, y -> F(q*) + (q*.e0)(y - x) is F
@@ -618,6 +624,7 @@ def _point_root(model, r, e0, top, tol):
     moves little between the root's steps. An L on the hull's boundary
     starts nothing, as its q runs off toward infinity, nor does a q that
     ran off past _LAM_CEIL."""
+    top = min(c0, _hull_extent(model, e0))
     facets, weights = model.support.facets, model.support.facet_weights
     gap = _dots(facets[:, :-1], top * e0) + facets[:, -1]
     through = np.abs(gap) <= 1e-12 * (1.0 + np.abs(facets[:, -1]))

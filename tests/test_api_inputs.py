@@ -4,8 +4,9 @@ Every callable in kinfront.__all__ that takes a direction or a vector
 raises ValidationError on a wrong dimension, NaN, inf or (for a
 direction) the zero vector; every r, t and lambda argument, and the
 tolerance and bound of a bisection or a root solve, does the same for
-0, -1, NaN and inf; and every --e, --p and --t flag of the command line
-exits 2. Each bad input is caught before any solve. The
+0, -1, NaN and inf; the speed and rate of a planar root refuse their own
+bad values; and every --e, --p and --t flag of the command line exits 2.
+Each bad input is caught before any solve. The
 last test keeps library code that only the tests call out of the public
 API.
 """
@@ -173,6 +174,45 @@ def test_speed_derivative_left_needs_a_finite_speed(c):
         m = model(name)
         with pytest.raises(kf.ValidationError, match="c must be finite"):
             kf.speed_derivative_left(m, 1.0, _e(m), 0.5, c=c)
+
+
+# the speed c*(e0) and rate lambda*(e0) of a planar root, with their bad
+# values. c* is 0 where vbar(e0) is, and lambda* is +inf at a ballistic c*;
+# minimal_speed returns both, so both pass the gate
+SEED_CALLS = {
+    "speed": (lambda m, x: kf.nullset_radius(m, 1.0, _e(m), 1.0, init="planar", speed=x),
+              (-1.0, NAN, INF, -INF)),
+    "rate": (lambda m, x: kf.nullset_radius(m, 1.0, _e(m), 1.0, init="planar", speed=0.5,
+                                            rate=x),
+             (0.0, -1.0, NAN, -INF)),
+}
+
+
+@pytest.mark.parametrize("name", MODELS)
+@pytest.mark.parametrize("arg", SEED_CALLS)
+def test_every_speed_and_rate_is_gated(monkeypatch, name, arg):
+    def no_solve(*args):
+        raise AssertionError("solved before the gate")
+
+    monkeypatch.setattr(kf.propagation, "_cstars", no_solve)
+    monkeypatch.setattr(kf.propagation, "_ray_sups", no_solve)
+    call, bad = SEED_CALLS[arg]
+    for x in bad:
+        with pytest.raises(kf.ValidationError, match="%s must be" % arg):
+            call(model(name), x)
+
+
+def test_nullset_radius_takes_the_speeds_minimal_speed_returns():
+    # c* = 0 across a line of atoms, where vbar(e0) = 0 too; lambda* = +inf
+    # where the diamond's c* is ballistic. Each radius is vbar(e0)
+    line = kf.VelocityModel(kf.DiscreteSet([(1.0, 1.0), (-1.0, -1.0)], [0.5, 0.5]))
+    for m, r, e in ((line, 0.5, (1.0, -1.0)), (model("diamond"), 3.0, (0.6, 0.8))):
+        sc = kf.minimal_speed(m, r, e, sample=False)
+        got = kf.nullset_radius(m, r, e, 1.0, init="planar", speed=sc.c_star, rate=sc.lambda_star)
+        assert np.isinf(sc.lambda_star) and got == sc.c_star == m.support_max(sc.e)
+    # a speed of 0 where vbar(e0) > 0 is refused by its bracket
+    with pytest.raises(kf.SolverNotConverged):
+        kf.nullset_radius(model("uniform-1d"), 1.0, 1.0, 1.0, speed=0.0)
 
 
 def test_nullset_radius_rejects_an_unknown_init():

@@ -239,20 +239,22 @@ DIAMOND = ("support = discrete\npoint = 1,0 : 0.25\npoint = -1,0 : 0.25\n"
 
 def test_spreading_scan_matches_a_fresh_model(capsys, tmp_path):
     # each direction of a scan runs on a model that earlier directions
-    # used; a freshly parsed model gives every value bit for bit
+    # used; a freshly parsed model gives every value bit for bit, where
+    # the radii are ballistic (r = 3) and where they are roots (r = 0.8)
     path = tmp_path / "diamond.model"
     path.write_text(DIAMOND)
-    code, out, _ = run_cli(capsys, "spreading", "--model-file", str(path), "--r", "3",
-                           "--t", "1,2", "--directions", "8")
-    assert code == 0
-    for entry in json.loads(out)["directions"]:
-        m, e0 = parse_model_file(str(path)), np.array(entry["e0"])
-        assert entry["c_star"] == kf.minimal_speed(m, 3.0, e0, sample=False).c_star
-        assert entry["w_star"] == kf.freidlin_gartner_speed(m, 3.0, e0)
-        for init in ("planar", "point"):
-            for t in (1.0, 2.0):
-                want = kf.nullset_radius(m, 3.0, e0, t, init=init)
-                assert entry["radii"][init][_fmt(t)] == want
+    for r in (3.0, 0.8):
+        code, out, _ = run_cli(capsys, "spreading", "--model-file", str(path), "--r", repr(r),
+                               "--t", "1,2", "--directions", "8")
+        assert code == 0
+        for entry in json.loads(out)["directions"]:
+            m, e0 = parse_model_file(str(path)), np.array(entry["e0"])
+            assert entry["c_star"] == kf.minimal_speed(m, r, e0, sample=False).c_star
+            assert entry["w_star"] == kf.freidlin_gartner_speed(m, r, e0)
+            for init in ("planar", "point"):
+                for t in (1.0, 2.0):
+                    want = kf.nullset_radius(m, r, e0, t, init=init)
+                    assert entry["radii"][init][_fmt(t)] == want, (r, e0, init, t)
 
 
 def test_spreading_radii_are_exactly_linear_in_t(capsys, tmp_path):
@@ -273,7 +275,9 @@ def test_spreading_radii_are_exactly_linear_in_t(capsys, tmp_path):
 def test_spreading_radii_equal_library_calls_given_the_speeds(capsys, tmp_path):
     # at r = 0.8 neither radius is ballistic: the planar root takes the
     # bracket narrowed about c* and its ray sups start from lambda*; the
-    # point root runs on [0, c*], and w* is certified by it
+    # point root runs on [0, min(c*, hull extent)], and w* is certified by
+    # it. A library call that is given no speed solves c* and lambda* and
+    # runs the same roots, bit for bit
     path = tmp_path / "diamond.model"
     path.write_text(DIAMOND)
     e = "%r,%r" % (math.cos(0.46), math.sin(0.46))
@@ -292,8 +296,8 @@ def test_spreading_radii_equal_library_calls_given_the_speeds(capsys, tmp_path):
     assert entry["radii"]["planar"]["1"] == planar < m.support_max(e0)
     assert (entry["w_star"], entry["radii"]["point"]["1"]) == point
     assert point[1] < 1.0 / (math.cos(0.46) + math.sin(0.46))
-    # the same root as nullset_radius's on [0, hull extent], to its tolerance
-    assert abs(point[1] - kf.nullset_radius(m, 0.8, e0, 1.0, init="point")) <= 2e-12
+    assert kf.nullset_radius(m, 0.8, e0, 1.0, init="planar") == planar
+    assert kf.nullset_radius(m, 0.8, e0, 1.0, init="point") == point[1]
 
 
 def test_spreading_takes_w_star_from_c_star_on_radial_models(capsys, monkeypatch):

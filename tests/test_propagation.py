@@ -127,6 +127,14 @@ def test_ballistic_front_hits_hull_speed():
     m = model("two-speed")
     rad = kf.nullset_radius(m, 1.0, 1.0, 5.0)
     np.testing.assert_allclose(rad, 5.0, rtol=1e-12)
+    # c* = vbar(e0), there and on the diamond at r = 3: the bracket about c*
+    # ends at vbar, where the conjugate is not positive, so the planar
+    # radius is vbar, given c* or not
+    for m, r, e0 in ((m, 1.0, (1.0,)), (diamond(), 3.0, GENERIC)):
+        vb = m.support_max(M._unit(m, e0))
+        assert kf.minimal_speed(m, r, e0, sample=False).c_star == vb
+        assert kf.nullset_radius(m, r, e0, 1.0, init="planar") == vb
+        assert kf.nullset_radius(m, r, e0, 1.0, init="planar", speed=vb) == vb
 
 
 def test_diamond_anisotropy():
@@ -267,13 +275,17 @@ def _planar_model(name, e0):
 
 @pytest.mark.parametrize("name,e0", PLANAR_CASES)
 def test_planar_radius_seeded_by_the_rate_agrees_with_the_plain_one(name, e0):
+    # the radius seeded by lambda* is a root of the plain planar conjugate,
+    # within the root's tolerance; a call without a speed solves c* and
+    # lambda* itself and gives it bit for bit
     m, e0 = _planar_model(name, e0)
+    top = m.support_max(M._unit(m, e0))
     for r in (0.3, 0.8):
         sc = kf.minimal_speed(m, r, e0, sample=False)
-        plain = kf.nullset_radius(m, r, e0, 1.0, init="planar")
         seeded = kf.nullset_radius(m, r, e0, 1.0, init="planar", speed=sc.c_star,
                                    rate=sc.lambda_star)
-        assert abs(seeded - plain) <= 1e-9
+        assert _certified(lambda q: kf.planar_conjugate(m, r, e0, q), seeded, top)
+        assert kf.nullset_radius(m, r, e0, 1.0, init="planar") == seeded
         # a rate whose window holds no argmax only costs its check
         unrated = kf.nullset_radius(m, r, e0, 1.0, init="planar", speed=sc.c_star)
         for wrong in (10.0 * sc.lambda_star, 0.1 * sc.lambda_star):
@@ -306,10 +318,10 @@ def test_every_planar_step_solves_the_one_e0(monkeypatch, seeded):
         kw = {"speed": sc.c_star, "rate": sc.lambda_star} if seeded else {}
         rows.clear()
         kf.nullset_radius(m, 0.8, e0, 1.0, init="planar", **kw)
-        # the ends and a root step, or the seeded pair: on the disk its
-        # lines and chord end the root, and the diamond's root evaluates
-        # the speed after it
-        assert len(rows) >= (2 if seeded and not m.is_discrete else 3)
+        # the seeded pair, about the speed the call was given or solved: on
+        # the disk its lines and chord end the root, and the diamond's root
+        # evaluates the speed after it
+        assert len(rows) >= (3 if m.is_discrete else 2)
         assert all((row == rows[0]).all() for row in rows)
 
 
@@ -712,7 +724,8 @@ def test_hull_lagrangian_starts_no_later_lagrangian(monkeypatch):
         return out
 
     monkeypatch.setattr(P, "_lagrangian", spied)
-    radius = kf.nullset_radius(m, r, e0, 1.0, init="point", tol=1e-13)
+    # c0 = inf: the bracket's top is the hull's extent, not c*(e0)
+    radius, _ = P._point_root(m, r, M._unit(m, e0), math.inf, 1e-13)
     x, _, q, interior = ends[0]
     assert x == P._hull_extent(m, kf.direction(e0)) and interior and np.linalg.norm(q) > 1e7
     assert len(ends) > 1 and all(start is not q for _, start, _, _ in ends[1:])
@@ -809,6 +822,36 @@ def test_planar_radii_certify_their_bracket(r):
             assert _certified(f, kf.nullset_radius(m, r, e0, 1.0), top)
 
 
+@pytest.mark.parametrize("name", ["uniform-ball:2", "quadratic-1d", "diamond"])
+def test_planar_root_runs_only_about_its_speed(monkeypatch, name):
+    # the planar root runs on the bracket 1e-6 wide about its speed, and
+    # nowhere else: a speed whose bracket shows no sign change of the
+    # conjugate raises after that one pair of ray sups, while one off by
+    # 1e-7 still holds the root, and gives the root of phi, not the speed
+    m, e0 = (diamond(), kf.direction(GENERIC)) if name == "diamond" else _planar_model(name, None)
+    c = kf.minimal_speed(m, 0.8, e0, sample=False).c_star
+    top = m.support_max(M._unit(m, e0))
+    qs = []
+    sups = P._ray_sups
+
+    def spied(model, r, E, a, window=None):
+        qs.extend(a)
+        return sups(model, r, E, a, window)
+
+    monkeypatch.setattr(P, "_ray_sups", spied)
+    # point data on the diamond takes no speed; elsewhere it is the planar root
+    for init in ("planar",) if m.is_discrete else ("planar", "point"):
+        for speed in (0.5 * c, 1.01 * c):
+            qs.clear()
+            with pytest.raises(kf.SolverNotConverged, match="is not c\\*"):
+                kf.nullset_radius(m, 0.8, e0, 1.0, init=init, speed=speed)
+            assert qs == [speed * (1.0 - P._SEED_REL), speed * (1.0 + P._SEED_REL)]
+        off = c * (1.0 + 1e-7)
+        radius = kf.nullset_radius(m, 0.8, e0, 1.0, init=init, speed=off)
+        assert _certified(lambda q: sups(m, 0.8, M._unit(m, e0), [q])[0][0], radius, top)
+        assert abs(radius - off) > 2e-8
+
+
 def _point_cases():
     """(model, r, e0): the diamond along an axis and at 0.3 and 0.46 rad,
     the octahedron in three directions, and the random battery."""
@@ -820,10 +863,10 @@ def _point_cases():
 
 
 def test_point_radii_certify_their_bracket():
-    # the point radius on [0, hull extent] and the spreading command's on
-    # [0, min(c*(e0), hull extent)]: a plain Lagrangian brackets each
-    # within the root's tolerance, or the radius is the top of its bracket
-    # and L is not positive there
+    # the point radius of nullset_radius is the spreading command's, on
+    # [0, min(c*(e0), hull extent)], bit for bit: a plain Lagrangian
+    # brackets it within the root's tolerance, or the radius is the top of
+    # its bracket and L is not positive there
     cases = _point_cases()
     assert len(cases) == 12 + 9 + 150
     for m, r, e0 in cases:
@@ -833,10 +876,10 @@ def test_point_radii_certify_their_bracket():
         def f(x):
             return kf.lagrangian(m, r, x * unit)
 
-        extent = P._hull_extent(m, unit)
-        assert _certified(f, kf.nullset_radius(m, r, e0, 1.0), extent)
         c0 = float(P._cstars(m, r, unit)[0][0])
-        assert _certified(f, P._point_speeds(m, r, e0, c0)[1], min(c0, extent))
+        radius = kf.nullset_radius(m, r, e0, 1.0)
+        assert radius == P._point_speeds(m, r, e0, c0)[1]
+        assert _certified(f, radius, min(c0, P._hull_extent(m, unit)))
 
 
 def test_lagrangian_ends_at_its_sup_where_the_gain_is_roundoff(monkeypatch):

@@ -805,8 +805,9 @@ def _certified(f, x, top, tol=P._ROOT_TOL):
 @pytest.mark.parametrize("r", [0.3, 0.8, 1.1, 3.0])
 def test_planar_radii_certify_their_bracket(r):
     # whatever steps the root took, a plain planar conjugate brackets the
-    # radius within the root's tolerance, seeded or not, on every preset
-    # and on the diamond along an axis and off it
+    # radius within the root's tolerance, with c* and lambda* given or
+    # solved by the call, on every preset and on the diamond along an axis
+    # and off it
     for name, e0 in PLANAR_CASES:
         m, e0 = _planar_model(name, e0)
         sc = kf.minimal_speed(m, r, e0, sample=False)

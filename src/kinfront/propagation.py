@@ -89,8 +89,8 @@ _MIN_STEP = 2.0**-30
 # a decrement within this many ulps of F whose full step fails the Armijo
 # test, or gains nothing, ends the solve at an interior sup
 _ROUNDOFF_DEC = 16.0
-# relative half-width of the bracket about a known speed in nullset_radius,
-# and the half-width in log rate of the window about a known rate
+# relative half-width of the planar root's bracket about c*(e0), and the
+# half-width in log rate of the ray sups' window about lambda*(e0)
 _SEED_REL = 1e-6
 _RATE_REL = 1e-4
 # the cosine e.e0 below which a minimiser of c*(e)/(e.e0) is flagged as

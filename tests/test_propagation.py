@@ -849,7 +849,7 @@ def test_planar_root_runs_only_about_its_speed(monkeypatch, name):
             assert qs == [speed * (1.0 - P._SEED_REL), speed * (1.0 + P._SEED_REL)]
         off = c * (1.0 + 1e-7)
         radius = kf.nullset_radius(m, 0.8, e0, 1.0, init=init, speed=off)
-        assert _certified(lambda q: sups(m, 0.8, M._unit(m, e0), [q])[0][0], radius, top)
+        assert _certified(lambda q: kf.planar_conjugate(m, 0.8, e0, q), radius, top)
         assert abs(radius - off) > 2e-8
 
 

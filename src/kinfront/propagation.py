@@ -466,7 +466,8 @@ def nullset_radius(model, r, e0, t, init="point", tol=_ROOT_TOL, speed=None, rat
     nondecreasing along e0 for q >= 0 and negative at 0, must change sign
     across the bracket, which then holds its one positive root; where it
     does not, the speed is not c*(e0) of this phi, and SolverNotConverged
-    is raised. No radius comes from any other bracket. Where the ends'
+    is raised, as it is for a speed so far above vbar(e0) that the
+    bracket is empty. No radius comes from any other bracket. Where the ends'
     lines and chord meet within the tolerance, the root needs no other
     value; else its first step evaluates the speed itself.
 
@@ -506,6 +507,9 @@ def nullset_radius(model, r, e0, t, init="point", tol=_ROOT_TOL, speed=None, rat
         return t * _point_root(model, r, e0, speed, tol)[0]
     vb = model.support_max(e0)
     a, b = speed * (1.0 - _SEED_REL), min(speed * (1.0 + _SEED_REL), vb)
+    if a > b:
+        raise SolverNotConverged("the speed %r lies above vbar(e0) = %r: it is not c*(e0)"
+                                 % (speed, vb))
     window = None if rate is None else rate * np.exp(_RATE_REL * np.array([-1.0, 1.0]))
     (fa, fb), lams = _ray_sups(model, r, np.vstack([e0, e0]), [a, b], window)
     if b == vb and fb <= 0.0:

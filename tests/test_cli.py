@@ -505,6 +505,23 @@ def test_solver_failure_exits_3(capsys, tmp_path, monkeypatch):
     assert out == "" and os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("model", ["uniform-ball:2", "quadratic-1d"])
+def test_spreading_speed_that_misses_the_planar_root_exits_3(capsys, tmp_path, monkeypatch, model):
+    # a c* whose bracket 1e-6 wide shows no sign change of the planar
+    # conjugate is reported, not replaced by a root from another bracket
+    solve = kf.dispersion.minimal_speed
+
+    def halved(*args, **kwargs):
+        curve = solve(*args, **kwargs)
+        curve.c_star *= 0.5
+        return curve
+
+    monkeypatch.setattr(kf.dispersion, "minimal_speed", halved)
+    code, out, err = run_cli(capsys, "spreading", "--model", model, "--r", "0.8",
+                             "--out", str(tmp_path / "out.json"))
+    assert code == 3 and err.startswith("numerical failure: ") and "is not c*(e0)" in err
+    assert out == "" and os.listdir(tmp_path) == []
+
 def test_unwritable_output_exits_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "sweep", "--model", "two-speed", "--r-grid", "0.5:1:2",
                              "--out", str(tmp_path / "missing" / "sweep.csv"))

@@ -627,13 +627,22 @@ def test_3d_freidlin_gartner_solves_e0_in_full_once(monkeypatch):
         assert sum(seen) == 1 and seen[0] == 1
 
 
+def _hull_radius(m, r, e0):
+    """The point radius per unit time on [0, hull extent], a bracket that
+    c*(e0) does not cap (c0 = inf), so that it checks w* against a root
+    that knows nothing of c*; nullset_radius and _point_speeds share the
+    bracket [0, min(c*(e0), hull extent)], which a c*(e0) solved too low
+    would make their common radius."""
+    return P._point_root(m, r, kf.direction(e0), math.inf, 1e-13)[0]
+
+
 @pytest.mark.parametrize("e0", [(0.2, 0.75, 0.65), (1.0, 4.0, 3.5)])
 def test_octahedron_wstar_is_the_point_radius(e0):
     # w* is the point radius per unit time, a root of the Lagrangian on
-    # [0, hull extent] that knows nothing of c*. At r = 1.1 the minimizer
-    # lies off the axes and off the facet normals
+    # [0, hull extent] that knows nothing of c* (_hull_radius). At r = 1.1
+    # the minimizer lies off the axes and off the facet normals
     m, r = octahedron(), 1.1
-    radius = kf.nullset_radius(m, r, e0, 1.0, init="point", tol=1e-13)
+    radius = _hull_radius(m, r, e0)
     np.testing.assert_allclose(kf.freidlin_gartner_speed(m, r, e0), radius, rtol=1e-12)
 
 
@@ -691,7 +700,7 @@ def test_wstar_is_the_point_radius_on_random_3d_atom_sets():
     cases = [case for case in _random_battery() if case[0] == 3]
     assert len(cases) == 75
     for _, m, r, e0 in cases:
-        radius = kf.nullset_radius(m, r, e0, 1.0, init="point", tol=1e-13)
+        radius = _hull_radius(m, r, e0)
         assert abs(kf.freidlin_gartner_speed(m, r, e0) - radius) <= 1e-9 * radius
 
 
@@ -703,7 +712,7 @@ def test_wstar_is_the_point_radius_on_random_2d_atom_sets():
     cases = [case for case in _random_battery() if case[0] == 2]
     assert len(cases) == 75
     for _, m, r, e0 in cases:
-        radius = kf.nullset_radius(m, r, e0, 1.0, init="point", tol=1e-13)
+        radius = _hull_radius(m, r, e0)
         assert abs(kf.freidlin_gartner_speed(m, r, e0) - radius) <= 1e-9 * radius
 
 
@@ -847,6 +856,12 @@ def test_planar_root_runs_only_about_its_speed(monkeypatch, name):
             with pytest.raises(kf.SolverNotConverged, match="is not c\\*"):
                 kf.nullset_radius(m, 0.8, e0, 1.0, init=init, speed=speed)
             assert qs == [speed * (1.0 - P._SEED_REL), speed * (1.0 + P._SEED_REL)]
+        # a speed past vbar(e0) / (1 - 1e-6) leaves an empty bracket, and
+        # raises before any ray sup
+        qs.clear()
+        with pytest.raises(kf.SolverNotConverged, match="is not c\\*"):
+            kf.nullset_radius(m, 0.8, e0, 1.0, init=init, speed=1.01 * top)
+        assert qs == []
         off = c * (1.0 + 1e-7)
         radius = kf.nullset_radius(m, 0.8, e0, 1.0, init=init, speed=off)
         assert _certified(lambda q: kf.planar_conjugate(m, 0.8, e0, q), radius, top)
@@ -1034,7 +1049,7 @@ def test_diamond_wstar_where_lambda_star_passes_the_first_window():
     # 6.3e-8 above the point radius
     r, theta = 1.051749152672088, 0.476002222947521
     e0 = (math.cos(theta), math.sin(theta))
-    radius = kf.nullset_radius(diamond(), r, e0, 1.0, init="point", tol=1e-13)
+    radius = _hull_radius(diamond(), r, e0)
     assert abs(kf.freidlin_gartner_speed(diamond(), r, e0) - radius) <= 1e-8
 
 
